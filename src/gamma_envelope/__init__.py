@@ -30,7 +30,7 @@ from gamma_envelope.bounds import (
     theorem_bounds,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "EULER_GAMMA",

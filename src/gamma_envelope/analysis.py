@@ -8,13 +8,12 @@ the probed resolution.  A violation, on the other hand, is a concrete
 numeric counterexample and is reported loudly.
 """
 
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
-from gamma_envelope import bounds, refcore
+from gamma_envelope import bounds, refcore, sweep
 from gamma_envelope.proofaudit import ratio_R, proof_function
 
 # Relative inset used to keep grids away from open-interval boundaries.
@@ -148,21 +147,19 @@ def check_monotone(function_id, a, b, direction, grid_n=10000):
     xs = np.linspace(a + eps, b - eps, grid_n)
     vals = [f(float(x)) for x in xs]
     sign = 1.0 if direction == "increasing" else -1.0
-    violations = []
-    min_abs = math.inf
-    for xa, va, vb in zip(xs, vals, vals[1:]):
-        d = sign * (vb - va)
-        min_abs = min(min_abs, abs(d))
-        if d <= 0.0:
-            violations.append((float(xa), d))
+    steps = sign * np.diff(vals)
+    check = sweep.lowest(xs, steps)
     return MonotonicityReport(
         function_id=function_id,
         interval=(a, b),
         grid_n=grid_n,
         direction=direction,
-        strict_violations=violations,
-        min_abs_diff=min_abs,
-        verdict="consistent" if not violations else "violated",
+        strict_violations=[
+            (float(xs[i]), float(steps[i]))
+            for i in np.flatnonzero(~(steps > 0.0))
+        ],
+        min_abs_diff=float(np.min(np.abs(steps), initial=math.inf)),
+        verdict="consistent" if check.ok else "violated",
     )
 
 
@@ -174,23 +171,16 @@ def _classify_lambda(lam, grid_n):
     """'increasing' | 'decreasing' | 'non-monotone' for the lambda ratio
     on (0,1).
 
-    Non-monotone needs at least two difference sign changes separated by
-    more than 10 grid points, so that flat-regime noise cannot
-    misclassify; anything else with mixed signs counts as the dominant
-    trend's side being lost, and is also reported non-monotone.
+    Increasing or decreasing means every grid step has that strict sign;
+    any mix of signs (or a zero step) is classified non-monotone.
     """
     eps = BOUNDARY_INSET
     xs = np.linspace(eps, 1.0 - eps, grid_n)
     vals = np.array([lambda_ratio(lam, float(x)) for x in xs])
-    diffs = np.diff(vals)
-    if np.all(diffs > 0.0):
+    if sweep.monotone(xs, vals, 1.0).ok:
         return "increasing"
-    if np.all(diffs < 0.0):
+    if sweep.monotone(xs, vals, -1.0).ok:
         return "decreasing"
-    signs = np.sign(diffs)
-    changes = np.nonzero(signs[1:] != signs[:-1])[0]
-    if len(changes) >= 2 and (changes[-1] - changes[0]) > 10:
-        return "non-monotone"
     return "non-monotone"
 
 
@@ -220,34 +210,16 @@ def search_lambda_thresholds(grid_n=2000, lambda_tol=1e-3):
             first_dec = lam
     if last_inc is None or first_dec is None:
         raise RuntimeError("coarse sweep found no transition in [1, 6]")
-
-    def bisect(lo, hi, want):
-        # invariant: classify(lo) == want, classify(hi) != want
-        while hi - lo > lambda_tol:
-            mid = 0.5 * (lo + hi)
-            if _classify_lambda(mid, grid_n) == want:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    # upward from the last increasing lambda
-    hi = last_inc + 0.1
-    lambda_inc_max = bisect(last_inc, hi, "increasing")
-    # downward from the first decreasing lambda
-    lo = first_dec - 0.1
-
-    def bisect_down(lo, hi):
-        # classify(hi) == decreasing, classify(lo) != decreasing
-        while hi - lo > lambda_tol:
-            mid = 0.5 * (lo + hi)
-            if _classify_lambda(mid, grid_n) == "decreasing":
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    lambda_dec_min = bisect_down(lo, first_dec)
+    # upward from the last increasing lambda, downward from the first
+    # decreasing one
+    lambda_inc_max, _ = sweep.bisect(
+        lambda lam: _classify_lambda(lam, grid_n) == "increasing",
+        last_inc, last_inc + 0.1, lambda_tol,
+    )
+    _, lambda_dec_min = sweep.bisect(
+        lambda lam: _classify_lambda(lam, grid_n) != "decreasing",
+        first_dec - 0.1, first_dec, lambda_tol,
+    )
     return lambda_inc_max, lambda_dec_min, table
 
 
@@ -343,20 +315,10 @@ def find_crossover(family_a, family_b, side, a, b, scan_n=1000):
         )
 
     vals = [diff(x) for x in xs]
-    roots = []
-    for i, (va, vb) in enumerate(zip(vals, vals[1:])):
-        if (va < 0.0) != (vb < 0.0):
-            lo, hi = float(xs[i]), float(xs[i + 1])
-            flo = va
-            while hi - lo > 1e-10:
-                mid = 0.5 * (lo + hi)
-                fm = diff(mid)
-                if (flo < 0.0) == (fm < 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-    return roots
+    return [
+        sweep.root(diff, float(xs[i]), float(xs[i + 1]), vals[i], 1e-10)
+        for i in sweep.sign_changes(vals)
+    ]
 
 
 @dataclass
@@ -366,7 +328,6 @@ class ComparisonReport:
     grid: list
     winner_per_point: list
     crossovers: list  # [(family_a, family_b, x_star), ...]
-    remark_findings: list = field(default_factory=list)  # [(claim_id, verdict)]
 
 
 def compare_families(side, a, b, grid_n, families):
@@ -532,31 +493,3 @@ def remark_claims(grid_n=2000):
         )
     )
     return out
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def report_to_json(report):
-    return json.dumps(asdict(report), indent=2, sort_keys=True)
-
-
-def comparison_to_csv(report, per_family_values=True):
-    """CSV with columns x, per-family bound value (requested side), winner."""
-    lines = []
-    header = ["x"] + ["%s_%s" % (f, report.side) for f in report.families] + [
-        "winner"
-    ]
-    lines.append(",".join(header))
-    for x, w in zip(report.grid, report.winner_per_point):
-        row = ["%.17g" % x]
-        for fid in report.families:
-            try:
-                v = _side_log_value(fid, report.side, x)
-                row.append("%.17g" % math.exp(v) if v < 700 else "inf")
-            except bounds.DomainError:
-                row.append("")
-        row.append(w or "")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

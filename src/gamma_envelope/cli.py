@@ -12,7 +12,9 @@ import json
 import math
 import sys
 
-from gamma_envelope import analysis, bounds, polycert, proofaudit, refcore
+from gamma_envelope import (
+    analysis, bounds, polycert, proofaudit, refcore, sweep,
+)
 
 FORMATS = ("csv", "json", "markdown")
 
@@ -29,30 +31,22 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _rows_to_csv(header, rows):
-    def cell(v):
-        if isinstance(v, float):
-            return "%.17g" % v
-        return str(v)
+def _cell(v):
+    return "%.17g" % v if isinstance(v, float) else str(v)
 
+
+def _rows_to_csv(header, rows):
     lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    lines.extend(",".join(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def _rows_to_markdown(header, rows):
-    def cell(v):
-        if isinstance(v, float):
-            return "%.17g" % v
-        return str(v)
-
     lines = [
         "| " + " | ".join(header) + " |",
         "|" + "---|" * len(header),
     ]
-    lines.extend(
-        "| " + " | ".join(cell(v) for v in row) + " |" for row in rows
-    )
+    lines.extend("| " + " | ".join(map(_cell, row)) + " |" for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -102,7 +96,6 @@ def _cmd_bounds(args):
 
 
 def _cmd_compare(args):
-    a, b = args.interval if args.interval else (0.0, 1.0)
     findings = analysis.remark_claims(grid_n=max(args.grid, 500))
     header = ["claim_id", "description", "verdict"]
     rows = [list(f) for f in findings]
@@ -112,18 +105,18 @@ def _cmd_compare(args):
 
 def _cmd_audit(args):
     claims = proofaudit.audit_proof(grid_n=args.grid)
-    if args.format == "markdown":
-        text = proofaudit.claims_to_markdown(claims)
-    elif args.format == "json":
+    if args.format == "json":
+        # the JSON form also carries each claim's interval
         text = proofaudit.claims_to_json(claims) + "\n"
     else:
-        header = ["name", "kind", "expected", "measured", "verdict", "witness"]
+        header = ["name" if args.format == "csv" else "claim", "kind",
+                  "expected", "measured", "verdict", "witness"]
         rows = [
             [c.name, c.kind, c.expected, c.measured, c.verdict,
              "" if c.witness is None else c.witness]
             for c in claims
         ]
-        text = _rows_to_csv(header, rows)
+        text = _render(header, rows, args.format)
     _emit(text, args.out)
     return 0 if all(c.verdict == "pass" for c in claims) else 1
 
@@ -143,11 +136,10 @@ def _cmd_lemma2(args):
         ])
         ok = ok and cert.verdict == "certified"
     # the transcendental member is checked numerically on a grid
-    n = max(args.grid, 100)
-    eps = 1e-6
-    xs = [eps + (1.0 - 2.0 * eps) * i / (n - 1) for i in range(n)]
-    h2_min = min(proofaudit.lemma_expr(2, x) for x in xs)
-    h2_ok = h2_min > 0.0 and abs(proofaudit.lemma_expr(2, 0.0) - 1.0) <= 1e-12
+    xs = proofaudit.interior_grid(max(args.grid, 100))
+    h2 = sweep.lowest(xs, [proofaudit.lemma_expr(2, x) for x in xs])
+    h2_min = h2.measured
+    h2_ok = h2.ok and abs(proofaudit.lemma_expr(2, 0.0) - 1.0) <= 1e-12
     rows.append([
         "h2", "transcendental", "positive", "", "",
         "consistent" if h2_ok else "violated",
@@ -238,15 +230,15 @@ def _cmd_polygamma_check(args):
     rows = []
     ok = True
     for k in (1, 2, 3):
-        worst = math.inf
+        margins = []
         for x in xs:
             bp = bounds.polygamma_bounds(k, float(x))
             val = abs(refcore.polygamma(k, float(x)))
-            worst = min(worst, val - bp.lower, bp.upper - val)
-        k_ok = worst > 0.0
-        rows.append([k, float(xs[0]), float(xs[-1]), len(xs), worst,
-                     "pass" if k_ok else "fail"])
-        ok = ok and k_ok
+            margins.append(min(val - bp.lower, bp.upper - val))
+        check = sweep.lowest(xs, margins)
+        rows.append([k, float(xs[0]), float(xs[-1]), len(xs), check.measured,
+                     "pass" if check.ok else "fail"])
+        ok = ok and check.ok
     header = ["k", "x_min", "x_max", "points", "min_margin", "verdict"]
     _emit(_render(header, rows, args.format), args.out)
     return 0 if ok else 1
@@ -261,11 +253,12 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, grid_default=10000):
+    def common(sp, grid_default=10000, interval=False):
         sp.add_argument("--grid", type=int, default=grid_default,
                         metavar="N", help="grid resolution")
-        sp.add_argument("--interval", type=float, nargs=2, default=None,
-                        metavar=("A", "B"), help="interval endpoints")
+        if interval:
+            sp.add_argument("--interval", type=float, nargs=2, default=None,
+                            metavar=("A", "B"), help="interval endpoints")
         sp.add_argument("--format", choices=FORMATS, default="csv")
         sp.add_argument("--out", default=None, metavar="PATH",
                         help="output file (default: stdout)")
@@ -293,7 +286,7 @@ def build_parser():
 
     sp = sub.add_parser("monotone", help="strict monotonicity check of a "
                         "registered function")
-    common(sp)
+    common(sp, interval=True)
     sp.add_argument("--function", default="ratio_R")
     sp.add_argument("--direction", choices=("increasing", "decreasing"),
                     default="increasing")
@@ -301,7 +294,7 @@ def build_parser():
 
     sp = sub.add_parser("conjecture", help="falsification probes")
     sp.add_argument("which", choices=("cm", "ratio-global", "tau"))
-    common(sp)
+    common(sp, interval=True)
     sp.add_argument("--max-order", type=int, default=6)
     sp.add_argument("--step", type=float, default=0.01)
     sp.set_defaults(fn=_cmd_conjecture)

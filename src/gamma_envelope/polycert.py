@@ -17,6 +17,13 @@ from fractions import Fraction
 ENDPOINT_EPS = Fraction(1, 10**6)
 
 
+def _trim(coeffs):
+    """Drop trailing zero coefficients in place; a lone zero stays."""
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
 class Polynomial:
     """Univariate polynomial with exact integer coefficients.
 
@@ -25,12 +32,7 @@ class Polynomial:
     """
 
     def __init__(self, coefficients):
-        coeffs = [int(c) for c in coefficients]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            coeffs = [0]
-        self.coefficients = coeffs
+        self.coefficients = _trim([int(c) for c in coefficients]) or [0]
 
     @property
     def degree(self):
@@ -89,31 +91,26 @@ def _frac_coeffs(p):
     return [Fraction(c) for c in p.coefficients]
 
 
-def _trim(coeffs):
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_rem(a, b):
-    """Remainder of a / b over Fraction coefficient lists (ascending)."""
-    a = list(a)
+def _poly_divmod(a, b):
+    """Exact quotient and remainder of a / b over Fraction coefficient
+    lists (ascending)."""
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a != [Fraction(0)]:
-        da, la = len(a) - 1, a[-1]
-        q = la / lb
+    quot = [Fraction(0)] * max(len(a) - db, 1)
+    rem = list(a)
+    while len(rem) - 1 >= db and rem != [0]:
+        dr = len(rem) - 1
+        q = rem[-1] / lb
+        quot[dr - db] = q
         for i in range(db + 1):
-            a[da - db + i] -= q * b[i]
-        a.pop()  # leading term cancelled exactly
-        a = _trim(a)
-        if a == []:
-            a = [Fraction(0)]
-    return a
+            rem[dr - db + i] -= q * b[i]
+        rem.pop()  # leading term cancelled exactly
+        rem = _trim(rem) or [Fraction(0)]
+    return quot, rem
 
 
 def _poly_gcd(a, b):
-    while not (len(b) == 1 and b[0] == 0):
-        a, b = b, _poly_rem(a, b)
+    while b != [0]:
+        a, b = b, _poly_divmod(a, b)[1]
     return a
 
 
@@ -126,19 +123,7 @@ def _square_free(p):
     g = _poly_gcd(a, b)
     if len(g) == 1:
         return a
-    # exact division a / g
-    quot = [Fraction(0)] * (len(a) - len(g) + 1)
-    rem = list(a)
-    dg, lg = len(g) - 1, g[-1]
-    while len(rem) - 1 >= dg and not (len(rem) == 1 and rem[0] == 0):
-        dr = len(rem) - 1
-        q = rem[-1] / lg
-        quot[dr - dg] = q
-        for i in range(dg + 1):
-            rem[dr - dg + i] -= q * g[i]
-        rem.pop()
-        rem = _trim(rem)
-    return quot
+    return _poly_divmod(a, g)[0]
 
 
 def _eval_list(coeffs, x):
@@ -151,11 +136,11 @@ def _eval_list(coeffs, x):
 def _sturm_chain(coeffs):
     chain = [coeffs]
     deriv = _trim([i * c for i, c in enumerate(coeffs)][1:]) or [Fraction(0)]
-    if not (len(deriv) == 1 and deriv[0] == 0):
+    if deriv != [0]:
         chain.append(deriv)
         while True:
-            r = _poly_rem(chain[-2], chain[-1])
-            if len(r) == 1 and r[0] == 0:
+            r = _poly_divmod(chain[-2], chain[-1])[1]
+            if r == [0]:
                 break
             chain.append([-c for c in r])
     return chain
@@ -170,6 +155,23 @@ def _chain_sign_changes(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _nudge_endpoints(p, a, b):
+    """(a, b, adjusted): the interval as Fractions, each endpoint where p
+    vanishes moved inward by :data:`ENDPOINT_EPS` until it no longer
+    does."""
+    a, b = Fraction(a), Fraction(b)
+    if not a < b:
+        raise ValueError("need a < b, got a=%s b=%s" % (a, b))
+    adjusted = False
+    while p(a) == 0:
+        a += ENDPOINT_EPS
+        adjusted = True
+    while p(b) == 0:
+        b -= ENDPOINT_EPS
+        adjusted = True
+    return a, b, adjusted
+
+
 def sturm_root_count(p, a, b):
     """Exact number of distinct real roots of p in the open interval (a, b).
 
@@ -178,13 +180,7 @@ def sturm_root_count(p, a, b):
     """
     if p.is_zero():
         raise ValueError("root counting is undefined for the zero polynomial")
-    a, b = Fraction(a), Fraction(b)
-    if not a < b:
-        raise ValueError("need a < b, got a=%s b=%s" % (a, b))
-    while p(a) == 0:
-        a += ENDPOINT_EPS
-    while p(b) == 0:
-        b -= ENDPOINT_EPS
+    a, b, _ = _nudge_endpoints(p, a, b)
     if not a < b:
         return 0
     chain = _sturm_chain(_square_free(p))
@@ -251,16 +247,7 @@ def certify_sign(p, a, b, claimed, spot_points=()):
     are extra rational points whose exact values are recorded for
     cross-checking against published anchor values.
     """
-    a, b = Fraction(a), Fraction(b)
-    if not a < b:
-        raise ValueError("need a < b")
-    adjusted = False
-    while p(a) == 0:
-        a += ENDPOINT_EPS
-        adjusted = True
-    while p(b) == 0:
-        b -= ENDPOINT_EPS
-        adjusted = True
+    a, b, adjusted = _nudge_endpoints(p, a, b)
     mid = (a + b) / 2
     points = [a, mid, b]
     values = [(x, p(x)) for x in points]

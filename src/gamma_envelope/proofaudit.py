@@ -12,8 +12,11 @@ returning structured pass/fail verdicts rather than raising.
 import json
 import math
 from dataclasses import dataclass, asdict
+from functools import partial
 
-from gamma_envelope import refcore
+import numpy as np
+
+from gamma_envelope import refcore, sweep
 from gamma_envelope.polycert import LEMMA_POLYNOMIALS
 
 # Half-width of the removable-singularity band around x = 1 for ratio_R.
@@ -184,104 +187,41 @@ def proof_function(name, x):
     raise ValueError("unknown proof function %r" % (name,))
 
 
-def _bisect_zero(f, lo, hi, tol=1e-12):
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if hi - lo <= tol:
-            return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
+def interior_grid(n):
+    """``n`` evenly spaced points on [1e-6, 1 - 1e-6], the inset grid of
+    the open unit interval used by the audit and the lemma check."""
+    eps = 1e-6
+    return [eps + (1.0 - 2.0 * eps) * i / (n - 1) for i in range(n)]
+
+
+def _grid_claim(name, kind, sign, xs, vals, f):
+    """One audited grid claim of the given kind from a sweep of ``f``."""
+    if kind == "monotonicity":
+        expected = "strictly %s" % ("increasing" if sign > 0 else "decreasing")
+        ok, measured, witness = sweep.monotone(xs, vals, sign)
+    elif kind == "sign":
+        expected = "%s on the interval" % ("> 0" if sign > 0 else "< 0")
+        ok, measured, witness = sweep.signed(xs, vals, sign)
+    elif kind == "unique_minimum":
+        expected = "one descending-to-ascending turn of first differences"
+        ok, measured, witness = sweep.unique_minimum(xs, vals)
+    else:  # unique_zero: the one sign change is refined to a root
+        expected = "exactly one sign change, bisection converges"
+        changes = sweep.sign_changes(vals)
+        ok, measured = len(changes) == 1, float(len(changes))
+        if ok:
+            i = changes[0]
+            witness = sweep.root(f, xs[i], xs[i + 1], vals[i], 1e-12)
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _claim_monotone(name, f, xs, decreasing):
-    vals = [f(x) for x in xs]
-    worst = math.inf
-    witness = None
-    for a, b, xa in zip(vals, vals[1:], xs):
-        d = a - b if decreasing else b - a
-        if d < worst:
-            worst = d
-            if d <= 0.0:
-                witness = xa
+            witness = xs[changes[0]] if len(changes) else None
     return ProofClaim(
         name=name,
-        kind="monotonicity",
+        kind=kind,
         interval=(xs[0], xs[-1]),
-        expected="strictly %s" % ("decreasing" if decreasing else "increasing"),
-        verdict="pass" if worst > 0.0 else "fail",
-        measured=worst,
+        expected=expected,
+        verdict="pass" if ok else "fail",
+        measured=measured,
         witness=witness,
-    )
-
-
-def _claim_sign(name, f, xs, negative):
-    vals = [f(x) for x in xs]
-    worst = max(vals) if negative else min(vals)
-    ok = worst < 0.0 if negative else worst > 0.0
-    witness = xs[vals.index(worst)]
-    return ProofClaim(
-        name=name,
-        kind="sign",
-        interval=(xs[0], xs[-1]),
-        expected="%s on the interval" % ("< 0" if negative else "> 0"),
-        verdict="pass" if ok else "fail",
-        measured=worst,
-        witness=None if ok else witness,
-    )
-
-
-def _claim_unique_zero(name, f, xs):
-    vals = [f(x) for x in xs]
-    changes = [
-        i
-        for i, (a, b) in enumerate(zip(vals, vals[1:]))
-        if (a < 0.0) != (b < 0.0)
-    ]
-    if len(changes) == 1:
-        i = changes[0]
-        root = _bisect_zero(f, xs[i], xs[i + 1])
-        return ProofClaim(
-            name=name,
-            kind="unique_zero",
-            interval=(xs[0], xs[-1]),
-            expected="exactly one sign change, bisection converges",
-            verdict="pass",
-            measured=float(len(changes)),
-            witness=root,
-        )
-    return ProofClaim(
-        name=name,
-        kind="unique_zero",
-        interval=(xs[0], xs[-1]),
-        expected="exactly one sign change, bisection converges",
-        verdict="fail",
-        measured=float(len(changes)),
-        witness=xs[changes[0]] if changes else None,
-    )
-
-
-def _claim_unique_minimum(name, f, xs):
-    vals = [f(x) for x in xs]
-    diffs = [b - a for a, b in zip(vals, vals[1:])]
-    changes = [
-        i
-        for i, (a, b) in enumerate(zip(diffs, diffs[1:]))
-        if a < 0.0 <= b or a <= 0.0 < b
-    ]
-    ok = len(changes) == 1 and diffs[0] < 0.0 < diffs[-1]
-    return ProofClaim(
-        name=name,
-        kind="unique_minimum",
-        interval=(xs[0], xs[-1]),
-        expected="one descending-to-ascending turn of first differences",
-        verdict="pass" if ok else "fail",
-        measured=float(len(changes)),
-        witness=xs[changes[0] + 1] if changes else None,
     )
 
 
@@ -295,108 +235,62 @@ def audit_proof(grid_n=10000):
     if grid_n < 100:
         raise ValueError("grid_n must be >= 100, got %r" % (grid_n,))
     closed = [i / (grid_n - 1) for i in range(grid_n)]
-    eps = 1e-6
-    interior = [eps + (1.0 - 2.0 * eps) * i / (grid_n - 1) for i in range(grid_n)]
-    claims = [
-        _claim_monotone(
-            "q1_strictly_decreasing",
-            lambda x: proof_function("q1", x),
-            closed,
-            decreasing=True,
-        ),
-        _claim_unique_zero(
-            "q1_unique_zero", lambda x: proof_function("q1", x), interior
-        ),
-        _claim_unique_minimum(
-            "q_unique_minimum", lambda x: proof_function("q", x), interior
-        ),
-        _claim_sign(
-            "q_negative_interior",
-            lambda x: proof_function("q", x),
-            interior[:-1],  # q(1) = 0 exactly; strict negativity is interior
-            negative=True,
-        ),
-        _claim_monotone(
-            "f_over_g_prime_strictly_increasing",
-            lambda x: proof_function("f_over_g_prime", x),
-            interior,
-            decreasing=False,
-        ),
-        _claim_sign(
-            "lemma_h2_positive",
-            lambda x: lemma_expr(2, x),
-            interior,
-            negative=False,
-        ),
+    interior = interior_grid(grid_n)
+    # One sweep per function and grid: (function, its first argument,
+    # grid, [(claim, kind, sign, grid points used)]).  q(1) = 0 exactly,
+    # so strict negativity of q leaves out the last point.
+    sweeps = [
+        (proof_function, "q1", closed,
+         [("q1_strictly_decreasing", "monotonicity", -1.0, None)]),
+        (proof_function, "q1", interior,
+         [("q1_unique_zero", "unique_zero", None, None)]),
+        (proof_function, "q", interior,
+         [("q_unique_minimum", "unique_minimum", None, None),
+          ("q_negative_interior", "sign", -1.0, -1)]),
+        (proof_function, "f_over_g_prime", interior,
+         [("f_over_g_prime_strictly_increasing", "monotonicity", 1.0, None)]),
+        (lemma_expr, 2, interior, [("lemma_h2_positive", "sign", 1.0, None)]),
+    ] + [
+        (lemma_expr, i, interior,
+         [("lemma_h%d_negative" % i, "sign", -1.0, None)])
+        for i in (1, 3, 4, 5)
     ]
-    for i in (1, 3, 4, 5):
-        claims.append(
-            _claim_sign(
-                "lemma_h%d_negative" % i,
-                lambda x, i=i: lemma_expr(i, x),
-                interior,
-                negative=True,
-            )
-        )
-    # endpoint anchors of the helper functions, printed to 3 decimals in
-    # the derivation; audited at 5e-4 absolute
-    anchors = [
-        ("q1_at_0", proof_function("q1", 0.0), 3.9225, 5e-4),
-        ("q1_at_1", proof_function("q1", 1.0), -45.1289, 5e-4),
-        ("q_at_0", proof_function("q", 0.0), -0.0289, 1e-4),
-        ("q_at_1", proof_function("q", 1.0), 0.0, 1e-10),
-    ]
-    for name, measured, expected, tol in anchors:
-        claims.append(
-            ProofClaim(
-                name=name,
-                kind="endpoint_value",
-                interval=(0.0, 1.0),
-                expected="%g within %g" % (expected, tol),
-                verdict="pass" if abs(measured - expected) <= tol else "fail",
-                measured=measured,
-                witness=None if abs(measured - expected) <= tol else measured,
-            )
-        )
-    # the ratio's two one-sided limits
-    for name, measured, expected in [
-        ("ratio_limit_at_0", ratio_R(1e-8), refcore.EULER_GAMMA),
-        ("ratio_limit_at_1", ratio_R(1.0 - 1e-8), 2.0 * (1.0 - refcore.EULER_GAMMA)),
+    claims = []
+    for fn, arg, xs, checks in sweeps:
+        vals = np.fromiter((fn(arg, x) for x in xs), float, len(xs))
+        for name, kind, sign, stop in checks:
+            claims.append(_grid_claim(
+                name, kind, sign, xs[:stop], vals[:stop], partial(fn, arg)
+            ))
+        del vals  # released before the next sweep
+    # Point claims: the helper functions' endpoint anchors, printed to 3
+    # decimals in the derivation, and the ratio's two one-sided limits.
+    # (name, kind, measured, expected, tolerance)
+    expected_text = {
+        "endpoint_value": "{0:g} within {1:g}",
+        "limit": "{0:.12g} within 1e-6",
+    }
+    for name, kind, measured, expected, tol in [
+        ("q1_at_0", "endpoint_value", proof_function("q1", 0.0), 3.9225, 5e-4),
+        ("q1_at_1", "endpoint_value", proof_function("q1", 1.0), -45.1289, 5e-4),
+        ("q_at_0", "endpoint_value", proof_function("q", 0.0), -0.0289, 1e-4),
+        ("q_at_1", "endpoint_value", proof_function("q", 1.0), 0.0, 1e-10),
+        ("ratio_limit_at_0", "limit", ratio_R(1e-8), refcore.EULER_GAMMA, 1e-6),
+        ("ratio_limit_at_1", "limit", ratio_R(1.0 - 1e-8),
+         2.0 * (1.0 - refcore.EULER_GAMMA), 1e-6),
     ]:
-        ok = abs(measured - expected) <= 1e-6
-        claims.append(
-            ProofClaim(
-                name=name,
-                kind="limit",
-                interval=(0.0, 1.0),
-                expected="%.12g within 1e-6" % expected,
-                verdict="pass" if ok else "fail",
-                measured=measured,
-                witness=None if ok else measured,
-            )
-        )
+        ok = abs(measured - expected) <= tol
+        claims.append(ProofClaim(
+            name=name,
+            kind=kind,
+            interval=(0.0, 1.0),
+            expected=expected_text[kind].format(expected, tol),
+            verdict="pass" if ok else "fail",
+            measured=measured,
+            witness=None if ok else measured,
+        ))
     return claims
 
 
 def claims_to_json(claims):
     return json.dumps([asdict(c) for c in claims], indent=2, sort_keys=True)
-
-
-def claims_to_markdown(claims):
-    lines = [
-        "| claim | kind | expected | measured | verdict | witness |",
-        "|---|---|---|---|---|---|",
-    ]
-    for c in claims:
-        lines.append(
-            "| %s | %s | %s | %.17g | %s | %s |"
-            % (
-                c.name,
-                c.kind,
-                c.expected,
-                c.measured,
-                c.verdict,
-                "" if c.witness is None else "%.17g" % c.witness,
-            )
-        )
-    return "\n".join(lines) + "\n"

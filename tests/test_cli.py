@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gamma_envelope import cli, refcore
+from gamma_envelope import cli, proofaudit, refcore
 
 
 def run(argv, capsys):
@@ -19,6 +19,19 @@ class TestSubcommands:
         assert code == 0
         assert "| q1_strictly_decreasing |" in out
         assert "| pass |" in out
+
+    def test_audit_markdown_table(self, capsys):
+        code, out, _ = run(
+            ["audit", "--grid", "200", "--format", "markdown"], capsys
+        )
+        assert code == 0
+        claims = proofaudit.audit_proof(grid_n=200)
+        assert out.count("\n") == len(claims) + 2
+        assert out.startswith(
+            "| claim | kind | expected | measured | verdict | witness |\n"
+            "|---|---|---|---|---|---|\n"
+        )
+        assert "| q1_strictly_decreasing |" in out
 
     def test_bounds_triple(self, capsys):
         code, out, _ = run(
@@ -111,6 +124,19 @@ class TestExitCodes:
         code, _, err = run(["bounds", "--family", "ivady"], capsys)
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--x", "0.5"],
+        ["compare"],
+        ["audit"],
+        ["lemma2"],
+        ["openproblem-lambda"],
+        ["polygamma-check"],
+    ])
+    def test_interval_rejected_where_unused(self, argv, capsys):
+        code, _, err = run(argv + ["--interval", "0.2", "0.8"], capsys)
+        assert code == 2
+        assert "--interval" in err
 
     def test_unknown_function_exits_2(self, capsys):
         code, _, err = run(["monotone", "--function", "nope"], capsys)

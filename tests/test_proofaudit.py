@@ -169,6 +169,4 @@ class TestAudit:
         claims = pa.audit_proof(grid_n=200)
         doc = json.loads(pa.claims_to_json(claims))
         assert len(doc) == len(claims)
-        md = pa.claims_to_markdown(claims)
-        assert md.count("\n") == len(claims) + 2
-        assert "| q1_strictly_decreasing |" in md
+        assert all(len(c["interval"]) == 2 for c in doc)
