@@ -1,18 +1,17 @@
-"""Timing comparison of the compiled and pure-Python kernel backends.
+"""Timing of the lnGamma, psi and psi^(k) kernels on one seeded argument stream.
 
 Run:  python benchmarks/bench_kernels.py [--n 200000]
+
+Prints one line per kernel: its name, the best of three passes over the
+``n`` arguments in seconds, and ``n/a``.  The ``n/a`` column is where
+perfbench/run.py reads a compiled backend's time; there is none.
 """
 
 import argparse
 import random
 import time
 
-from gamma_envelope import _kernels
-
-try:
-    from gamma_envelope import _ckernels
-except ImportError:
-    _ckernels = None
+from gamma_envelope import refcore
 
 
 def _time(fn, args_list):
@@ -35,24 +34,14 @@ def main():
     xs = [(rng.uniform(1e-3, 1e4),) for _ in range(args.n)]
     kxs = [(rng.choice((1, 2, 3)), x) for (x,) in xs]
 
-    cases = [
+    print("%-10s %12s %12s" % ("function", "time [s]", "compiled [s]"))
+    for name, payload in [
         ("ln_gamma", xs),
         ("digamma", xs),
         ("polygamma", kxs),
-    ]
-
-    print("%-10s %12s %12s %8s" % ("function", "pure [s]", "compiled [s]",
-                                   "speedup"))
-    for name, payload in cases:
-        t_py = _time(getattr(_kernels, name), payload)
-        if _ckernels is None:
-            print("%-10s %12.4f %12s %8s" % (name, t_py, "n/a", "n/a"))
-            continue
-        t_c = _time(getattr(_ckernels, name), payload)
-        print("%-10s %12.4f %12.4f %7.1fx" % (name, t_py, t_c, t_py / t_c))
-    if _ckernels is None:
-        print("\ncompiled backend unavailable; build it with "
-              "`pip install -e . --no-build-isolation`")
+    ]:
+        seconds = _time(getattr(refcore, name), payload)
+        print("%-10s %12.4f %12s" % (name, seconds, "n/a"))
 
 
 if __name__ == "__main__":

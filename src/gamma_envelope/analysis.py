@@ -24,6 +24,13 @@ BOUNDARY_INSET = 1e-6
 # ratio-family functions
 
 
+def _lhospital_band(psi, x, p):
+    # psi (x^2+p)(x+p) / (2x(x+p) - (x^2+p)): one L'Hospital step of
+    # ln Gamma / ln((x^2+p)/(x+p)) at a removable 0/0, where psi is the
+    # digamma value at the ln Gamma argument
+    return psi * (x * x + p) * (x + p) / (2.0 * x * (x + p) - (x * x + p))
+
+
 def lambda_ratio(lam, x):
     """ln Gamma(x+1) / (ln(x^2+lam) - ln(x+lam)) for lam > 0, 0 < x < 1.
 
@@ -36,13 +43,7 @@ def lambda_ratio(lam, x):
     if not 0.0 < x < 1.0:
         raise ValueError("lambda_ratio requires 0 < x < 1, got %r" % (x,))
     if x < 1e-6 or abs(x - 1.0) < 1e-6:
-        # psi(x+1) (x^2+lam)(x+lam) / (2x(x+lam) - (x^2+lam))
-        return (
-            refcore.digamma(x + 1.0)
-            * (x * x + lam)
-            * (x + lam)
-            / (2.0 * x * (x + lam) - (x * x + lam))
-        )
+        return _lhospital_band(refcore.digamma(x + 1.0), x, lam)
     den = math.log1p((x * x - x) / (x + lam))
     return refcore.ln_gamma(x + 1.0) / den
 
@@ -55,13 +56,7 @@ def tau_ratio(tau, x):
     if not x > 0.0:
         raise ValueError("tau_ratio requires x > 0, got %r" % (x,))
     if abs(x - 1.0) < 1e-6:
-        # psi(x) (x^2+tau)(x+tau) / (2x(x+tau) - (x^2+tau))
-        return (
-            refcore.digamma(x)
-            * (x * x + tau)
-            * (x + tau)
-            / (2.0 * x * (x + tau) - (x * x + tau))
-        )
+        return _lhospital_band(refcore.digamma(x), x, tau)
     den = math.log1p((x * x - x) / (x + tau))
     return refcore.ln_gamma(x) / den
 
@@ -140,6 +135,8 @@ def check_monotone(function_id, a, b, direction, grid_n=10000):
     """
     if not a < b:
         raise ValueError("need a < b")
+    if grid_n < 2:
+        raise ValueError("grid_n must be >= 2, got %r" % (grid_n,))
     if direction not in ("increasing", "decreasing"):
         raise ValueError("direction must be 'increasing' or 'decreasing'")
     f = resolve_function(function_id)

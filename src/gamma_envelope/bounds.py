@@ -96,6 +96,7 @@ def extended_bounds(x):
     Brackets Gamma(x+1) for any x > 0; at positive integers both sides
     collapse to x! and the pair is flagged as an equality point.
     """
+    _require_finite(x, "extended_bounds")
     if not x > 0.0:
         raise DomainError("extended_bounds requires x > 0, got %r" % (x,))
     n = math.floor(x)
@@ -120,6 +121,7 @@ def polygamma_bounds(k, x):
 
     Returned directly (not in log-space); these values are moderate.
     """
+    _require_finite(x, "polygamma_bounds")
     if k < 1:
         raise DomainError("polygamma_bounds requires k >= 1, got %r" % (k,))
     if not x > 0.0:
@@ -285,6 +287,13 @@ def _unitball(x):
     )
 
 
+def _require_finite(x, what):
+    # NaN and +-inf slip through the families' own interval tests (NaN
+    # fails every comparison, inf passes x > 0) and yield NaN or inf pairs
+    if not math.isfinite(x):
+        raise DomainError("%s requires finite x, got %r" % (what, x))
+
+
 def _require_open_unit(x, family):
     if not 0.0 < x < 1.0:
         raise DomainError("%s requires 0 < x < 1, got %r" % (family, x))
@@ -408,7 +417,9 @@ def evaluate_family(family_id, x):
         entry = FAMILIES[family_id]
     except KeyError:
         raise KeyError("unknown bound family %r" % (family_id,)) from None
-    return entry.evaluate(float(x))
+    x = float(x)
+    _require_finite(x, family_id)
+    return entry.evaluate(x)
 
 
 def catalog():

@@ -244,6 +244,14 @@ def _cmd_polygamma_check(args):
     return 0 if ok else 1
 
 
+def _grid_size(text):
+    # a grid needs two points to have a step (and a first and last x)
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError("need at least 2 points, got %d" % n)
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="gamma-envelope",
@@ -254,7 +262,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, grid_default=10000, interval=False):
-        sp.add_argument("--grid", type=int, default=grid_default,
+        sp.add_argument("--grid", type=_grid_size, default=grid_default,
                         metavar="N", help="grid resolution")
         if interval:
             sp.add_argument("--interval", type=float, nargs=2, default=None,

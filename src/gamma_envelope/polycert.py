@@ -158,7 +158,10 @@ def _chain_sign_changes(chain, x):
 def _nudge_endpoints(p, a, b):
     """(a, b, adjusted): the interval as Fractions, each endpoint where p
     vanishes moved inward by :data:`ENDPOINT_EPS` until it no longer
-    does."""
+    does.  The zero polynomial vanishes everywhere and is rejected."""
+    if p.is_zero():
+        raise ValueError("sign and root questions are undefined for the "
+                         "zero polynomial")
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError("need a < b, got a=%s b=%s" % (a, b))
@@ -178,8 +181,6 @@ def sturm_root_count(p, a, b):
     Endpoints where p vanishes are nudged inward by :data:`ENDPOINT_EPS`
     so the Sturm count is well defined.
     """
-    if p.is_zero():
-        raise ValueError("root counting is undefined for the zero polynomial")
     a, b, _ = _nudge_endpoints(p, a, b)
     if not a < b:
         return 0

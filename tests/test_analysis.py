@@ -100,6 +100,11 @@ class TestCheckMonotone:
         with pytest.raises(ValueError):
             an.check_monotone("ratio_R", 1.0, 0.0, "increasing", 100)
 
+    @pytest.mark.parametrize("grid_n", [0, 1])
+    def test_grid_without_a_step(self, grid_n):
+        with pytest.raises(ValueError, match="grid_n"):
+            an.check_monotone("ratio_R", 0.0, 1.0, "increasing", grid_n)
+
 
 class TestLambdaThresholds:
     def test_brackets(self):

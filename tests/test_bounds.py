@@ -106,8 +106,9 @@ class TestExtendedBounds:
             assert bp.log_lower < lg < bp.log_upper
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            bounds.extended_bounds(-1.0)
+        for bad in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                bounds.extended_bounds(bad)
 
 
 class TestPolygammaBounds:
@@ -139,8 +140,9 @@ class TestPolygammaBounds:
     def test_domain(self):
         with pytest.raises(DomainError):
             bounds.polygamma_bounds(0, 1.0)
-        with pytest.raises(DomainError):
-            bounds.polygamma_bounds(1, 0.0)
+        for bad in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                bounds.polygamma_bounds(1, bad)
 
 
 class TestFamilyCatalog:
@@ -185,6 +187,12 @@ class TestFamilyCatalog:
     def test_alzer_power_rejects_one(self):
         with pytest.raises(DomainError):
             bounds.evaluate_family("alzer_power", 1.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fid", sorted(bounds.FAMILIES))
+    def test_non_finite_rejected(self, fid, x):
+        with pytest.raises(DomainError, match="finite"):
+            bounds.evaluate_family(fid, x)
 
     def test_unknown_family(self):
         with pytest.raises(KeyError):

@@ -138,6 +138,38 @@ class TestExitCodes:
         assert code == 2
         assert "--interval" in err
 
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--x", "0.5"],
+        ["compare"],
+        ["audit"],
+        ["lemma2"],
+        ["monotone"],
+        ["conjecture", "cm"],
+        ["conjecture", "ratio-global"],
+        ["conjecture", "tau"],
+        ["openproblem-lambda"],
+        ["polygamma-check"],
+    ])
+    def test_grid_below_two_rejected(self, argv, grid, capsys):
+        code, out, err = run(argv + ["--grid", grid], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--grid" in err
+
+    def test_bounds_accepts_grid(self, capsys):
+        code, _, _ = run(["bounds", "--x", "0.5", "--grid", "200"], capsys)
+        assert code == 0
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_non_finite_x_exits_2(self, x, capsys):
+        code, out, err = run(
+            ["bounds", "--family", "qi_guo_extended", "--x=" + x], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_unknown_function_exits_2(self, capsys):
         code, _, err = run(["monotone", "--function", "nope"], capsys)
         assert code == 2

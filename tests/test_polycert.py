@@ -111,6 +111,13 @@ class TestCertificates:
         cert = certify_sign(LEMMA_POLYNOMIALS[4], 0, 1, "positive")
         assert cert.verdict == "refuted"
 
+    def test_zero_polynomial_rejected(self):
+        # both callers of the endpoint nudge reject it before nudging
+        with pytest.raises(ValueError, match="zero polynomial"):
+            certify_sign(Polynomial([0]), 0, 1, "negative")
+        with pytest.raises(ValueError, match="zero polynomial"):
+            sturm_root_count(Polynomial([0]), 0, 1)
+
     def test_endpoint_zero_adjustment_recorded(self):
         cert = certify_sign(Polynomial([0, -1, 1]), 0, 1, "negative")
         assert cert.verdict == "certified"

@@ -1,31 +1,23 @@
 """Reference-kernel accuracy and self-consistency.
 
-mpmath (50 digits) is the independent oracle; both kernel backends are
-checked when the compiled extension is available.
+mpmath (50 digits) is the independent oracle.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from gamma_envelope import refcore
-from gamma_envelope import _kernels
 
 mp.mp.dps = 50
 
-BACKENDS = [pytest.param(_kernels, id="python")]
-try:
-    from gamma_envelope import _ckernels
 
-    BACKENDS.append(pytest.param(_ckernels, id="compiled"))
-except ImportError:
-    pass
-
-
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=[refcore], ids=[refcore.backend()])
 def kernels(request):
+    """The kernel module, with its backend name as the test id."""
     return request.param
 
 
@@ -147,23 +139,6 @@ class TestConsistency:
             fd = (refcore.digamma(x + h) - refcore.digamma(x - h)) / (2 * h)
             assert fd == pytest.approx(refcore.polygamma(1, x), abs=1e-6)
 
-    def test_backends_agree(self):
-        if len(BACKENDS) < 2:
-            pytest.skip("compiled backend unavailable")
-        rng = random.Random(5)
-        for _ in range(300):
-            x = rng.uniform(1e-3, 1e5)
-            assert _kernels.ln_gamma(x) == pytest.approx(
-                _ckernels.ln_gamma(x), rel=1e-15, abs=1e-15
-            )
-            assert _kernels.digamma(x) == pytest.approx(
-                _ckernels.digamma(x), rel=1e-15, abs=1e-15
-            )
-            for k in (1, 2, 3):
-                assert _kernels.polygamma(k, x) == pytest.approx(
-                    _ckernels.polygamma(k, x), rel=1e-14
-                )
-
 
 class TestConstants:
     def test_euler_gamma_window(self):
@@ -184,6 +159,28 @@ class TestConstants:
         assert c.alzer_beta == pytest.approx(0.53385, abs=1e-5)
         assert c.alpha_sharp == pytest.approx(0.8455687, abs=5e-8)
         assert c.beta_sharp == pytest.approx(0.5772157, abs=5e-8)
+
+    def test_series_coefficients_exact(self):
+        # each float coefficient is the correctly rounded exact rational
+        lngamma = [(1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188),
+                   (-691, 360360), (1, 156), (-3617, 122400),
+                   (43867, 244188), (-174611, 125400)]
+        digamma = [(1, 12), (-1, 120), (1, 252), (-1, 240), (1, 132),
+                   (-691, 32760), (1, 12), (-3617, 8160), (43867, 14364),
+                   (-174611, 6600)]
+        assert refcore._LNGAMMA_COEFFS == tuple(
+            float(Fraction(p, q)) for p, q in lngamma
+        )
+        assert refcore._DIGAMMA_COEFFS == tuple(
+            float(Fraction(p, q)) for p, q in digamma
+        )
+        # psi^(k) series: float(B_2n) times (2n+k-1)!/(2n)!, per order
+        for k, (_, _, _, _, coeffs) in refcore._POLYGAMMA_CONSTANTS.items():
+            assert coeffs == tuple(
+                float(b) * (math.factorial(2 * n + k - 1)
+                            // math.factorial(2 * n))
+                for n, b in enumerate(refcore._BERNOULLI, 1)
+            )
 
     def test_literal_matches_kernel(self):
         assert abs(refcore.EULER_GAMMA + refcore.digamma(1.0)) <= 1e-12
