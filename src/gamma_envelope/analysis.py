@@ -8,16 +8,24 @@ the probed resolution.  A violation, on the other hand, is a concrete
 numeric counterexample and is reported loudly.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gamma_envelope import bounds, refcore, sweep
 from gamma_envelope.proofaudit import ratio_R, proof_function
 
 # Relative inset used to keep grids away from open-interval boundaries.
 BOUNDARY_INSET = 1e-6
+
+
+def _grid(a, b, n):
+    eps = (b - a) * BOUNDARY_INSET
+    return np.linspace(a + eps, b - eps, n)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +148,7 @@ def check_monotone(function_id, a, b, direction, grid_n=10000):
     if direction not in ("increasing", "decreasing"):
         raise ValueError("direction must be 'increasing' or 'decreasing'")
     f = resolve_function(function_id)
-    eps = (b - a) * BOUNDARY_INSET
-    xs = np.linspace(a + eps, b - eps, grid_n)
+    xs = _grid(a, b, grid_n)
     vals = [f(float(x)) for x in xs]
     sign = 1.0 if direction == "increasing" else -1.0
     steps = sign * np.diff(vals)
@@ -171,8 +178,7 @@ def _classify_lambda(lam, grid_n):
     Increasing or decreasing means every grid step has that strict sign;
     any mix of signs (or a zero step) is classified non-monotone.
     """
-    eps = BOUNDARY_INSET
-    xs = np.linspace(eps, 1.0 - eps, grid_n)
+    xs = _grid(0.0, 1.0, grid_n)
     vals = np.array([lambda_ratio(lam, float(x)) for x in xs])
     if sweep.monotone(xs, vals, 1.0).ok:
         return "increasing"
@@ -242,8 +248,8 @@ def cm_probe(function_id, a, b, max_order, step):
     tol_n = 2^n * 1e-12 * max|f| over the stencil.  A clean sweep is
     reported "consistent" (no violation found, not a proof).
     """
-    if max_order > 8:
-        raise ValueError("max_order must be <= 8")
+    if not 0 <= max_order <= 8:
+        raise ValueError("max_order must be in 0..8, got %r" % (max_order,))
     if not step > 0.0:
         raise ValueError("step must be positive")
     if not a > 0.0:
@@ -257,18 +263,14 @@ def cm_probe(function_id, a, b, max_order, step):
     absvals = np.abs(vals)
     violations = []
     for n in range(max_order + 1):
-        diffs = np.diff(vals, n) if n else vals
         # max|f| over each length-(n+1) stencil
-        stencil_max = absvals[: len(absvals) - n].copy()
-        for j in range(1, n + 1):
-            np.maximum(stencil_max, absvals[j : len(absvals) - n + j], out=stencil_max)
+        stencil_max = sliding_window_view(absvals, n + 1).max(axis=1)
         tol = (2.0**n) * 1e-12 * stencil_max
-        signed = ((-1.0) ** n) * diffs
-        bad = np.nonzero(signed < -tol)[0]
-        for i in bad:
-            violations.append(
-                (float(xs[i]), n, float(signed[i]), float(tol[i]))
-            )
+        signed = ((-1.0) ** n) * np.diff(vals, n)
+        violations += [
+            (float(xs[i]), n, float(signed[i]), float(tol[i]))
+            for i in np.flatnonzero(signed < -tol)
+        ]
     return CMReport(
         function_id=function_id,
         interval=(a, b),
@@ -280,20 +282,61 @@ def cm_probe(function_id, a, b, max_order, step):
 
 
 # ---------------------------------------------------------------------------
-# family comparison
+# family comparison: every comparison reads one grid evaluation per
+# family, both log sides at each point from one evaluate_family call
 
 
-def _side_log_value(family_id, side, x):
-    bp = bounds.evaluate_family(family_id, x)
-    if side == "lower":
+class _FamilyLogs(NamedTuple):
+    lower: np.ndarray  # NaN where the side is undefined
+    upper: np.ndarray
+    errors: dict  # side -> (index, DomainError) of its first undefined point
+
+
+def _family_logs(family_id, xs):
+    """Both log sides of one family at every x of a grid."""
+    logs = _FamilyLogs(np.full(len(xs), np.nan), np.full(len(xs), np.nan), {})
+    for i, x in enumerate(xs):
+        try:
+            bp = bounds.evaluate_family(family_id, x)
+        except bounds.DomainError as exc:
+            logs.errors.setdefault("lower", (i, exc))
+            logs.errors.setdefault("upper", (i, exc))
+            continue
+        logs.upper[i] = bp.log_upper
         if bp.one_sided and bp.log_lower == -math.inf:
-            raise bounds.DomainError(
-                "%s has no lower bound" % (family_id,)
-            )
-        return bp.log_lower
-    if side == "upper":
-        return bp.log_upper
-    raise ValueError("side must be 'lower' or 'upper'")
+            no_lower = bounds.DomainError("%s has no lower bound" % family_id)
+            logs.errors.setdefault("lower", (i, no_lower))
+        else:
+            logs.lower[i] = bp.log_lower
+    return logs
+
+
+def _side(logs, side):
+    if side not in ("lower", "upper"):
+        raise ValueError("side must be 'lower' or 'upper'")
+    return getattr(logs, side)
+
+
+def _side_difference(side, logs_a, logs_b):
+    """Family a's side minus family b's; raises the DomainError that a walk
+    over the grid (a before b at each point) would meet first."""
+    errors = [f.errors[side] for f in (logs_a, logs_b) if side in f.errors]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return _side(logs_a, side) - _side(logs_b, side)
+
+
+def _winners(side, values):
+    """Index of the family with the best side at each point (largest
+    lower, smallest upper; -1 where none is defined).  A tie keeps the
+    earlier family."""
+    best = np.full(len(values[0]), -1)
+    best_v = np.full(len(values[0]), np.nan)
+    for j, v in enumerate(values):
+        take = (v > best_v) if side == "lower" else (v < best_v)
+        take |= (best < 0) & ~np.isnan(v)
+        best[take], best_v[take] = j, v[take]
+    return best
 
 
 def find_crossover(family_a, family_b, side, a, b, scan_n=1000):
@@ -303,17 +346,16 @@ def find_crossover(family_a, family_b, side, a, b, scan_n=1000):
     and refined by bisection to 1e-10.  An empty list means one family's
     side dominates throughout.
     """
-    eps = (b - a) * BOUNDARY_INSET
-    xs = np.linspace(a + eps, b - eps, scan_n)
 
-    def diff(x):
-        return _side_log_value(family_a, side, float(x)) - _side_log_value(
-            family_b, side, float(x)
-        )
+    def diff(xs):
+        logs = [_family_logs(f, xs) for f in (family_a, family_b)]
+        return _side_difference(side, *logs)
 
-    vals = [diff(x) for x in xs]
+    xs = _grid(a, b, scan_n)
+    vals = diff(xs)
     return [
-        sweep.root(diff, float(xs[i]), float(xs[i + 1]), vals[i], 1e-10)
+        sweep.root(lambda x: diff([x])[0], float(xs[i]), float(xs[i + 1]),
+                   vals[i], 1e-10)
         for i in sweep.sign_changes(vals)
     ]
 
@@ -342,151 +384,117 @@ def compare_families(side, a, b, grid_n, families):
         raise ValueError(
             "families mix argument conventions: %s" % (sorted(conventions),)
         )
-    eps = (b - a) * BOUNDARY_INSET
-    xs = [float(x) for x in np.linspace(a + eps, b - eps, grid_n)]
-    winners = []
-    for x in xs:
-        best = None
-        best_v = None
-        for fid in families:
-            try:
-                v = _side_log_value(fid, side, x)
-            except bounds.DomainError:
-                continue
-            if best is None or (v > best_v if side == "lower" else v < best_v):
-                best, best_v = fid, v
-        winners.append(best)
-    crossovers = []
-    for i, fa in enumerate(families):
-        for fb in families[i + 1 :]:
-            for x_star in find_crossover(fa, fb, side, a, b):
-                crossovers.append((fa, fb, x_star))
+    xs = _grid(a, b, grid_n)
+    values = [_side(_family_logs(f, xs), side) for f in families]
+    winners = _winners(side, values)
     return ComparisonReport(
         side=side,
         families=list(families),
-        grid=xs,
-        winner_per_point=winners,
-        crossovers=crossovers,
+        grid=[float(x) for x in xs],
+        winner_per_point=[families[j] if j >= 0 else None for j in winners],
+        crossovers=[
+            (fa, fb, x_star)
+            for i, fa in enumerate(families)
+            for fb in families[i + 1 :]
+            for x_star in find_crossover(fa, fb, side, a, b)
+        ],
     )
 
 
 # ---------------------------------------------------------------------------
 # encoded comparison claims
 #
-# Each published comparison finding maps to exactly one machine predicate
-# over grid winners / crossovers, evaluated on (0,1) with the standard
-# inset.  "improves"/"better" means winning at every grid point of the
-# relevant side; "not included each other" means at least one crossover
-# (neither side dominates).
+# Each published finding is one predicate over two families' log sides on
+# an (a, b, n) grid, by default (0, 1, grid_n).  "improves"/"better" means
+# winning at every grid point, "not included" that neither family wins
+# both sides everywhere, "cross" a sign change on find_crossover's scan.
+
+_UNIT_2000 = (0.0, 1.0, 2000)  # r2_1 and r3_1, whatever grid_n is
+_SCAN = (0.0, 1.0, 1000)
+_SMALL_X = (1e-6, 0.05, 200)
 
 
-def _dominates(fa, fb, side, grid_n=2000):
-    rep = compare_families(side, 0.0, 1.0, grid_n, [fa, fb])
-    return all(w == fa for w in rep.winner_per_point)
+class _ClaimGrids:
+    """The comparisons of one remark_claims call; each family is
+    evaluated at most once per grid."""
+
+    def __init__(self, grid_n):
+        self.grid = (0.0, 1.0, grid_n)
+        self.logs = functools.cache(lambda f, g: _family_logs(f, _grid(*g)))
+
+    def dominates(self, fa, fb, side, grid=None):
+        grid = grid or self.grid
+        values = [_side(self.logs(f, grid), side) for f in (fa, fb)]
+        return bool(np.all(_winners(side, values) == 0))
+
+    def includes(self, fa, fb, grid=None):
+        return (self.dominates(fa, fb, "lower", grid)
+                and self.dominates(fa, fb, "upper", grid))
+
+    def crosses(self, fa, fb, side):
+        d = _side_difference(side, self.logs(fa, _SCAN), self.logs(fb, _SCAN))
+        return len(sweep.sign_changes(d)) > 0
 
 
-def _crosses(fa, fb, side):
-    return len(find_crossover(fa, fb, side, 0.0, 1.0)) > 0
-
-
-def _wins_small_x(fa, fb, side, x_max=0.05, grid_n=200):
-    rep = compare_families(side, 1e-6, x_max, grid_n, [fa, fb])
-    return all(w == fa for w in rep.winner_per_point)
+_CLAIMS = [
+    # findings for the Gamma(x) families on (0,1)
+    ("r2_1_rearranged_alzer_power_not_included",
+     "rearranged envelope and power bounds cross on (0,1)",
+     lambda c: (c.crosses("qi_guo_rearranged", "alzer_power", "lower")
+                or c.crosses("qi_guo_rearranged", "alzer_power", "upper"))
+     and not c.includes("qi_guo_rearranged", "alzer_power", _UNIT_2000)
+     and not c.includes("alzer_power", "qi_guo_rearranged", _UNIT_2000)),
+    ("r2_2_rearranged_better_small_x",
+     "rearranged envelope beats power bounds (both sides) for small x",
+     lambda c: c.includes("qi_guo_rearranged", "alzer_power", _SMALL_X)),
+    ("r2_3_rearranged_improves_alzer_batir",
+     "rearranged envelope improves the psi-shift Stirling bounds on (0,1)",
+     lambda c: c.includes("qi_guo_rearranged", "alzer_batir")),
+    ("r2_4_rearranged_lower_refines_qgz",
+     "rearranged lower bound refines the x^(x(1-ln x+psi)) lower bound",
+     lambda c: c.dominates("qi_guo_rearranged", "qi_guo_zhang", "lower")),
+    ("r2_5_rearranged_qgz_upper_not_included",
+     "rearranged and x^(x(1-ln x+psi)) upper bounds cross on (0,1)",
+     lambda c: c.crosses("qi_guo_rearranged", "qi_guo_zhang", "upper")),
+    ("r2_6_rearranged_upper_better_small_x",
+     "rearranged upper bound beats the x^(x(1-ln x+psi)) one for small x",
+     lambda c: c.dominates("qi_guo_rearranged", "qi_guo_zhang", "upper",
+                           _SMALL_X)),
+    # findings for the Gamma(x+1) families on (0,1)
+    ("r3_1_qi_guo_batir14_not_included",
+     "sharp envelope and shifted-Stirling bounds do not include "
+     "each other on (0,1)",
+     lambda c: not c.includes("qi_guo", "batir_14", _UNIT_2000)
+     and not c.includes("batir_14", "qi_guo", _UNIT_2000)),
+    ("r3_2_qi_guo_upper_better_batir15",
+     "sharp envelope upper bound beats the sqrt(2 pi) form on (0,1)",
+     lambda c: c.dominates("qi_guo", "batir_15", "upper")),
+    ("r3_3_qi_guo_batir15_lower_not_included",
+     "sharp envelope and sqrt(2e) lower bounds cross on (0,1)",
+     lambda c: c.crosses("qi_guo", "batir_15", "lower")),
+    ("r3_4a_qi_guo_lower_improves_batir12",
+     "sharp envelope lower bound improves the sqrt(2x+1) form on (0,1)",
+     lambda c: c.dominates("qi_guo", "batir_12", "lower")),
+]
 
 
 def remark_claims(grid_n=2000):
     """Evaluate every encoded comparison finding; returns
     [(claim_id, description, verdict)] with verdict in
     {pass, fail, flagged}."""
-    out = []
-
-    def check(claim_id, description, ok):
-        out.append((claim_id, description, "pass" if ok else "fail"))
-
-    # findings for the Gamma(x) families on (0,1)
-    check(
-        "r2_1_rearranged_alzer_power_not_included",
-        "rearranged envelope and power bounds cross on (0,1)",
-        (_crosses("qi_guo_rearranged", "alzer_power", "lower")
-         or _crosses("qi_guo_rearranged", "alzer_power", "upper"))
-        and not (
-            _dominates("qi_guo_rearranged", "alzer_power", "lower")
-            and _dominates("qi_guo_rearranged", "alzer_power", "upper")
-        )
-        and not (
-            _dominates("alzer_power", "qi_guo_rearranged", "lower")
-            and _dominates("alzer_power", "qi_guo_rearranged", "upper")
-        ),
-    )
-    check(
-        "r2_2_rearranged_better_small_x",
-        "rearranged envelope beats power bounds (both sides) for small x",
-        _wins_small_x("qi_guo_rearranged", "alzer_power", "lower")
-        and _wins_small_x("qi_guo_rearranged", "alzer_power", "upper"),
-    )
-    check(
-        "r2_3_rearranged_improves_alzer_batir",
-        "rearranged envelope improves the psi-shift Stirling bounds on (0,1)",
-        _dominates("qi_guo_rearranged", "alzer_batir", "lower", grid_n)
-        and _dominates("qi_guo_rearranged", "alzer_batir", "upper", grid_n),
-    )
-    check(
-        "r2_4_rearranged_lower_refines_qgz",
-        "rearranged lower bound refines the x^(x(1-ln x+psi)) lower bound",
-        _dominates("qi_guo_rearranged", "qi_guo_zhang", "lower", grid_n),
-    )
-    check(
-        "r2_5_rearranged_qgz_upper_not_included",
-        "rearranged and x^(x(1-ln x+psi)) upper bounds cross on (0,1)",
-        _crosses("qi_guo_rearranged", "qi_guo_zhang", "upper"),
-    )
-    check(
-        "r2_6_rearranged_upper_better_small_x",
-        "rearranged upper bound beats the x^(x(1-ln x+psi)) one for small x",
-        _wins_small_x("qi_guo_rearranged", "qi_guo_zhang", "upper"),
-    )
-
-    # findings for the Gamma(x+1) families on (0,1)
-    check(
-        "r3_1_qi_guo_batir14_not_included",
-        "sharp envelope and shifted-Stirling bounds do not include "
-        "each other on (0,1)",
-        not (
-            _dominates("qi_guo", "batir_14", "lower")
-            and _dominates("qi_guo", "batir_14", "upper")
-        )
-        and not (
-            _dominates("batir_14", "qi_guo", "lower")
-            and _dominates("batir_14", "qi_guo", "upper")
-        ),
-    )
-    check(
-        "r3_2_qi_guo_upper_better_batir15",
-        "sharp envelope upper bound beats the sqrt(2 pi) form on (0,1)",
-        _dominates("qi_guo", "batir_15", "upper", grid_n),
-    )
-    check(
-        "r3_3_qi_guo_batir15_lower_not_included",
-        "sharp envelope and sqrt(2e) lower bounds cross on (0,1)",
-        _crosses("qi_guo", "batir_15", "lower"),
-    )
-    check(
-        "r3_4a_qi_guo_lower_improves_batir12",
-        "sharp envelope lower bound improves the sqrt(2x+1) form on (0,1)",
-        _dominates("qi_guo", "batir_12", "lower", grid_n),
-    )
+    c = _ClaimGrids(grid_n)
+    out = [(cid, text, "pass" if holds(c) else "fail")
+           for cid, text, holds in _CLAIMS]
     # The companion upper-bound finding in the source text compares a
     # bound with itself (apparent typo), so there is nothing well-defined
     # to assert; the observed qi_guo/batir_12 upper relation is reported
     # as a flagged finding instead.
-    upper_cross = _crosses("qi_guo", "batir_12", "upper")
-    out.append(
-        (
-            "r3_4b_upper_half_self_referential",
-            "source claim compares a bound with itself; observed: "
-            "qi_guo/batir_12 upper bounds %s on (0,1)"
-            % ("cross" if upper_cross else "do not cross"),
-            "flagged",
-        )
-    )
+    cross = c.crosses("qi_guo", "batir_12", "upper")
+    out.append((
+        "r3_4b_upper_half_self_referential",
+        "source claim compares a bound with itself; observed: "
+        "qi_guo/batir_12 upper bounds %s on (0,1)"
+        % ("cross" if cross else "do not cross"),
+        "flagged",
+    ))
     return out

@@ -119,17 +119,22 @@ def extended_bounds(x):
 def polygamma_bounds(k, x):
     """Elementary sandwich for (-1)^(k+1) psi^(k)(x), k >= 1, x > 0.
 
-    Returned directly (not in log-space); these values are moderate.
+    Returned directly (not in log-space), so x**(k+1) must be in range.
     """
     _require_finite(x, "polygamma_bounds")
     if k < 1:
         raise DomainError("polygamma_bounds requires k >= 1, got %r" % (k,))
     if not x > 0.0:
         raise DomainError("polygamma_bounds requires x > 0, got %r" % (x,))
-    head = math.factorial(k - 1) / x**k
-    tail = math.factorial(k) / x ** (k + 1)
+    try:
+        head = math.factorial(k - 1) / x**k
+        tail = math.factorial(k) / x ** (k + 1)
+    except (OverflowError, ZeroDivisionError):  # a power over/underflows
+        head = tail = math.inf
     lower = head + 0.5 * tail
     upper = head + tail
+    if upper == math.inf:
+        raise DomainError("polygamma_bounds(%d, %r): out of range" % (k, x))
     return BoundPair(
         lower=lower,
         upper=upper,

@@ -73,26 +73,22 @@ def _cmd_bounds(args):
     if args.x is None:
         raise SystemExit2("--x is required for the bounds command")
     bp = bounds.evaluate_family(args.family, args.x)
-    if bp.argument_convention == bounds.GAMMA_OF_X_PLUS_1:
-        true_value = refcore.gamma(args.x + 1.0)
-    elif bp.argument_convention == bounds.GAMMA_OF_X:
-        true_value = refcore.gamma(args.x)
-    else:
-        true_value = float("nan")
+    shift = 1.0 if bp.argument_convention == bounds.GAMMA_OF_X_PLUS_1 else 0.0
+    # compare logs: Gamma overflows a double past x ~ 171, its log does not
+    log_true = refcore.ln_gamma(args.x + shift)
     header = [
         "family", "x", "lower", "true_gamma", "upper", "convention",
         "equality_point", "one_sided",
     ]
     rows = [[
-        bp.family, float(args.x), bp.lower, true_value, bp.upper,
-        bp.argument_convention, bp.is_equality_point, bp.one_sided,
+        bp.family, float(args.x), bp.lower, bounds._safe_exp(log_true),
+        bp.upper, bp.argument_convention, bp.is_equality_point, bp.one_sided,
     ]]
     _emit(_render(header, rows, args.format), args.out)
     if bp.is_equality_point:
         return 0
-    lower_ok = bp.one_sided or bp.lower < true_value
-    upper_ok = true_value < bp.upper
-    return 0 if lower_ok and upper_ok else 1
+    lower_ok = bp.one_sided or bp.log_lower < log_true
+    return 0 if lower_ok and log_true < bp.log_upper else 1
 
 
 def _cmd_compare(args):

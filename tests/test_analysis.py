@@ -155,6 +155,10 @@ class TestCMProbe:
         with pytest.raises(ValueError):
             an.cm_probe("h_cm", 0.1, 0.2, 6, 0.05)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="max_order"):
+            an.cm_probe("h_cm", 0.1, 50.0, -1, 0.01)
+
 
 class TestCrossover:
     def test_lower_side_domination(self):
@@ -234,6 +238,58 @@ class TestCompareFamilies:
             if verdict not in ("pass", "flagged")
         ]
         assert bad == []
+
+
+class TestRemarkClaims:
+    IDS = [
+        "r2_1_rearranged_alzer_power_not_included",
+        "r2_2_rearranged_better_small_x",
+        "r2_3_rearranged_improves_alzer_batir",
+        "r2_4_rearranged_lower_refines_qgz",
+        "r2_5_rearranged_qgz_upper_not_included",
+        "r2_6_rearranged_upper_better_small_x",
+        "r3_1_qi_guo_batir14_not_included",
+        "r3_2_qi_guo_upper_better_batir15",
+        "r3_3_qi_guo_batir15_lower_not_included",
+        "r3_4a_qi_guo_lower_improves_batir12",
+        "r3_4b_upper_half_self_referential",
+    ]
+
+    @pytest.mark.parametrize("grid_n", [500, 1000, 2000])
+    def test_verdicts_pinned(self, grid_n):
+        findings = an.remark_claims(grid_n)
+        assert [cid for cid, _, _ in findings] == self.IDS
+        assert [v for _, _, v in findings] == ["pass"] * 10 + ["flagged"]
+        assert findings[-1][1] == (
+            "source claim compares a bound with itself; observed: "
+            "qi_guo/batir_12 upper bounds cross on (0,1)"
+        )
+
+    def test_each_family_evaluated_once_per_grid(self, monkeypatch):
+        # 8 families on the fixed 2000-point grid, 6 on the 1000-point
+        # crossing scan and 3 on the 200-point small-x grid
+        calls = []
+        evaluate = bounds.evaluate_family
+
+        def counting(family_id, x):
+            calls.append(family_id)
+            return evaluate(family_id, x)
+
+        monkeypatch.setattr(bounds, "evaluate_family", counting)
+        an.remark_claims(2000)
+        assert len(calls) <= 22600
+
+    @pytest.mark.parametrize(
+        "family", ["qi_guo", "batir_12", "qi_guo_rearranged", "alzer_power"]
+    )
+    def test_family_against_itself(self, family):
+        # a tie keeps the first family, so a family dominates itself on
+        # both sides, and equal values never change sign
+        claims = an._ClaimGrids(500)
+        for side in ("lower", "upper"):
+            assert claims.dominates(family, family, side)
+            assert not claims.crosses(family, family, side)
+            assert an.find_crossover(family, family, side, 0.0, 1.0) == []
 
 
 class TestUnitballCompanions:

@@ -143,6 +143,10 @@ class TestPolygammaBounds:
         for bad in (0.0, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 bounds.polygamma_bounds(1, bad)
+        # x**k or x**(k+1) under- or overflows
+        for k, bad in ((3, 1e-120), (1, 1e-200), (1, 1e300), (3, 1e300)):
+            with pytest.raises(DomainError):
+                bounds.polygamma_bounds(k, bad)
 
 
 class TestFamilyCatalog:

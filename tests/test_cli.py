@@ -170,6 +170,33 @@ class TestExitCodes:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("family, x", [
+        ("qi_guo_extended", "200.5"),  # 200 is an equality point
+        ("alzer_power", "200"),
+        ("alzer_batir", "200"),
+        ("batir_12", "200"),
+        ("batir_14", "200"),
+        ("batir_15", "200"),
+        ("unitball", "200"),
+    ])
+    def test_bounds_beyond_gamma_range(self, family, x, capsys):
+        # Gamma(200) overflows a double; the verdict is taken in logs and
+        # true_gamma saturates to inf, like the bound columns
+        code, out, _ = run(["bounds", "--family", family, "--x", x], capsys)
+        assert code == 0
+        header, row = out.strip().split("\n")
+        assert dict(zip(header.split(","), row.split(",")))[
+            "true_gamma"
+        ] == "inf"
+
+    def test_negative_cm_order_exits_2(self, capsys):
+        code, out, err = run(
+            ["conjecture", "cm", "--max-order", "-1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "max_order" in err
+
     def test_unknown_function_exits_2(self, capsys):
         code, _, err = run(["monotone", "--function", "nope"], capsys)
         assert code == 2
