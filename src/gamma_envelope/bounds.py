@@ -90,6 +90,13 @@ def theorem_bounds(x, alpha=None, beta=None):
     )
 
 
+# From this integer part on, extended_bounds takes ln(x!/t!) from ln Gamma
+# instead of summing n logs.  Largest relative errors against mpmath over
+# 200 random x per n: the sum 2.1e-16 at n = 4, 3.6e-16 at 24 and
+# 3.9e-15 at 1000; the closed form 2.2e-15, 3.4e-16 and 2.1e-16.
+_EXTENDED_CLOSED_FORM_N = 32
+
+
 def extended_bounds(x):
     """Envelope extended beyond (0,1) by the factorial recurrence.
 
@@ -101,9 +108,13 @@ def extended_bounds(x):
         raise DomainError("extended_bounds requires x > 0, got %r" % (x,))
     n = math.floor(x)
     t = x - n
-    log_prod = 0.0
-    for i in range(int(n)):
-        log_prod += math.log(x - i)
+    # ln(x (x-1) ... (t+1)), summed while that is the more accurate form
+    if n < _EXTENDED_CLOSED_FORM_N:
+        log_prod = 0.0
+        for i in range(int(n)):
+            log_prod += math.log(x - i)
+    else:
+        log_prod = refcore.ln_gamma(x + 1.0) - refcore.ln_gamma(t + 1.0)
     c = refcore.constants()
     lb = _log_base(t) if t > 0.0 else 0.0
     return _pair(

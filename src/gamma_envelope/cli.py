@@ -92,7 +92,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_compare(args):
-    findings = analysis.remark_claims(grid_n=max(args.grid, 500))
+    findings = analysis.remark_claims(grid_n=max(args.grid, args.grid_floor))
     header = ["claim_id", "description", "verdict"]
     rows = [list(f) for f in findings]
     _emit(_render(header, rows, args.format), args.out)
@@ -132,7 +132,7 @@ def _cmd_lemma2(args):
         ])
         ok = ok and cert.verdict == "certified"
     # the transcendental member is checked numerically on a grid
-    xs = proofaudit.interior_grid(max(args.grid, 100))
+    xs = proofaudit.interior_grid(max(args.grid, args.grid_floor))
     h2 = sweep.lowest(xs, [proofaudit.lemma_expr(2, x) for x in xs])
     h2_min = h2.measured
     h2_ok = h2.ok and abs(proofaudit.lemma_expr(2, 0.0) - 1.0) <= 1e-12
@@ -208,7 +208,7 @@ def _cmd_conjecture(args):
 
 def _cmd_openproblem_lambda(args):
     inc, dec, table = analysis.search_lambda_thresholds(
-        grid_n=max(args.grid, 1000), lambda_tol=args.lambda_tol
+        grid_n=max(args.grid, args.grid_floor), lambda_tol=args.lambda_tol
     )
     header = ["lambda", "classification"]
     rows = [[lam, cls] for lam, cls in table]
@@ -257,9 +257,13 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, grid_default=10000, interval=False):
+    def common(sp, grid_default=10000, interval=False, grid_floor=2):
+        grid_help = "grid resolution"
+        if grid_floor > 2:  # raised to the floor, not rejected
+            grid_help += " (a smaller N is raised to %d)" % grid_floor
         sp.add_argument("--grid", type=_grid_size, default=grid_default,
-                        metavar="N", help="grid resolution")
+                        metavar="N", help=grid_help)
+        sp.set_defaults(grid_floor=grid_floor)
         if interval:
             sp.add_argument("--interval", type=float, nargs=2, default=None,
                             metavar=("A", "B"), help="interval endpoints")
@@ -275,7 +279,7 @@ def build_parser():
     sp.set_defaults(fn=_cmd_bounds)
 
     sp = sub.add_parser("compare", help="re-check the comparison findings")
-    common(sp, grid_default=2000)
+    common(sp, grid_default=2000, grid_floor=500)
     sp.set_defaults(fn=_cmd_compare)
 
     sp = sub.add_parser("audit", help="audit every step of the "
@@ -285,7 +289,7 @@ def build_parser():
 
     sp = sub.add_parser("lemma2", help="exact sign certificates for the "
                         "lemma polynomials")
-    common(sp)
+    common(sp, grid_floor=100)
     sp.set_defaults(fn=_cmd_lemma2)
 
     sp = sub.add_parser("monotone", help="strict monotonicity check of a "
@@ -305,7 +309,7 @@ def build_parser():
 
     sp = sub.add_parser("openproblem-lambda", help="bracket the "
                         "monotonicity transition in lambda")
-    common(sp, grid_default=2000)
+    common(sp, grid_default=2000, grid_floor=1000)
     sp.add_argument("--lambda-tol", type=float, default=1e-3)
     sp.set_defaults(fn=_cmd_openproblem_lambda)
 

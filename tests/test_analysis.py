@@ -132,6 +132,32 @@ class TestLambdaThresholds:
         assert abs(inc1 - inc2) < 1e-2
         assert abs(dec1 - dec2) < 1e-2
 
+    @pytest.mark.parametrize(
+        "lam", [0.5, 1.0, 1.1765625000000002, 6.0, 100.0]
+    )
+    def test_sweep_equals_scalar_ratio(self, lam):
+        # the search's grid plus points inside and at the edges of the
+        # L'Hospital bands at 0 and 1
+        band = [1e-12, 5e-7, 9.999999e-7, 1e-6, 1.000001e-6,
+                1.0 - 1.000001e-6, 1.0 - 1e-6, 1.0 - 5e-7, 1.0 - 1e-12]
+        xs = np.sort(np.concatenate([an._grid(0.0, 1.0, 2000), band]))
+        vals = an._lambda_sweep(xs)(lam)
+        expected = [an.lambda_ratio(lam, x) for x in xs.tolist()]
+        assert all(v == e for v, e in zip(vals.tolist(), expected))
+
+    def test_kernels_evaluated_once_per_grid_point(self, monkeypatch):
+        # the numerator does not depend on lambda; every classification
+        # only rebuilds the denominator
+        calls = []
+        for name in ("ln_gamma", "digamma"):
+            kernel = getattr(refcore, name)
+            monkeypatch.setattr(
+                refcore, name,
+                lambda x, kernel=kernel: calls.append(x) or kernel(x),
+            )
+        an.search_lambda_thresholds(2000)
+        assert len(calls) <= 2000
+
 
 class TestCMProbe:
     def test_h_cm_consistent(self):

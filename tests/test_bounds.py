@@ -110,6 +110,21 @@ class TestExtendedBounds:
             with pytest.raises(DomainError):
                 bounds.extended_bounds(bad)
 
+    @pytest.mark.parametrize("x", [1000.25, 1e7 + 0.5, 1e300])
+    def test_large_x_against_mpmath(self, x):
+        # the product x (x-1) ... (t+1) has ~x factors; its log comes from
+        # ln Gamma, accurate and in constant time
+        bp = bounds.extended_bounds(x)
+        t = x - math.floor(x)
+        log_prod = mp.loggamma(mp.mpf(x) + 1) - mp.loggamma(mp.mpf(t) + 1)
+        lb = mp.log((mp.mpf(t) ** 2 + 1) / (mp.mpf(t) + 1))
+        c = refcore.constants()
+        for got, exponent in ((bp.log_lower, c.alpha_sharp),
+                              (bp.log_upper, c.beta_sharp)):
+            want = mp.mpf(exponent) * lb + log_prod
+            assert abs(got - want) <= 4e-16 * abs(want)
+        assert bp.is_equality_point == (t == 0.0)
+
 
 class TestPolygammaBounds:
     def test_trigamma_at_one(self):

@@ -157,6 +157,14 @@ class TestExitCodes:
         assert out == ""
         assert "--grid" in err
 
+    @pytest.mark.parametrize("command, floor", [
+        ("compare", 500), ("lemma2", 100), ("openproblem-lambda", 1000),
+    ])
+    def test_grid_floor_in_help(self, command, floor, capsys):
+        code, out, _ = run([command, "--help"], capsys)
+        assert code == 0
+        assert "a smaller N is raised to %d" % floor in " ".join(out.split())
+
     def test_bounds_accepts_grid(self, capsys):
         code, _, _ = run(["bounds", "--x", "0.5", "--grid", "200"], capsys)
         assert code == 0
@@ -188,6 +196,15 @@ class TestExitCodes:
         assert dict(zip(header.split(","), row.split(",")))[
             "true_gamma"
         ] == "inf"
+
+    def test_extended_bounds_at_huge_x(self, capsys):
+        # an integer, so an equality point; summing its 1e300 logs would
+        # never end
+        code, out, _ = run(
+            ["bounds", "--family", "qi_guo_extended", "--x", "1e300"], capsys
+        )
+        assert code == 0
+        assert out.splitlines()[1].startswith("qi_guo_extended,1.0000")
 
     def test_negative_cm_order_exits_2(self, capsys):
         code, out, err = run(
