@@ -133,7 +133,7 @@ def _cmd_lemma2(args):
         ok = ok and cert.verdict == "certified"
     # the transcendental member is checked numerically on a grid
     xs = proofaudit.interior_grid(max(args.grid, args.grid_floor))
-    h2 = sweep.lowest(xs, [proofaudit.lemma_expr(2, x) for x in xs])
+    h2 = sweep.lowest(xs, proofaudit.lemma_expr_array(2, xs))
     h2_min = h2.measured
     h2_ok = h2.ok and abs(proofaudit.lemma_expr(2, 0.0) - 1.0) <= 1e-12
     rows.append([

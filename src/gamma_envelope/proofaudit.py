@@ -5,8 +5,11 @@ functions: the ratio R(x) = ln Gamma(x+1) / ln((x^2+1)/(x+1)), the
 quotient f'/g' whose monotonicity drives everything, and the helper
 functions q, q1, q1' whose signs and zeros are asserted along the way.
 This module evaluates every link of that chain verbatim (with the
-polygamma reference kernels) and re-checks each asserted claim on a grid,
-returning structured pass/fail verdicts rather than raising.
+polygamma reference kernels), at one point or over a float array, and
+re-checks each asserted claim on a grid, returning structured pass/fail
+verdicts rather than raising.  Each link is written once and serves both
+forms; the audit's sweeps use the array form, in blocks of
+:data:`BLOCK` points.
 """
 
 import json
@@ -27,23 +30,9 @@ SINGULAR_BAND = 1e-6
 # lose all their leading digits to cancellation.
 NEAR_ONE_BAND = 1e-2
 
-# zeta(m) - 1 for m = 2..14, the Taylor coefficients' arithmetic core for
-# the expansions about x = 1 (psi^(m)(2) = (-1)^(m+1) m! (zeta(m+1) - 1)).
-_ZETA_MINUS_ONE = (
-    0.6449340668482264,
-    0.2020569031595943,
-    0.08232323371113819,
-    0.03692775514336993,
-    0.01734306198444914,
-    0.008349277381922827,
-    0.00407735619794434,
-    0.0020083928260822143,
-    0.0009945751278180853,
-    0.0004941886041194645,
-    0.0002460865533080483,
-    0.00012271334757848915,
-    6.124813505870483e-05,
-)
+# Points per block of an array sweep: the temporaries of one block stay
+# in cache, and memory beyond the grid and its values stays bounded.
+BLOCK = 1 << 15
 
 
 @dataclass
@@ -91,22 +80,55 @@ def ratio_R(x):
     return num / den
 
 
+def _every(flags):
+    # a comparison's result is a bool on a float and an array on an array
+    return flags.all() if isinstance(flags, np.ndarray) else flags
+
+
 def _h2_near_one(x):
     # h2 ~ (x-1)^2/2 at x = 1 while its direct formula subtracts two
     # O(|x-1|) quantities; regroup so every term is O((x-1)^2):
     # h2 = -(x-1)^3 (x+1) + (x+1)(x^2+1) sum_{m>=2} (-v)^m / m,
-    # with v = x(x-1)/(x+1) the log1p argument.
+    # with v = x(x-1)/(x+1) the log1p argument.  On an array the sum runs
+    # until every element has stopped; a term added after an element's
+    # own stop is below 1e-20 of its sum and leaves the sum unchanged.
     u = x - 1.0
     v = x * u / (x + 1.0)
     s = 0.0
     p = -v
     for m in range(2, 40):
-        p *= -v
+        p = p * -v
         t = p / m
-        s += t
-        if abs(t) < 1e-20 * abs(s):
+        s = s + t
+        if _every(abs(t) < 1e-20 * abs(s)):
             break
     return (x + 1.0) * (-(u * u * u)) + (x + 1.0) * (x * x + 1.0) * s
+
+
+def _h2(x, log1p):
+    # lemma_expr(2, x) by its direct formula, outside the band about 1
+    return (x - 1.0) * (x * x + 2.0 * x - 1.0) - (x + 1.0) * (
+        x * x + 1.0
+    ) * log1p((x * x - x) / (x + 1.0))
+
+
+def _f_over_g_prime_near_one(x, h2):
+    # (x-1)psi(x+1) - ln Gamma(x+1) also vanishes like (x-1)^2;
+    # its Taylor coefficients about 1 are
+    # (-1)^m (m-1)/m (zeta(m)-1), from psi^(m)(2).
+    u = x - 1.0
+    core = 0.0
+    up = u
+    for m in range(2, 15):
+        up = up * u
+        c = (m - 1) / m * refcore.ZETA_MINUS_ONE[m - 2]
+        core = core + (c if m % 2 == 0 else -c) * up
+    return (x + 1.0) * (x * x + 1.0) * core / h2
+
+
+def _check_index(i):
+    if i != 2 and i not in LEMMA_POLYNOMIALS:
+        raise ValueError("lemma_expr index must be 1..5, got %r" % (i,))
 
 
 def lemma_expr(i, x):
@@ -119,27 +141,81 @@ def lemma_expr(i, x):
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError("lemma_expr requires 0 <= x <= 1, got %r" % (x,))
-    if i == 2:
-        if abs(x - 1.0) < NEAR_ONE_BAND:
-            return _h2_near_one(x)
-        return (x - 1.0) * (x * x + 2.0 * x - 1.0) - (x + 1.0) * (
-            x * x + 1.0
-        ) * math.log1p((x * x - x) / (x + 1.0))
-    if i in LEMMA_POLYNOMIALS:
+    _check_index(i)
+    if i != 2:
         return float(LEMMA_POLYNOMIALS[i](x))
-    raise ValueError("lemma_expr index must be 1..5, got %r" % (i,))
+    if abs(x - 1.0) < NEAR_ONE_BAND:
+        return _h2_near_one(x)
+    return _h2(x, math.log1p)
 
 
-def _h1(x):
-    return float(LEMMA_POLYNOMIALS[1](x))
+def _h2_block(x):
+    # lemma_expr(2, .) on an array block, the band entries by the series
+    out = _h2(x, np.log1p)
+    band = abs(x - 1.0) < NEAR_ONE_BAND
+    if band.any():
+        out[band] = _h2_near_one(x[band])
+    return out
 
 
-def _h3(x):
-    return float(LEMMA_POLYNOMIALS[3](x))
+# Each displayed proof function as one formula, shared by the point and
+# the array evaluation: (the values it takes after x, formula).  lg, psi,
+# psi1, psi2 and psi3 are ln Gamma, psi, psi', psi'' and psi''' at x + 1;
+# h1..h4 are the lemma expressions at x.  For f'/g' this is the direct
+# formula; inside NEAR_ONE_BAND the series above replaces it.
+_FORMULAS = {
+    "f_over_g_prime": (
+        ("lg", "psi", "h2"),
+        lambda x, lg, psi, h2:
+            (x + 1.0) * (x * x + 1.0) * ((x - 1.0) * psi - lg) / h2,
+    ),
+    "q": (
+        ("lg", "psi", "psi1", "h1", "h2"),
+        lambda x, lg, psi, psi1, h1, h2:
+            lg - (x - 1.0) * psi - (x + 1.0) * (x * x + 1.0) / h1 * h2 * psi1,
+    ),
+    "q1": (
+        ("psi1", "psi2", "h1", "h3"),
+        lambda x, psi1, psi2, h1, h3:
+            2.0 * h3 * psi1 + (x + 1.0) * (x * x + 1.0) * h1 * psi2,
+    ),
+    "q1_prime": (
+        ("psi1", "psi2", "psi3", "h1", "h4"),
+        lambda x, psi1, psi2, psi3, h1, h4:
+            12.0 * h4 * psi1 + h1 * (
+                3.0 * (3.0 * x * x + 2.0 * x + 1.0) * psi2
+                + (x + 1.0) * (x * x + 1.0) * psi3
+            ),
+    ),
+}
 
+# Those values at one point.  Kernels are looked up on refcore at each
+# call, so a wrapper installed there sees every call.
+_POINT_VALUES = {
+    "lg": lambda x: refcore.ln_gamma(x + 1.0),
+    "psi": lambda x: refcore.digamma(x + 1.0),
+    "psi1": lambda x: refcore.polygamma(1, x + 1.0),
+    "psi2": lambda x: refcore.polygamma(2, x + 1.0),
+    "psi3": lambda x: refcore.polygamma(3, x + 1.0),
+    "h1": LEMMA_POLYNOMIALS[1],
+    "h2": lambda x: lemma_expr(2, x),
+    "h3": LEMMA_POLYNOMIALS[3],
+    "h4": LEMMA_POLYNOMIALS[4],
+}
 
-def _h4(x):
-    return float(LEMMA_POLYNOMIALS[4](x))
+# The same values on an array block, h5 included.
+_BLOCK_VALUES = {
+    "lg": lambda x: refcore.ln_gamma_array(x + 1.0),
+    "psi": lambda x: refcore.digamma_array(x + 1.0),
+    "psi1": lambda x: refcore.polygamma_array(1, x + 1.0),
+    "psi2": lambda x: refcore.polygamma_array(2, x + 1.0),
+    "psi3": lambda x: refcore.polygamma_array(3, x + 1.0),
+    "h1": LEMMA_POLYNOMIALS[1],
+    "h2": _h2_block,
+    "h3": LEMMA_POLYNOMIALS[3],
+    "h4": LEMMA_POLYNOMIALS[4],
+    "h5": LEMMA_POLYNOMIALS[5],
+}
 
 
 def proof_function(name, x):
@@ -153,48 +229,103 @@ def proof_function(name, x):
         if not 0.0 < x < 1.0:
             raise ValueError("f_over_g_prime requires 0 < x < 1")
         if abs(x - 1.0) < NEAR_ONE_BAND:
-            # (x-1)psi(x+1) - ln Gamma(x+1) also vanishes like (x-1)^2;
-            # its Taylor coefficients about 1 are
-            # (-1)^m (m-1)/m (zeta(m)-1), from psi^(m)(2).
-            u = x - 1.0
-            core = 0.0
-            up = u
-            for m in range(2, 15):
-                up *= u
-                c = (m - 1) / m * _ZETA_MINUS_ONE[m - 2]
-                core += (c if m % 2 == 0 else -c) * up
-            return (x + 1.0) * (x * x + 1.0) * core / lemma_expr(2, x)
-        num = (x + 1.0) * (x * x + 1.0) * (
-            (x - 1.0) * refcore.digamma(x + 1.0) - refcore.ln_gamma(x + 1.0)
-        )
-        return num / lemma_expr(2, x)
-    if not 0.0 <= x <= 1.0:
+            return _f_over_g_prime_near_one(x, lemma_expr(2, x))
+    elif not 0.0 <= x <= 1.0:
         raise ValueError("%s requires 0 <= x <= 1" % (name,))
-    if name == "q":
-        psi1 = refcore.polygamma(1, x + 1.0)
-        return (
-            refcore.ln_gamma(x + 1.0)
-            - (x - 1.0) * refcore.digamma(x + 1.0)
-            - (x + 1.0) * (x * x + 1.0) / _h1(x) * lemma_expr(2, x) * psi1
-        )
-    if name == "q1":
-        return 2.0 * _h3(x) * refcore.polygamma(1, x + 1.0) + (
-            x + 1.0
-        ) * (x * x + 1.0) * _h1(x) * refcore.polygamma(2, x + 1.0)
-    if name == "q1_prime":
-        return 12.0 * _h4(x) * refcore.polygamma(1, x + 1.0) + _h1(x) * (
-            3.0 * (3.0 * x * x + 2.0 * x + 1.0)
-            * refcore.polygamma(2, x + 1.0)
-            + (x + 1.0) * (x * x + 1.0) * refcore.polygamma(3, x + 1.0)
-        )
-    raise ValueError("unknown proof function %r" % (name,))
+    if name not in _FORMULAS:
+        raise ValueError("unknown proof function %r" % (name,))
+    needs, formula = _FORMULAS[name]
+    return formula(x, *[_POINT_VALUES[v](x) for v in needs])
+
+
+class _BlockValues(dict):
+    """The values of :data:`_BLOCK_VALUES` on one block ``x``, each
+    computed on first use and then shared by every formula that takes
+    it."""
+
+    def __init__(self, x):
+        super().__init__()
+        self.x = x
+
+    def __missing__(self, key):
+        value = self[key] = _BLOCK_VALUES[key](self.x)
+        return value
+
+
+def _block(arg, values):
+    # one proof function (by name) or lemma expression (by index) on the
+    # block of ``values``
+    if not isinstance(arg, str):
+        return values["h%d" % arg]
+    needs, formula = _FORMULAS[arg]
+    x = values.x
+    out = formula(x, *[values[v] for v in needs])
+    if arg == "f_over_g_prime":
+        band = abs(x - 1.0) < NEAR_ONE_BAND
+        if band.any():
+            out[band] = _f_over_g_prime_near_one(x[band], values["h2"][band])
+    return out
+
+
+def _evaluate(args, xs):
+    """{arg: values on ``xs``} for proof function names and lemma indices,
+    in blocks of :data:`BLOCK` points; within a block each kernel and
+    lemma value is computed once, however many of ``args`` take it."""
+    out = {arg: np.empty(len(xs)) for arg in args}
+    for start in range(0, len(xs), BLOCK):
+        values = _BlockValues(xs[start:start + BLOCK])
+        for arg in args:
+            out[arg][start:start + BLOCK] = _block(arg, values)
+    return out
+
+
+def _unit_array(name, xs, open_interval):
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError("%s requires a 1-D array, got %d dimensions"
+                         % (name, xs.ndim))
+    if open_interval:
+        inside = (0.0 < xs) & (xs < 1.0)
+    else:
+        inside = (0.0 <= xs) & (xs <= 1.0)
+    if not inside.all():  # a NaN is never inside
+        raise ValueError("%s requires every x in %s" % (
+            name, "(0, 1)" if open_interval else "[0, 1]"))
+    return xs
+
+
+def lemma_expr_array(i, xs):
+    """:func:`lemma_expr` of every element of a 1-D float array, evaluated
+    in blocks of :data:`BLOCK` points."""
+    xs = _unit_array("lemma_expr_array", xs, False)
+    _check_index(i)
+    return _evaluate([i], xs)[i]
+
+
+def proof_function_array(name, xs):
+    """:func:`proof_function` of every element of a 1-D float array,
+    evaluated in blocks of :data:`BLOCK` points."""
+    if name not in _FORMULAS:
+        raise ValueError("unknown proof function %r" % (name,))
+    xs = _unit_array(name, xs, name == "f_over_g_prime")
+    return _evaluate([name], xs)[name]
+
+
+def closed_grid(n):
+    """``n`` >= 2 evenly spaced points on [0, 1], both ends included: the
+    grid of the audit's q1 monotonicity sweep."""
+    if not n >= 2:
+        raise ValueError("closed_grid needs n >= 2, got %r" % (n,))
+    return np.arange(n) / (n - 1)
 
 
 def interior_grid(n):
-    """``n`` evenly spaced points on [1e-6, 1 - 1e-6], the inset grid of
-    the open unit interval used by the audit and the lemma check."""
+    """``n`` >= 2 evenly spaced points on [1e-6, 1 - 1e-6], the inset grid
+    of the open unit interval used by the audit and the lemma check."""
+    if not n >= 2:
+        raise ValueError("interior_grid needs n >= 2, got %r" % (n,))
     eps = 1e-6
-    return [eps + (1.0 - 2.0 * eps) * i / (n - 1) for i in range(n)]
+    return eps + (1.0 - 2.0 * eps) * np.arange(n) / (n - 1)
 
 
 def _grid_claim(name, kind, sign, xs, vals, f):
@@ -214,13 +345,15 @@ def _grid_claim(name, kind, sign, xs, vals, f):
         ok, measured = len(changes) == 1, float(len(changes))
         if ok:
             i = changes[0]
-            witness = sweep.root(f, xs[i], xs[i + 1], vals[i], 1e-12)
+            witness = sweep.root(
+                f, float(xs[i]), float(xs[i + 1]), vals[i], 1e-12
+            )
         else:
-            witness = xs[changes[0]] if len(changes) else None
+            witness = float(xs[changes[0]]) if len(changes) else None
     return ProofClaim(
         name=name,
         kind=kind,
-        interval=(xs[0], xs[-1]),
+        interval=(float(xs[0]), float(xs[-1])),
         expected=expected,
         verdict="pass" if ok else "fail",
         measured=measured,
@@ -237,35 +370,43 @@ def audit_proof(grid_n=10000):
     """
     if grid_n < 100:
         raise ValueError("grid_n must be >= 100, got %r" % (grid_n,))
-    closed = [i / (grid_n - 1) for i in range(grid_n)]
+    closed = closed_grid(grid_n)
     interior = interior_grid(grid_n)
-    # One sweep per function and grid: (function, its first argument,
-    # grid, [(claim, kind, sign, grid points used)]).  q(1) = 0 exactly,
-    # so strict negativity of q leaves out the last point.
+    # Sweeps: (grid, [(proof function name or lemma index, [(claim, kind,
+    # sign, grid points used)])]).  The functions of one sweep are
+    # evaluated together and share their kernel values; the cheap lemma
+    # polynomials get a sweep each, so fewer value arrays are alive at
+    # once.  q(1) = 0 exactly, so strict negativity of q leaves out the
+    # last point.
     sweeps = [
-        (proof_function, "q1", closed,
-         [("q1_strictly_decreasing", "monotonicity", -1.0, None)]),
-        (proof_function, "q1", interior,
-         [("q1_unique_zero", "unique_zero", None, None)]),
-        (proof_function, "q", interior,
-         [("q_unique_minimum", "unique_minimum", None, None),
-          ("q_negative_interior", "sign", -1.0, -1)]),
-        (proof_function, "f_over_g_prime", interior,
-         [("f_over_g_prime_strictly_increasing", "monotonicity", 1.0, None)]),
-        (lemma_expr, 2, interior, [("lemma_h2_positive", "sign", 1.0, None)]),
+        (closed, [
+            ("q1", [("q1_strictly_decreasing", "monotonicity", -1.0, None)]),
+        ]),
+        (interior, [
+            ("q1", [("q1_unique_zero", "unique_zero", None, None)]),
+            ("q", [("q_unique_minimum", "unique_minimum", None, None),
+                   ("q_negative_interior", "sign", -1.0, -1)]),
+            ("f_over_g_prime", [("f_over_g_prime_strictly_increasing",
+                                 "monotonicity", 1.0, None)]),
+            (2, [("lemma_h2_positive", "sign", 1.0, None)]),
+        ]),
     ] + [
-        (lemma_expr, i, interior,
-         [("lemma_h%d_negative" % i, "sign", -1.0, None)])
+        (interior, [(i, [("lemma_h%d_negative" % i, "sign", -1.0, None)])])
         for i in (1, 3, 4, 5)
     ]
     claims = []
-    for fn, arg, xs, checks in sweeps:
-        vals = np.fromiter((fn(arg, x) for x in xs), float, len(xs))
-        for name, kind, sign, stop in checks:
-            claims.append(_grid_claim(
-                name, kind, sign, xs[:stop], vals[:stop], partial(fn, arg)
-            ))
-        del vals  # released before the next sweep
+    for xs, functions in sweeps:
+        values = _evaluate([arg for arg, _ in functions], xs)
+        for arg, checks in functions:
+            vals = values.pop(arg)  # each released once its claims are made
+            if isinstance(arg, str):
+                f = partial(proof_function, arg)
+            else:
+                f = partial(lemma_expr, arg)
+            for name, kind, sign, stop in checks:
+                claims.append(_grid_claim(
+                    name, kind, sign, xs[:stop], vals[:stop], f
+                ))
     # Point claims: the helper functions' endpoint anchors, printed to 3
     # decimals in the derivation, and the ratio's two one-sided limits.
     # (name, kind, measured, expected, tolerance)

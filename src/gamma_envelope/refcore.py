@@ -6,6 +6,15 @@ Bernoulli terms and a cutoff of 15 the truncation error of every kernel is
 below 1e-13 relative, which leaves the double-precision rounding of the
 recurrence as the dominant error source.
 
+Each kernel has an array twin (``ln_gamma_array``, ``digamma_array``,
+``polygamma_array``) that takes a float array and runs the same scheme
+elementwise: the same coefficient tables, the same shift steps summed in
+the same order, the same operation order in the tail.  It differs from the
+scalar kernel only where numpy's ``log`` or ``**`` rounds a term
+differently from ``math.log`` or float ``**``: by a few ulps of the shift
+sum, on about 0.1% (ln Gamma, psi, psi') to 5% (psi'' and psi''') of
+arguments in (1, 2).
+
 All functions are pure and stateless.
 """
 
@@ -57,6 +66,25 @@ def _polygamma_constants(k):
 
 
 _POLYGAMMA_CONSTANTS = {k: _polygamma_constants(k) for k in (1, 2, 3)}
+
+# zeta(m) - 1 for m = 2..14, correctly rounded: the Taylor coefficients'
+# arithmetic core for expansions about x = 1 and 2
+# (psi^(m)(2) = (-1)^(m+1) m! (zeta(m+1) - 1)).
+ZETA_MINUS_ONE = (
+    0.6449340668482264,
+    0.2020569031595943,
+    0.08232323371113819,
+    0.03692775514336993,
+    0.01734306198444914,
+    0.008349277381922827,
+    0.00407735619794434,
+    0.0020083928260822143,
+    0.0009945751278180853,
+    0.0004941886041194645,
+    0.0002460865533080483,
+    0.00012271334757848915,
+    6.124813505870483e-05,
+)
 
 
 def backend():
@@ -125,6 +153,83 @@ def polygamma(k, x):
     for c in coeffs:
         value += c * p
         p *= inv2
+    return sign * value + shift
+
+
+def _positive_array(name, x):
+    """``x`` as a float array; every element must be finite and > 0."""
+    # numpy is imported by the array kernels only: the scalar kernels and
+    # the bound families load without it
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    if not np.all((x > 0.0) & (x < math.inf)):  # a NaN fails both
+        raise ValueError("%s requires finite x > 0 in every element" % name)
+    return x
+
+
+def _shift_up(x, term):
+    """(y, shift): each element raised by 1 until it reaches the cutoff,
+    as the scalar kernels' loop does, and the sum of ``term(y)`` over the
+    steps that element took, added in the same order.  An element past
+    the cutoff adds term * 0 to its shift and 0 to its y, which changes
+    neither."""
+    y = x.copy()
+    shift = 0.0
+    below = y < _SHIFT_CUTOFF
+    while below.any():
+        shift += term(y) * below
+        y += below
+        below = y < _SHIFT_CUTOFF
+    return y, shift
+
+
+def ln_gamma_array(x):
+    """:func:`ln_gamma` of every element of a float array."""
+    import numpy as np
+
+    y, shift = _shift_up(_positive_array("ln_gamma_array", x), np.log)
+    inv = 1.0 / y
+    inv2 = inv * inv
+    tail = 0.0
+    p = inv
+    for c in _LNGAMMA_COEFFS:
+        tail += c * p
+        p = p * inv2
+    return (y - 0.5) * np.log(y) - y + _HALF_LN_TWO_PI + tail - shift
+
+
+def digamma_array(x):
+    """:func:`digamma` of every element of a float array."""
+    import numpy as np
+
+    y, shift = _shift_up(_positive_array("digamma_array", x),
+                         lambda y: 1.0 / y)
+    inv = 1.0 / y
+    inv2 = inv * inv
+    tail = 0.0
+    p = inv2
+    for c in _DIGAMMA_COEFFS:
+        tail += c * p
+        p = p * inv2
+    return np.log(y) - 0.5 * inv - tail - shift
+
+
+def polygamma_array(k, x):
+    """:func:`polygamma` of order k in {1, 2, 3} of every element of a
+    float array."""
+    if k not in (1, 2, 3):
+        raise ValueError("polygamma supports k in {1, 2, 3}, got %r" % (k,))
+    sign, rec, fact_km1, half_fact_k, coeffs = _POLYGAMMA_CONSTANTS[k]
+    y, shift = _shift_up(_positive_array("polygamma_array", x),
+                         lambda y: rec / y ** (k + 1))
+    inv = 1.0 / y
+    inv2 = inv * inv
+    value = fact_km1 * inv**k + half_fact_k * inv ** (k + 1)
+    p = inv ** (2 + k)
+    for c in coeffs:
+        value += c * p
+        p = p * inv2
     return sign * value + shift
 
 

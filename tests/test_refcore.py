@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from gamma_envelope import refcore
@@ -184,3 +185,73 @@ class TestConstants:
 
     def test_literal_matches_kernel(self):
         assert abs(refcore.EULER_GAMMA + refcore.digamma(1.0)) <= 1e-12
+
+
+class TestZetaTable:
+    def test_entries_correctly_rounded(self):
+        # zeta(m) - 1 at 50 digits, rounded once to double, for m = 2..14
+        with mp.workdps(50):
+            expected = tuple(float(mp.zeta(m) - 1) for m in range(2, 15))
+        assert refcore.ZETA_MINUS_ONE == expected
+
+
+def _array_kernels():
+    return [
+        ("ln_gamma", refcore.ln_gamma_array, refcore.ln_gamma, mp.loggamma),
+        ("digamma", refcore.digamma_array, refcore.digamma, mp.digamma),
+    ] + [
+        ("polygamma%d" % k,
+         lambda x, k=k: refcore.polygamma_array(k, x),
+         lambda x, k=k: refcore.polygamma(k, x),
+         lambda x, k=k: mp.polygamma(k, x))
+        for k in (1, 2, 3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, array, scalar, oracle", _array_kernels(),
+    ids=[k[0] for k in _array_kernels()],
+)
+class TestArrayKernels:
+    def test_accuracy_against_mpmath(self, name, array, scalar, oracle):
+        # the scalar sweeps' samples and tolerance, on the audit range
+        # (1, 2) and across the wide range
+        rng = random.Random(20240811)
+        xs = [10.0**e for e in range(-3, 7)]
+        xs += [rng.uniform(1e-3, 100.0) for _ in range(400)]
+        xs += [rng.uniform(100.0, 1e6) for _ in range(100)]
+        xs += [rng.uniform(1.0, 2.0) for _ in range(200)] + [1.0, 2.0]
+        values = array(np.array(xs))
+        for x, v in zip(xs, values):
+            ref = float(oracle(x))
+            assert abs(v - ref) <= 1e-12 * (1.0 + abs(ref)), x
+
+    def test_close_to_scalar(self, name, array, scalar, oracle):
+        # same scheme and operation order: they differ only where numpy's
+        # log or ** rounds differently, by a few ulps of the shift sum
+        xs = np.random.default_rng(5).uniform(1.0, 2.0, 4000)
+        values = array(xs)
+        ref = np.array([scalar(float(x)) for x in xs])
+        assert np.all(np.abs(values - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+        assert np.mean(values == ref) >= 0.9
+
+    def test_keeps_shape(self, name, array, scalar, oracle):
+        xs = np.array([[0.5, 1.5], [3.0, 40.0]])
+        assert array(xs).shape == (2, 2)
+        assert array(xs)[1, 0] == array(np.array([3.0]))[0]
+
+    def test_empty(self, name, array, scalar, oracle):
+        out = array(np.array([]))
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, -1e-300]
+    )
+    def test_domain_errors(self, name, array, scalar, oracle, bad):
+        with pytest.raises(ValueError):
+            array(np.array([1.5, bad, 2.5]))
+
+
+def test_array_polygamma_unsupported_order():
+    with pytest.raises(ValueError):
+        refcore.polygamma_array(4, np.array([1.0]))
