@@ -231,8 +231,8 @@ def search_lambda_thresholds(grid_n=2000, lambda_tol=1e-3):
     """
     if grid_n < 1000:
         raise ValueError("grid_n must be >= 1000")
-    if not lambda_tol > 0.0:
-        raise ValueError("lambda_tol must be positive")
+    if not 0.0 < lambda_tol < math.inf:
+        raise ValueError("lambda_tol must be positive and finite")
     xs = _grid(0.0, 1.0, grid_n)
     values = _lambda_sweep(xs)
 

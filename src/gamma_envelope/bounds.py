@@ -257,9 +257,12 @@ def _batir_14(x):
     _require_positive(x, "batir_14")
     g = refcore.EULER_GAMMA
     inv_eg = math.exp(-g)  # 1 / e^gamma
+    # ln(x+c) = ln(c) + log1p(x/c) with the ln(c) terms cancelled
+    # analytically: both sides vanish like O(x) at 0, and the log of a
+    # rounded x + c would leave an O(ulp) error there.
     return _pair(
-        0.5 * math.log(2.0) + (x + 0.5) * math.log(x + 0.5) - x,
-        g * inv_eg + (x + inv_eg) * math.log(x + inv_eg) - x,
+        -x * math.log(2.0) + (x + 0.5) * math.log1p(2.0 * x) - x,
+        -g * x + (x + inv_eg) * math.log1p(x / inv_eg) - x,
         GAMMA_OF_X_PLUS_1,
         "batir_14",
         x,

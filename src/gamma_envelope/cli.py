@@ -12,9 +12,10 @@ import json
 import math
 import sys
 
-from gamma_envelope import (
-    analysis, bounds, polycert, proofaudit, refcore, sweep,
-)
+# Only what the parser and ``bounds`` need: neither loads numpy.  Every
+# other sub-command imports its own modules, so a process pays only for
+# the sweeps it runs.
+from gamma_envelope import bounds, refcore
 
 FORMATS = ("csv", "json", "markdown")
 
@@ -92,6 +93,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_compare(args):
+    from gamma_envelope import analysis
+
     findings = analysis.remark_claims(grid_n=max(args.grid, args.grid_floor))
     header = ["claim_id", "description", "verdict"]
     rows = [list(f) for f in findings]
@@ -100,6 +103,8 @@ def _cmd_compare(args):
 
 
 def _cmd_audit(args):
+    from gamma_envelope import proofaudit
+
     claims = proofaudit.audit_proof(grid_n=args.grid)
     if args.format == "json":
         # the JSON form also carries each claim's interval
@@ -118,6 +123,8 @@ def _cmd_audit(args):
 
 
 def _cmd_lemma2(args):
+    from gamma_envelope import polycert, proofaudit, sweep
+
     certs = polycert.certify_lemma_polynomials()
     rows = []
     ok = True
@@ -162,6 +169,8 @@ def _cmd_lemma2(args):
 
 
 def _cmd_monotone(args):
+    from gamma_envelope import analysis
+
     a, b = args.interval if args.interval else (0.0, 1.0)
     rep = analysis.check_monotone(
         args.function, a, b, args.direction, grid_n=args.grid
@@ -175,6 +184,8 @@ def _cmd_monotone(args):
 
 
 def _cmd_conjecture(args):
+    from gamma_envelope import analysis
+
     rows = []
     ok = True
     if args.which == "cm":
@@ -207,6 +218,8 @@ def _cmd_conjecture(args):
 
 
 def _cmd_openproblem_lambda(args):
+    from gamma_envelope import analysis
+
     inc, dec, table = analysis.search_lambda_thresholds(
         grid_n=max(args.grid, args.grid_floor), lambda_tol=args.lambda_tol
     )
@@ -221,6 +234,8 @@ def _cmd_openproblem_lambda(args):
 
 def _cmd_polygamma_check(args):
     import numpy as np
+
+    from gamma_envelope import sweep
 
     xs = np.logspace(math.log10(0.01), math.log10(100.0), args.grid)
     rows = []
@@ -332,7 +347,7 @@ def main(argv=None):
     except SystemExit2 as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -126,6 +126,13 @@ class TestLambdaThresholds:
             if lam >= dec + 1e-9:
                 assert cls == "decreasing", lam
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # an infinite tolerance would stop the bisection at once and
+        # report the coarse grid points as the estimates
+        with pytest.raises(ValueError, match="lambda_tol"):
+            an.search_lambda_thresholds(grid_n=1000, lambda_tol=tol)
+
     def test_stable_under_grid_doubling(self):
         inc1, dec1, _ = an.search_lambda_thresholds(1000, 1e-3)
         inc2, dec2, _ = an.search_lambda_thresholds(2000, 1e-3)

@@ -250,3 +250,38 @@ class TestFamilyCatalog:
             qg = bounds.evaluate_family("qi_guo", float(x))
             iv = bounds.evaluate_family("ivady", float(x))
             assert qg.lower >= iv.lower
+
+
+def _batir_14_logs(x):
+    """Both log sides of batir_14 at 50 digits, in the textbook form
+    ln(sqrt(2)) + (x+1/2) ln(x+1/2) - x and
+    gamma e^-gamma + (x+e^-gamma) ln(x+e^-gamma) - x."""
+    x = mp.mpf(x)
+    c = mp.exp(-mp.euler)
+    half = mp.mpf(1) / 2
+    return (
+        mp.log(2) / 2 + (x + half) * mp.log(x + half) - x,
+        mp.euler * c + (x + c) * mp.log(x + c) - x,
+    )
+
+
+class TestBatir14:
+    @pytest.mark.parametrize(
+        "x", [1e-12, 1e-8, 1e-6, 1e-3, 0.5, 0.999, 3.5, 100.0, 1e6]
+    )
+    def test_log_sides_against_mpmath(self, x):
+        # both sides vanish like O(x) at 0, so the error is relative
+        bp = bounds.evaluate_family("batir_14", x)
+        for got, want in zip((bp.log_lower, bp.log_upper), _batir_14_logs(x)):
+            assert abs(got - want) <= 1e-14 * abs(want), (x, got, want)
+
+    @pytest.mark.parametrize("x", [1e-320, 1e-300, 1e-20])
+    def test_sides_ordered_near_zero(self, x):
+        bp = bounds.evaluate_family("batir_14", x)
+        assert bp.log_lower < bp.log_upper < 0.0
+
+    def test_sides_do_not_cross_at_the_smallest_subnormal(self):
+        # the true gap (ln 2 - gamma) x is 0.12 of the one subnormal step
+        # here, so both sides round to -x; they must not cross
+        bp = bounds.evaluate_family("batir_14", 5e-324)
+        assert bp.log_lower <= bp.log_upper

@@ -1,10 +1,14 @@
 """End-to-end CLI contract: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from gamma_envelope import cli, proofaudit, refcore
+import gamma_envelope
+from gamma_envelope import analysis, bounds, cli, proofaudit, refcore
 
 
 def run(argv, capsys):
@@ -214,6 +218,27 @@ class TestExitCodes:
         assert out == ""
         assert "max_order" in err
 
+    @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
+    def test_lambda_tol_must_be_positive_and_finite(self, tol, capsys):
+        code, out, err = run(
+            ["openproblem-lambda", "--lambda-tol", tol], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "lambda_tol" in err
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        # a small --step asks cm_probe for a grid that does not fit in
+        # memory; the probe is replaced, so nothing large is allocated
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 372. GiB")
+
+        monkeypatch.setattr(analysis, "cm_probe", no_memory)
+        code, out, err = run(["conjecture", "cm", "--step", "1e-9"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: Unable to allocate 372. GiB\n"
+
     def test_unknown_function_exits_2(self, capsys):
         code, _, err = run(["monotone", "--function", "nope"], capsys)
         assert code == 2
@@ -254,3 +279,52 @@ class TestDeterminism:
         text = raw.decode()
         header = text.split("\n", 1)[0]
         assert header == "name,kind,expected,measured,verdict,witness"
+
+
+# Runs CLI argvs in a fresh interpreter and prints their exit codes and
+# the package modules loaded afterwards.  With "no-numpy", any import of
+# numpy raises ImportError.
+_FRESH_CHILD = r"""
+import contextlib, io, json, sys
+if sys.argv[1] == "no-numpy":
+    sys.modules["numpy"] = None
+import gamma_envelope
+import gamma_envelope.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps({"codes": codes, "modules": sorted(
+    m for m in sys.modules if m.partition(".")[0] == "gamma_envelope")}))
+"""
+
+
+def _fresh_process(argvs, numpy=True):
+    src = os.path.dirname(os.path.dirname(gamma_envelope.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_CHILD,
+         "numpy" if numpy else "no-numpy", json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout)
+    return result["codes"], set(result["modules"])
+
+
+class TestImportFootprint:
+    def test_bounds_runs_without_numpy(self):
+        argvs = [["bounds", "--family", f, "--x", "0.75"]
+                 for f in sorted(bounds.FAMILIES)]
+        codes, modules = _fresh_process(argvs, numpy=False)
+        assert codes == [0] * len(argvs)
+        assert modules == {"gamma_envelope", "gamma_envelope.refcore",
+                           "gamma_envelope.bounds", "gamma_envelope.cli"}
+
+    @pytest.mark.parametrize("argv, unloaded", [
+        (["audit", "--grid", "200"], {"analysis"}),
+        (["lemma2", "--grid", "100"], {"analysis"}),
+        (["polygamma-check", "--grid", "20"],
+         {"analysis", "proofaudit", "polycert"}),
+    ])
+    def test_sweeps_load_only_their_modules(self, argv, unloaded):
+        codes, modules = _fresh_process([argv])
+        assert codes == [0]
+        assert not modules & {"gamma_envelope." + m for m in unloaded}
