@@ -45,12 +45,6 @@ def _in_unit_band(x):
     return (x < 1e-6) | (abs(x - 1.0) < 1e-6)
 
 
-def _log_base_arg(x, p):
-    # ln((x^2+p)/(x+p)) = log1p of this, free of cancellation near x = 1;
-    # elementwise on arrays
-    return (x * x - x) / (x + p)
-
-
 def lambda_ratio(lam, x):
     """ln Gamma(x+1) / (ln(x^2+lam) - ln(x+lam)) for lam > 0, 0 < x < 1.
 
@@ -64,7 +58,7 @@ def lambda_ratio(lam, x):
         raise ValueError("lambda_ratio requires 0 < x < 1, got %r" % (x,))
     if _in_unit_band(x):
         return _lhospital_band(refcore.digamma(x + 1.0), x, lam)
-    return refcore.ln_gamma(x + 1.0) / math.log1p(_log_base_arg(x, lam))
+    return refcore.ln_gamma(x + 1.0) / math.log1p(refcore.log_base_arg(x, lam))
 
 
 def _lambda_sweep(xs):
@@ -84,7 +78,7 @@ def _lambda_sweep(xs):
     ])
 
     def values(lam):
-        den = map(math.log1p, _log_base_arg(xs, lam).tolist())
+        den = map(math.log1p, refcore.log_base_arg(xs, lam).tolist())
         vals = num / np.fromiter(den, float, len(xs))
         vals[band] = _lhospital_band(num[band], xs[band], lam)
         return vals
@@ -101,7 +95,7 @@ def tau_ratio(tau, x):
         raise ValueError("tau_ratio requires x > 0, got %r" % (x,))
     if abs(x - 1.0) < 1e-6:
         return _lhospital_band(refcore.digamma(x), x, tau)
-    return refcore.ln_gamma(x) / math.log1p(_log_base_arg(x, tau))
+    return refcore.ln_gamma(x) / math.log1p(refcore.log_base_arg(x, tau))
 
 
 def F_unitball(x):
@@ -121,7 +115,7 @@ def h_cm(x):
         raise ValueError("h_cm requires x > 0, got %r" % (x,))
     if x == 1.0:
         return 2.0
-    return math.log(x) / math.log1p((x * x - x) / (1.0 + x))
+    return math.log(x) / math.log1p(refcore.log_base_arg(x))
 
 
 # registry for check_monotone / cm_probe; parametrized ids use "name:value"

@@ -64,11 +64,6 @@ def _pair(log_lower, log_upper, conv, family, x, **kw):
     )
 
 
-def _log_base(x):
-    # ln((x^2+1)/(x+1)) without cancellation near x = 1
-    return math.log1p((x * x - x) / (x + 1.0))
-
-
 def theorem_bounds(x, alpha=None, beta=None):
     """Sharp-exponent envelope of (x^2+1)/(x+1) around Gamma(x+1) on (0,1).
 
@@ -84,7 +79,7 @@ def theorem_bounds(x, alpha=None, beta=None):
     warning = None
     if a < c.alpha_sharp or b > c.beta_sharp:
         warning = "exponents outside the sharp region; containment not guaranteed"
-    lb = _log_base(x)
+    lb = math.log1p(refcore.log_base_arg(x))
     return _pair(
         a * lb, b * lb, GAMMA_OF_X_PLUS_1, "qi_guo", x, warning=warning
     )
@@ -116,7 +111,7 @@ def extended_bounds(x):
     else:
         log_prod = refcore.ln_gamma(x + 1.0) - refcore.ln_gamma(t + 1.0)
     c = refcore.constants()
-    lb = _log_base(t) if t > 0.0 else 0.0
+    lb = math.log1p(refcore.log_base_arg(t)) if t > 0.0 else 0.0
     return _pair(
         c.alpha_sharp * lb + log_prod,
         c.beta_sharp * lb + log_prod,
@@ -183,7 +178,7 @@ def _qi_guo_extended(x):
 def _qi_guo_rearranged(x):
     _require_open_unit(x, "qi_guo_rearranged")
     c = refcore.constants()
-    lb = _log_base(x)
+    lb = math.log1p(refcore.log_base_arg(x))
     lx = math.log(x)
     return _pair(
         c.alpha_sharp * lb - lx,

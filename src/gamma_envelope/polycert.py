@@ -24,6 +24,15 @@ def _trim(coeffs):
     return coeffs
 
 
+def _horner(coeffs, x):
+    """Value at x of the polynomial with ascending ``coeffs``; exact when
+    x and the coefficients are int/Fraction."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class Polynomial:
     """Univariate polynomial with exact integer coefficients.
 
@@ -43,10 +52,7 @@ class Polynomial:
 
     def __call__(self, x):
         """Horner evaluation; exact when x is int/Fraction."""
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coefficients, x)
 
     def derivative(self):
         return Polynomial(
@@ -87,69 +93,39 @@ def sign_changes(p):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _frac_coeffs(p):
-    return [Fraction(c) for c in p.coefficients]
-
-
-def _poly_divmod(a, b):
-    """Exact quotient and remainder of a / b over Fraction coefficient
-    lists (ascending)."""
+def _poly_rem(a, b):
+    """Exact remainder of a / b over int or Fraction coefficient lists
+    (ascending)."""
     db, lb = len(b) - 1, b[-1]
-    quot = [Fraction(0)] * max(len(a) - db, 1)
     rem = list(a)
     while len(rem) - 1 >= db and rem != [0]:
         dr = len(rem) - 1
-        q = rem[-1] / lb
-        quot[dr - db] = q
+        q = Fraction(rem[-1]) / lb
         for i in range(db + 1):
             rem[dr - db + i] -= q * b[i]
         rem.pop()  # leading term cancelled exactly
         rem = _trim(rem) or [Fraction(0)]
-    return quot, rem
+    return rem
 
 
-def _poly_gcd(a, b):
-    while b != [0]:
-        a, b = b, _poly_divmod(a, b)[1]
-    return a
+def _sturm_chain(p):
+    """p, p' and the negated remainders of Euclid's algorithm on them.
 
-
-def _square_free(p):
-    """p / gcd(p, p') as Fraction coefficient list (ascending)."""
-    a = _frac_coeffs(p)
-    if len(a) == 1:
-        return a
-    b = _frac_coeffs(p.derivative())
-    g = _poly_gcd(a, b)
-    if len(g) == 1:
-        return a
-    return _poly_divmod(a, g)[0]
-
-
-def _eval_list(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _sturm_chain(coeffs):
-    chain = [coeffs]
-    deriv = _trim([i * c for i, c in enumerate(coeffs)][1:]) or [Fraction(0)]
-    if deriv != [0]:
-        chain.append(deriv)
-        while True:
-            r = _poly_divmod(chain[-2], chain[-1])[1]
-            if r == [0]:
-                break
-            chain.append([-c for c in r])
-    return chain
+    Every member is a multiple of g = gcd(p, p'), and the chain divided by
+    g is a Sturm chain of p's square-free part.  At a point where p is
+    nonzero g is nonzero too, so dividing by it changes no sign
+    variation: the chain counts p's distinct roots without a square-free
+    pass."""
+    chain = [p.coefficients, p.derivative().coefficients]
+    while chain[-1] != [0]:
+        chain.append([-c for c in _poly_rem(chain[-2], chain[-1])])
+    return chain[:-1]
 
 
 def _chain_sign_changes(chain, x):
     signs = []
     for coeffs in chain:
-        v = _eval_list(coeffs, x)
+        v = _horner(coeffs, x)
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -184,7 +160,7 @@ def sturm_root_count(p, a, b):
     a, b, _ = _nudge_endpoints(p, a, b)
     if not a < b:
         return 0
-    chain = _sturm_chain(_square_free(p))
+    chain = _sturm_chain(p)
     # Sturm: V(a) - V(b) counts distinct roots in (a, b]; p(b) != 0 so the
     # half-open interval equals the open one.
     return _chain_sign_changes(chain, a) - _chain_sign_changes(chain, b)

@@ -76,7 +76,7 @@ def ratio_R(x):
     if abs(x - 1.0) < SINGULAR_BAND:
         return _lhospital_quotient(x)
     num = refcore.ln_gamma(x + 1.0)
-    den = math.log1p((x * x - x) / (x + 1.0))
+    den = math.log1p(refcore.log_base_arg(x))
     return num / den
 
 
@@ -109,7 +109,7 @@ def _h2(x, log1p):
     # lemma_expr(2, x) by its direct formula, outside the band about 1
     return (x - 1.0) * (x * x + 2.0 * x - 1.0) - (x + 1.0) * (
         x * x + 1.0
-    ) * log1p((x * x - x) / (x + 1.0))
+    ) * log1p(refcore.log_base_arg(x))
 
 
 def _f_over_g_prime_near_one(x, h2):
@@ -328,8 +328,9 @@ def interior_grid(n):
     return eps + (1.0 - 2.0 * eps) * np.arange(n) / (n - 1)
 
 
-def _grid_claim(name, kind, sign, xs, vals, f):
-    """One audited grid claim of the given kind from a sweep of ``f``."""
+def _grid_claim(name, kind, sign, xs, vals, arg):
+    """One audited grid claim of the given kind from a sweep of the proof
+    function or lemma expression ``arg``."""
     if kind == "monotonicity":
         expected = "strictly %s" % ("increasing" if sign > 0 else "decreasing")
         ok, measured, witness = sweep.monotone(xs, vals, sign)
@@ -345,8 +346,9 @@ def _grid_claim(name, kind, sign, xs, vals, f):
         ok, measured = len(changes) == 1, float(len(changes))
         if ok:
             i = changes[0]
+            f = proof_function if isinstance(arg, str) else lemma_expr
             witness = sweep.root(
-                f, float(xs[i]), float(xs[i + 1]), vals[i], 1e-12
+                partial(f, arg), float(xs[i]), float(xs[i + 1]), vals[i], 1e-12
             )
         else:
             witness = float(xs[changes[0]]) if len(changes) else None
@@ -399,13 +401,9 @@ def audit_proof(grid_n=10000):
         values = _evaluate([arg for arg, _ in functions], xs)
         for arg, checks in functions:
             vals = values.pop(arg)  # each released once its claims are made
-            if isinstance(arg, str):
-                f = partial(proof_function, arg)
-            else:
-                f = partial(lemma_expr, arg)
             for name, kind, sign, stop in checks:
                 claims.append(_grid_claim(
-                    name, kind, sign, xs[:stop], vals[:stop], f
+                    name, kind, sign, xs[:stop], vals[:stop], arg
                 ))
     # Point claims: the helper functions' endpoint anchors, printed to 3
     # decimals in the derivation, and the ratio's two one-sided limits.

@@ -6,14 +6,14 @@ Bernoulli terms and a cutoff of 15 the truncation error of every kernel is
 below 1e-13 relative, which leaves the double-precision rounding of the
 recurrence as the dominant error source.
 
-Each kernel has an array twin (``ln_gamma_array``, ``digamma_array``,
-``polygamma_array``) that takes a float array and runs the same scheme
-elementwise: the same coefficient tables, the same shift steps summed in
-the same order, the same operation order in the tail.  It differs from the
-scalar kernel only where numpy's ``log`` or ``**`` rounds a term
-differently from ``math.log`` or float ``**``: by a few ulps of the shift
-sum, on about 0.1% (ln Gamma, psi, psi') to 5% (psi'' and psi''') of
-arguments in (1, 2).
+Each series is written once, as plain arithmetic on a float or an array,
+and serves a scalar kernel and its array twin (``ln_gamma_array``,
+``digamma_array``, ``polygamma_array``); the two differ only in their
+input check and their shift loop, which take the same steps in the same
+order.  A twin differs from its scalar kernel only where numpy's ``log``
+or ``**`` rounds a term differently from ``math.log`` or float ``**``: by
+a few ulps of the shift sum, on about 0.1% (ln Gamma, psi, psi') to 5%
+(psi'' and psi''') of arguments in (1, 2).
 
 All functions are pure and stateless.
 """
@@ -92,6 +92,44 @@ def backend():
     return "python"
 
 
+def _ln_gamma_series(y, log):
+    # Stirling series for ln Gamma(y), y at or past the cutoff; plain
+    # arithmetic on a float or an array, ``log`` the matching logarithm
+    inv = 1.0 / y
+    inv2 = inv * inv
+    tail = 0.0
+    p = inv
+    for c in _LNGAMMA_COEFFS:
+        tail += c * p
+        p = p * inv2
+    return (y - 0.5) * log(y) - y + _HALF_LN_TWO_PI + tail
+
+
+def _digamma_series(y, log):
+    # asymptotic series for psi(y), y at or past the cutoff
+    inv = 1.0 / y
+    inv2 = inv * inv
+    tail = 0.0
+    p = inv2
+    for c in _DIGAMMA_COEFFS:
+        tail += c * p
+        p = p * inv2
+    return log(y) - 0.5 * inv - tail
+
+
+def _polygamma_series(k, y):
+    # asymptotic series for psi^(k)(y), y at or past the cutoff
+    sign, _, fact_km1, half_fact_k, coeffs = _POLYGAMMA_CONSTANTS[k]
+    inv = 1.0 / y
+    inv2 = inv * inv
+    value = fact_km1 * inv**k + half_fact_k * inv ** (k + 1)
+    p = inv ** (2 + k)
+    for c in coeffs:
+        value += c * p
+        p = p * inv2
+    return sign * value
+
+
 def ln_gamma(x):
     """ln Gamma(x) for finite x > 0."""
     x = float(x)
@@ -102,14 +140,7 @@ def ln_gamma(x):
     while y < _SHIFT_CUTOFF:
         shift += math.log(y)
         y += 1.0
-    inv = 1.0 / y
-    inv2 = inv * inv
-    tail = 0.0
-    p = inv
-    for c in _LNGAMMA_COEFFS:
-        tail += c * p
-        p *= inv2
-    return (y - 0.5) * math.log(y) - y + _HALF_LN_TWO_PI + tail - shift
+    return _ln_gamma_series(y, math.log) - shift
 
 
 def digamma(x):
@@ -122,14 +153,7 @@ def digamma(x):
     while y < _SHIFT_CUTOFF:
         shift += 1.0 / y
         y += 1.0
-    inv = 1.0 / y
-    inv2 = inv * inv
-    tail = 0.0
-    p = inv2
-    for c in _DIGAMMA_COEFFS:
-        tail += c * p
-        p *= inv2
-    return math.log(y) - 0.5 * inv - tail - shift
+    return _digamma_series(y, math.log) - shift
 
 
 def polygamma(k, x):
@@ -139,21 +163,14 @@ def polygamma(k, x):
         raise ValueError("polygamma supports k in {1, 2, 3}, got %r" % (k,))
     if not 0.0 < x < math.inf:
         raise ValueError("polygamma requires finite x > 0, got %r" % (x,))
-    sign, rec, fact_km1, half_fact_k, coeffs = _POLYGAMMA_CONSTANTS[k]
+    rec = _POLYGAMMA_CONSTANTS[k][1]
     # recurrence: psi^(k)(x) = psi^(k)(x+1) + (-1)^(k+1) k! / x^(k+1)
     shift = 0.0
     y = x
     while y < _SHIFT_CUTOFF:
         shift += rec / y ** (k + 1)
         y += 1.0
-    inv = 1.0 / y
-    inv2 = inv * inv
-    value = fact_km1 * inv**k + half_fact_k * inv ** (k + 1)
-    p = inv ** (2 + k)
-    for c in coeffs:
-        value += c * p
-        p *= inv2
-    return sign * value + shift
+    return _polygamma_series(k, y) + shift
 
 
 def _positive_array(name, x):
@@ -189,14 +206,7 @@ def ln_gamma_array(x):
     import numpy as np
 
     y, shift = _shift_up(_positive_array("ln_gamma_array", x), np.log)
-    inv = 1.0 / y
-    inv2 = inv * inv
-    tail = 0.0
-    p = inv
-    for c in _LNGAMMA_COEFFS:
-        tail += c * p
-        p = p * inv2
-    return (y - 0.5) * np.log(y) - y + _HALF_LN_TWO_PI + tail - shift
+    return _ln_gamma_series(y, np.log) - shift
 
 
 def digamma_array(x):
@@ -205,14 +215,7 @@ def digamma_array(x):
 
     y, shift = _shift_up(_positive_array("digamma_array", x),
                          lambda y: 1.0 / y)
-    inv = 1.0 / y
-    inv2 = inv * inv
-    tail = 0.0
-    p = inv2
-    for c in _DIGAMMA_COEFFS:
-        tail += c * p
-        p = p * inv2
-    return np.log(y) - 0.5 * inv - tail - shift
+    return _digamma_series(y, np.log) - shift
 
 
 def polygamma_array(k, x):
@@ -220,17 +223,10 @@ def polygamma_array(k, x):
     float array."""
     if k not in (1, 2, 3):
         raise ValueError("polygamma supports k in {1, 2, 3}, got %r" % (k,))
-    sign, rec, fact_km1, half_fact_k, coeffs = _POLYGAMMA_CONSTANTS[k]
+    rec = _POLYGAMMA_CONSTANTS[k][1]
     y, shift = _shift_up(_positive_array("polygamma_array", x),
                          lambda y: rec / y ** (k + 1))
-    inv = 1.0 / y
-    inv2 = inv * inv
-    value = fact_km1 * inv**k + half_fact_k * inv ** (k + 1)
-    p = inv ** (2 + k)
-    for c in coeffs:
-        value += c * p
-        p = p * inv2
-    return sign * value + shift
+    return _polygamma_series(k, y) + shift
 
 
 def gamma(x):
@@ -250,17 +246,25 @@ class Constants:
     alzer_beta: float  # (pi^2/6 - euler_gamma) / 2
 
 
+_CONSTANTS = Constants(
+    euler_gamma=EULER_GAMMA,
+    pi_sq_over_6=PI_SQ_OVER_6,
+    alpha_sharp=2.0 * (1.0 - EULER_GAMMA),
+    beta_sharp=EULER_GAMMA,
+    alzer_alpha=1.0 - EULER_GAMMA,
+    alzer_beta=0.5 * (PI_SQ_OVER_6 - EULER_GAMMA),
+)
+
+
 def constants():
-    """Populated :class:`Constants`; all fields exact functions of gamma."""
-    g = EULER_GAMMA
-    return Constants(
-        euler_gamma=g,
-        pi_sq_over_6=PI_SQ_OVER_6,
-        alpha_sharp=2.0 * (1.0 - g),
-        beta_sharp=g,
-        alzer_alpha=1.0 - g,
-        alzer_beta=0.5 * (PI_SQ_OVER_6 - g),
-    )
+    """The one :class:`Constants`, built at import."""
+    return _CONSTANTS
+
+
+def log_base_arg(x, lam=1.0):
+    """(x^2+lam)/(x+lam) - 1 = (x^2-x)/(x+lam): ln of the envelope base is
+    log1p of this, free of cancellation near x = 1; float or array."""
+    return (x * x - x) / (x + lam)
 
 
 def _check_gamma_literal():

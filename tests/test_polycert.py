@@ -62,8 +62,18 @@ class TestSturm:
         assert sturm_root_count(Polynomial([-2, 0, 1]), -2, 2) == 2
 
     def test_repeated_root(self):
-        # (x-1)^2: square-free reduction must still count it once
+        # a root of multiplicity m counts once: the chain of p and p' is
+        # gcd(p, p') times a Sturm chain of p's square-free part
         assert sturm_root_count(Polynomial([1, -2, 1]), 0, 2) == 1
+        # (x-1)^3 (x+2)^2
+        p = Polynomial([-4, 8, -1, -5, 1, 1])
+        assert sturm_root_count(p, 0, 2) == 1
+        assert sturm_root_count(p, -3, 2) == 2
+        # (x^2-2)^2: two irrational double roots
+        assert sturm_root_count(Polynomial([4, 0, -4, 0, 1]), -2, 2) == 2
+        # (x-1)^2 on (1, 2): the double root at the endpoint is nudged
+        # out of the interval
+        assert sturm_root_count(Polynomial([1, -2, 1]), 1, 2) == 0
 
     def test_endpoint_root_perturbed(self):
         # root exactly at an endpoint is nudged inside the interval

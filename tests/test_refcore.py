@@ -183,6 +183,9 @@ class TestConstants:
                 for n, b in enumerate(refcore._BERNOULLI, 1)
             )
 
+    def test_built_once(self):
+        assert refcore.constants() is refcore.constants()
+
     def test_literal_matches_kernel(self):
         assert abs(refcore.EULER_GAMMA + refcore.digamma(1.0)) <= 1e-12
 
