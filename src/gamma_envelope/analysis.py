@@ -62,14 +62,17 @@ def lambda_ratio(lam, x):
 
 
 def _lambda_sweep(xs):
-    """A function lam -> the array of :func:`lambda_ratio` values at every
-    x of a grid in (0, 1), equal to them bit for bit.
+    """A function (lam, idx) -> the array of :func:`lambda_ratio` values at
+    the grid points xs[idx] of a grid in (0, 1), by default all of them,
+    equal to them bit for bit.
 
     The numerator (ln Gamma(x+1), or psi(x+1) in the band) does not
     depend on lambda and is evaluated once; each call builds only the
-    denominator.  That applies math.log1p per element, because np.log1p
-    rounds differently: at lambda = 2 it changes the last bit of 618 of
-    the 20,000 denominators of the 20,000-point grid.
+    denominators it is asked for.  That applies math.log1p per element,
+    because np.log1p rounds differently: at lambda = 2 it changes the
+    last bit of 618 of the 20,000 denominators of the 20,000-point grid.
+    Every step is elementwise, so a value does not depend on which other
+    indices are requested with it.
     """
     band = _in_unit_band(xs)
     num = np.array([
@@ -77,10 +80,11 @@ def _lambda_sweep(xs):
         for x, in_band in zip(xs.tolist(), band.tolist())
     ])
 
-    def values(lam):
-        den = map(math.log1p, refcore.log_base_arg(xs, lam).tolist())
-        vals = num / np.fromiter(den, float, len(xs))
-        vals[band] = _lhospital_band(num[band], xs[band], lam)
+    def values(lam, idx=slice(None)):
+        x, n, b = xs[idx], num[idx], band[idx]
+        den = map(math.log1p, refcore.log_base_arg(x, lam).tolist())
+        vals = n / np.fromiter(den, float, len(x))
+        vals[b] = _lhospital_band(n[b], x[b], lam)
         return vals
 
     return values
@@ -214,6 +218,29 @@ def _classify_lambda(xs, vals):
     return "non-monotone"
 
 
+def _lambda_classifier(xs):
+    """A function lam -> ``_classify_lambda(xs, values(lam))`` on the grid
+    xs, with values from :func:`_lambda_sweep`, decided ends first.
+
+    The first and last steps are computed from the four grid points they
+    span.  When one of them is not > 0 and one is not < 0 (possibly the
+    same step), no sweep through them is strictly increasing or strictly
+    decreasing, so the answer is 'non-monotone' without the rest of the
+    grid; only the other lambda pay for the full sweep.
+    """
+    values = _lambda_sweep(xs)
+    n = len(xs)
+    ends = np.array([0, 1, n - 2, n - 1])
+
+    def classify(lam):
+        first, _, last = np.diff(values(lam, ends))
+        if not (first > 0.0 and last > 0.0 or first < 0.0 and last < 0.0):
+            return "non-monotone"
+        return _classify_lambda(xs, values(lam))
+
+    return classify
+
+
 def search_lambda_thresholds(grid_n=2000, lambda_tol=1e-3):
     """Bracket the monotonicity transition of the lambda-ratio family.
 
@@ -222,17 +249,17 @@ def search_lambda_thresholds(grid_n=2000, lambda_tol=1e-3):
     second the smallest classified strictly decreasing, both to within
     ``lambda_tol``.  These are numerical estimates for an open question,
     not certified values.
+
+    Each lambda is classified ends first (:func:`_lambda_classifier`):
+    one whose first and last grid steps already rule out both strict
+    directions is non-monotone at once, and only the others are swept
+    over the whole grid.  The answers equal full-grid sweeps exactly.
     """
     if grid_n < 1000:
         raise ValueError("grid_n must be >= 1000")
     if not 0.0 < lambda_tol < math.inf:
         raise ValueError("lambda_tol must be positive and finite")
-    xs = _grid(0.0, 1.0, grid_n)
-    values = _lambda_sweep(xs)
-
-    def classify(lam):
-        return _classify_lambda(xs, values(lam))
-
+    classify = _lambda_classifier(_grid(0.0, 1.0, grid_n))
     table = []
     coarse = [1.0 + 0.1 * i for i in range(51)]  # 1.0 .. 6.0
     last_inc = None

@@ -131,16 +131,21 @@ def _chain_sign_changes(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _nudge_endpoints(p, a, b):
-    """(a, b, adjusted): the interval as Fractions, each endpoint where p
-    vanishes moved inward by :data:`ENDPOINT_EPS` until it no longer
-    does.  The zero polynomial vanishes everywhere and is rejected."""
+def _interval(p, a, b):
+    """(a, b) as Fractions, after checking that a < b.  The zero
+    polynomial vanishes everywhere and is rejected."""
     if p.is_zero():
         raise ValueError("sign and root questions are undefined for the "
                          "zero polynomial")
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError("need a < b, got a=%s b=%s" % (a, b))
+    return a, b
+
+
+def _nudge_endpoints(p, a, b):
+    """(a, b, adjusted): each endpoint of the interval where p vanishes
+    moved inward by :data:`ENDPOINT_EPS` until it no longer does."""
     adjusted = False
     while p(a) == 0:
         a += ENDPOINT_EPS
@@ -151,18 +156,34 @@ def _nudge_endpoints(p, a, b):
     return a, b, adjusted
 
 
+def _divide_out_root(coeffs, r):
+    """Integer ``coeffs`` with every factor (d x - n) divided out, where
+    r = n/d is a Fraction in lowest terms.  d x - n is primitive, so by
+    Gauss's lemma each quotient has integer coefficients and the
+    synthetic division below is exact."""
+    n, d = r.numerator, r.denominator
+    while _horner(coeffs, r) == 0:
+        # c_i = d q_(i-1) - n q_i, solved from the top coefficient down
+        q, acc = [0] * (len(coeffs) - 1), 0
+        for i in range(len(coeffs) - 1, 0, -1):
+            acc = (coeffs[i] + n * acc) // d
+            q[i - 1] = acc
+        coeffs = q
+    return coeffs
+
+
 def sturm_root_count(p, a, b):
     """Exact number of distinct real roots of p in the open interval (a, b).
 
-    Endpoints where p vanishes are nudged inward by :data:`ENDPOINT_EPS`
-    so the Sturm count is well defined.
+    Roots at a or b are divided out of p first, so the Sturm chain is
+    built for a polynomial that vanishes at neither endpoint and counts
+    exactly the roots strictly inside.
     """
-    a, b, _ = _nudge_endpoints(p, a, b)
-    if not a < b:
-        return 0
-    chain = _sturm_chain(p)
-    # Sturm: V(a) - V(b) counts distinct roots in (a, b]; p(b) != 0 so the
-    # half-open interval equals the open one.
+    a, b = _interval(p, a, b)
+    inner = _divide_out_root(_divide_out_root(p.coefficients, a), b)
+    chain = _sturm_chain(Polynomial(inner))
+    # Sturm: V(a) - V(b) counts distinct roots in (a, b]; inner(b) != 0 so
+    # the half-open interval equals the open one.
     return _chain_sign_changes(chain, a) - _chain_sign_changes(chain, b)
 
 
@@ -217,18 +238,20 @@ def _matches(value, claimed):
 def certify_sign(p, a, b, claimed, spot_points=()):
     """Certify (or refute) that p has the claimed strict sign on (a, b).
 
-    Certified means: zero roots on the open interval by Sturm count, and
-    exact evaluation at both endpoints and the midpoint agrees with the
-    claim.  Endpoints where p vanishes are nudged inward by
-    :data:`ENDPOINT_EPS` and the adjustment is recorded.  ``spot_points``
-    are extra rational points whose exact values are recorded for
-    cross-checking against published anchor values.
+    Certified means: zero roots on the open interval (a, b) by exact
+    Sturm count, and exact evaluation at both endpoints and the midpoint
+    agrees with the claim.  Endpoints where p vanishes are nudged inward
+    by :data:`ENDPOINT_EPS` for the evaluation, and the adjusted interval
+    is recorded; the root count still covers all of (a, b).
+    ``spot_points`` are extra rational points whose exact values are
+    recorded for cross-checking against published anchor values.
     """
+    a, b = _interval(p, a, b)
+    count = sturm_root_count(p, a, b)
     a, b, adjusted = _nudge_endpoints(p, a, b)
     mid = (a + b) / 2
     points = [a, mid, b]
     values = [(x, p(x)) for x in points]
-    count = sturm_root_count(p, a, b)
     ok = count == 0 and all(_matches(v, claimed) for _, v in values)
     return SignCertificate(
         polynomial=p,

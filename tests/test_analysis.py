@@ -165,6 +165,61 @@ class TestLambdaThresholds:
         an.search_lambda_thresholds(2000)
         assert len(calls) <= 2000
 
+    @pytest.mark.parametrize("grid_n", [2000, 20000])
+    def test_ends_first_agrees_with_full_sweep(self, grid_n):
+        xs = an._grid(0.0, 1.0, grid_n)
+        values = an._lambda_sweep(xs)
+        classify = an._lambda_classifier(xs)
+        inc, dec, _ = an.search_lambda_thresholds(grid_n, 1e-9)
+        lams = np.concatenate([
+            np.linspace(0.5, 8.0, 501),
+            np.linspace(inc - 1e-6, inc + 1e-6, 21),
+            np.linspace(dec - 1e-6, dec + 1e-6, 21),
+        ])
+        seen = set()
+        for lam in lams.tolist():
+            cls = an._classify_lambda(xs, values(lam))
+            assert classify(lam) == cls, lam
+            seen.add(cls)
+        assert seen == {"increasing", "non-monotone", "decreasing"}
+
+    @pytest.mark.parametrize("grid_n, limit", [(2000, 17), (20000, 15)])
+    def test_full_sweeps_only_for_possibly_monotone(
+        self, monkeypatch, grid_n, limit
+    ):
+        # a lambda whose end steps rule out both directions is decided
+        # from four grid points; a full-grid classification of all 65
+        # lambda of the search would exceed the limit
+        calls = []
+        full = an._classify_lambda
+        monkeypatch.setattr(
+            an, "_classify_lambda",
+            lambda xs, vals: calls.append(len(xs)) or full(xs, vals),
+        )
+        an.search_lambda_thresholds(grid_n)
+        assert 0 < len(calls) <= limit
+        assert set(calls) == {grid_n}
+
+    def test_bracket_errs_outward(self):
+        # f_lambda'(0+) vanishes at lambda_inc and f_lambda'(1-) at
+        # lambda_dec: no lambda above lambda_inc is increasing on (0, 1)
+        # and none below lambda_dec decreasing, so a grid, which can only
+        # miss a non-monotone stretch, errs outward
+        z2 = math.pi**2 / 6.0
+        lam_inc = G / (z2 - 2.0 * G)
+        lam_dec = (z2 - G) / (3.0 - 2.0 * G - z2)
+        assert lam_inc == 1.1767837797985385
+        assert lam_dec == 5.321706147024761
+        with mp.workdps(30):
+            ref_inc = mp.euler / (mp.zeta(2) - 2 * mp.euler)
+            ref_dec = (mp.zeta(2) - mp.euler) / (3 - 2 * mp.euler - mp.zeta(2))
+            assert abs(lam_inc - ref_inc) <= 1e-15 * ref_inc
+            assert abs(lam_dec - ref_dec) <= 1e-15 * ref_dec
+        for grid_n in (2000, 20000):
+            inc, dec, _ = an.search_lambda_thresholds(grid_n, 1e-9)
+            assert inc >= lam_inc, grid_n
+            assert dec <= lam_dec, grid_n
+
 
 class TestCMProbe:
     def test_h_cm_consistent(self):

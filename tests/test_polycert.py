@@ -71,14 +71,27 @@ class TestSturm:
         assert sturm_root_count(p, -3, 2) == 2
         # (x^2-2)^2: two irrational double roots
         assert sturm_root_count(Polynomial([4, 0, -4, 0, 1]), -2, 2) == 2
-        # (x-1)^2 on (1, 2): the double root at the endpoint is nudged
-        # out of the interval
+        # (x-1)^2 on (1, 2): the double root at the endpoint is divided
+        # out of p before the count
         assert sturm_root_count(Polynomial([1, -2, 1]), 1, 2) == 0
 
     def test_endpoint_root_perturbed(self):
-        # root exactly at an endpoint is nudged inside the interval
+        # a root exactly at an endpoint lies outside the open interval
         assert sturm_root_count(Polynomial([-1, 1]), 1, 2) == 0
         assert sturm_root_count(Polynomial([0, 1]), 0, 1) == 0
+
+    def test_root_near_a_vanishing_endpoint_counted(self):
+        # x (2*10^6 x - 1): roots at 0 and 5e-7, closer to 0 than the
+        # endpoint nudge; the root at the endpoint is divided out instead
+        p = Polynomial([0, -1, 2 * 10**6])
+        assert sturm_root_count(p, 0, 1) == 1
+        # the mirror image at the upper endpoint: (x - 1)(2*10^6 x - 1999999)
+        q = Polynomial([1999999, -3999999, 2 * 10**6])
+        assert sturm_root_count(q, 0, 1) == 1
+        # a double root at the endpoint and a simple one inside
+        # (x - 1/3)^2 (x - 1/2) times 18
+        assert sturm_root_count(Polynomial([-1, 8, -21, 18]),
+                                Fraction(1, 3), 1) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -133,6 +146,16 @@ class TestCertificates:
         assert cert.verdict == "certified"
         assert cert.endpoint_adjusted
         assert cert.interval[0] == Fraction(1, 10**6)
+
+    def test_root_near_a_vanishing_endpoint_refutes(self):
+        # p < 0 on (0, 5e-7), inside the nudge of the endpoint 0 where p
+        # vanishes: the count on all of (0, 1) finds that root
+        p = Polynomial([0, -1, 2 * 10**6])
+        cert = certify_sign(p, 0, 1, "positive")
+        assert cert.verdict == "refuted"
+        assert cert.sturm_root_count == 1
+        assert cert.endpoint_adjusted
+        assert cert.interval == (Fraction(1, 10**6), Fraction(1))
 
     def test_reevaluation_reproduces_recorded_values(self):
         for i, cert in certify_lemma_polynomials().items():
