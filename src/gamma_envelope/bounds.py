@@ -3,9 +3,11 @@
 Each family is evaluated in log-space (exponent times log of the base,
 products as sums of logs) so that large arguments do not overflow and the
 relative error stays uniform.  A :class:`BoundPair` carries both the log
-values and the exponentiated floats; the floats saturate to ``inf`` when
-a bound is valid but beyond double range (e.g. upper bounds behaving like
-exp(1/2x) near zero), so all comparisons should use the log fields.
+values, always finite (a family whose log side leaves double range raises
+:class:`DomainError` instead), and the exponentiated floats; the floats
+saturate to ``inf`` when a bound is valid but beyond double range (e.g.
+upper bounds behaving like exp(1/2x) near zero), so all comparisons
+should use the log fields.
 
 Conventions: a family brackets either Gamma(x+1) or Gamma(x); the
 ``argument_convention`` field on every pair says which.  One-sided
@@ -51,16 +53,21 @@ def _safe_exp(v):
         return math.inf
 
 
-def _pair(log_lower, log_upper, conv, family, x, **kw):
+def _pair(log_lower, log_upper, conv, family, x, is_equality_point=False,
+          one_sided=False, warning=None):
+    # the one constructor of the catalog's pairs holds them to finite log
+    # sides: past x ~ 2.56e305, where lnGamma(x+1) itself overflows, and
+    # at tiny x, a family's log sides can round to +-inf
+    if not (math.isfinite(log_upper) and (
+            math.isfinite(log_lower)
+            or one_sided and log_lower == -math.inf)):
+        raise DomainError(
+            "%s(%r): log bounds (%r, %r) are outside double range"
+            % (family, x, log_lower, log_upper)
+        )
     return BoundPair(
-        lower=_safe_exp(log_lower),
-        upper=_safe_exp(log_upper),
-        argument_convention=conv,
-        family=family,
-        x=x,
-        log_lower=log_lower,
-        log_upper=log_upper,
-        **kw,
+        _safe_exp(log_lower), _safe_exp(log_upper), conv, family, x,
+        log_lower, log_upper, is_equality_point, one_sided, warning,
     )
 
 
@@ -142,13 +149,8 @@ def polygamma_bounds(k, x):
     if upper == math.inf:
         raise DomainError("polygamma_bounds(%d, %r): out of range" % (k, x))
     return BoundPair(
-        lower=lower,
-        upper=upper,
-        argument_convention="abs_polygamma_k",
-        family="polygamma",
-        x=x,
-        log_lower=math.log(lower),
-        log_upper=math.log(upper),
+        lower, upper, "abs_polygamma_k", "polygamma", x,
+        math.log(lower), math.log(upper),
     )
 
 
@@ -165,14 +167,6 @@ def _ivady(x):
         "ivady",
         x,
     )
-
-
-def _qi_guo(x):
-    return theorem_bounds(x)
-
-
-def _qi_guo_extended(x):
-    return extended_bounds(x)
 
 
 def _qi_guo_rearranged(x):
@@ -344,14 +338,14 @@ FAMILIES = {
             GAMMA_OF_X_PLUS_1,
             "sharp-exponent envelope ((x^2+1)/(x+1))^a with a in "
             "{2(1-gamma), gamma}",
-            _qi_guo,
+            theorem_bounds,
         ),
         FamilyEntry(
             "qi_guo_extended",
             "(0,inf), equality at integers",
             GAMMA_OF_X_PLUS_1,
             "sharp envelope extended by the factorial recurrence",
-            _qi_guo_extended,
+            extended_bounds,
         ),
         FamilyEntry(
             "qi_guo_rearranged",
@@ -426,7 +420,7 @@ FAMILIES = {
 
 def evaluate_family(family_id, x):
     """Evaluate one catalog family at x; raises DomainError outside its
-    validity domain."""
+    validity domain or where a log bound leaves double range."""
     try:
         entry = FAMILIES[family_id]
     except KeyError:

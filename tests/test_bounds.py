@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gamma_envelope import bounds, refcore
 from gamma_envelope.bounds import DomainError
@@ -212,6 +213,33 @@ class TestFamilyCatalog:
     def test_non_finite_rejected(self, fid, x):
         with pytest.raises(DomainError, match="finite"):
             bounds.evaluate_family(fid, x)
+
+    @pytest.mark.parametrize("fid", sorted(bounds.FAMILIES))
+    @settings(max_examples=150, deadline=None)
+    @given(x=st.floats())
+    @example(x=5e-324)  # the smallest subnormal
+    @example(x=2.56e305)  # about where lnGamma(x+1) overflows
+    @example(x=1.7976931348623157e308)  # the largest double
+    def test_input_contract(self, fid, x):
+        # every family at every float: a DomainError, or a pair with
+        # finite log sides (a one-sided family's lower one exactly -inf),
+        # float sides that are their exponentials (so neither is NaN), and
+        # the catalog entry's identity
+        entry = bounds.FAMILIES[fid]
+        try:
+            bp = bounds.evaluate_family(fid, x)
+        except DomainError:
+            return
+        assert math.isfinite(bp.log_upper)
+        if entry.one_sided:
+            assert bp.log_lower == -math.inf
+        else:
+            assert math.isfinite(bp.log_lower)
+        assert bp.lower == bounds._safe_exp(bp.log_lower)
+        assert bp.upper == bounds._safe_exp(bp.log_upper)
+        assert (bp.family, bp.x, bp.argument_convention, bp.one_sided) == (
+            fid, x, entry.convention, entry.one_sided
+        )
 
     def test_unknown_family(self):
         with pytest.raises(KeyError):

@@ -183,6 +183,18 @@ class TestExitCodes:
         assert "finite" in err
 
     @pytest.mark.parametrize("family, x", [
+        ("batir_12", "1e306"),  # past lnGamma(x+1)'s own overflow
+        ("qi_guo_zhang", "5e-309"),
+        ("alzer_batir", "1e-320"),
+    ])
+    def test_log_bounds_beyond_double_range_exit_2(self, family, x, capsys):
+        # an infinite log side is no bound, not a violation
+        code, out, err = run(["bounds", "--family", family, "--x", x], capsys)
+        assert code == 2
+        assert out == ""
+        assert "outside double range" in err
+
+    @pytest.mark.parametrize("family, x", [
         ("qi_guo_extended", "200.5"),  # 200 is an equality point
         ("alzer_power", "200"),
         ("alzer_batir", "200"),

@@ -258,3 +258,134 @@ class TestArrayKernels:
 def test_array_polygamma_unsupported_order():
     with pytest.raises(ValueError):
         refcore.polygamma_array(4, np.array([1.0]))
+
+
+def _exact_series(name, k):
+    """(kept tail, full table, exact partial sum before the first tail
+    term, exact tail terms) of one kernel's series at y = _SHIFT_CUTOFF,
+    from the exact Bernoulli table."""
+    y = Fraction(refcore._SHIFT_CUTOFF)
+    bern = list(enumerate(refcore._BERNOULLI, 1))
+    if name == "ln_gamma":
+        return (refcore._LNGAMMA_TAIL, refcore._LNGAMMA_COEFFS, 0,
+                [b / (2 * n * (2 * n - 1)) * y ** (1 - 2 * n)
+                 for n, b in bern])
+    if name == "digamma":
+        return (refcore._DIGAMMA_TAIL, refcore._DIGAMMA_COEFFS, 0,
+                [b / (2 * n) * y ** (-2 * n) for n, b in bern])
+    lead = (math.factorial(k - 1) * y ** -k
+            + Fraction(math.factorial(k), 2) * y ** -(k + 1))
+    return (refcore._POLYGAMMA_TAILS[k], refcore._POLYGAMMA_CONSTANTS[k][4],
+            lead, [b * math.perm(2 * n + k - 1, k - 1) * y ** (-2 * n - k)
+                   for n, b in bern])
+
+
+_SERIES = [("ln_gamma", None), ("digamma", None),
+           ("polygamma", 1), ("polygamma", 2), ("polygamma", 3)]
+_SERIES_IDS = ["ln_gamma", "digamma", "polygamma1", "polygamma2", "polygamma3"]
+
+
+@pytest.mark.parametrize("name, k", _SERIES, ids=_SERIES_IDS)
+class TestTrimmedTails:
+    def test_tail_is_a_leading_slice(self, name, k):
+        tail, table, _, _ = _exact_series(name, k)
+        assert len(table) == 10
+        assert tail == table[:len(tail)]
+
+    def test_dropped_terms_below_half_an_ulp(self, name, k):
+        # a term below 2^-54 of the sum it is added to is below half an
+        # ulp of it, so the rounded sum does not move; every dropped term
+        # must be, at the cutoff (the ratio falls as y grows), while the
+        # last kept term is not
+        tail, _, partial, terms = _exact_series(name, k)
+        m = len(tail)
+        before_last = partial + sum(terms[:m - 1])
+        partial = before_last + terms[m - 1]
+        assert abs(terms[m - 1]) >= abs(before_last) / 2**54
+        for t in terms[m:]:
+            assert abs(t) < abs(partial) / 2**54
+
+
+def _ten_term_series(name, k, y, log):
+    """The kernels' asymptotic series summed over all ten Bernoulli terms,
+    in the kernels' operation order; float or array."""
+    inv = 1.0 / y
+    inv2 = inv * inv
+    if name == "ln_gamma":
+        tail, p = 0.0, inv
+        for c in refcore._LNGAMMA_COEFFS:
+            tail += c * p
+            p = p * inv2
+        return (y - 0.5) * log(y) - y + refcore._HALF_LN_TWO_PI + tail
+    if name == "digamma":
+        tail, p = 0.0, inv2
+        for c in refcore._DIGAMMA_COEFFS:
+            tail += c * p
+            p = p * inv2
+        return log(y) - 0.5 * inv - tail
+    sign, _, fact_km1, half_fact_k, coeffs = refcore._POLYGAMMA_CONSTANTS[k]
+    value = fact_km1 * inv**k + half_fact_k * inv ** (k + 1)
+    p = inv ** (2 + k)
+    for c in coeffs:
+        value += c * p
+        p = p * inv2
+    return sign * value
+
+
+def _ten_term_kernel(name, k, x, log):
+    """Reference kernel: the recurrence shift, then the ten-term series;
+    ``x`` a float (``log`` = math.log) or an array (np.log)."""
+    if name == "ln_gamma":
+        term = log
+    elif name == "digamma":
+        def term(y):
+            return 1.0 / y
+    else:
+        rec = refcore._POLYGAMMA_CONSTANTS[k][1]
+
+        def term(y):
+            return rec / y ** (k + 1)
+    cutoff = refcore._SHIFT_CUTOFF
+    if isinstance(x, float):
+        y, shift = x, 0.0
+        while y < cutoff:
+            shift += term(y)
+            y += 1.0
+    else:
+        # as in the kernels, elements past the cutoff evaluate a term that
+        # is multiplied by 0; for psi^(k) it overflows at y > 1e77
+        y, shift = x.copy(), 0.0
+        below = y < cutoff
+        with np.errstate(over="ignore"):
+            while below.any():
+                shift += term(y) * below
+                y += below
+                below = y < cutoff
+    series = _ten_term_series(name, k, y, log)
+    return series + shift if k else series - shift
+
+
+@pytest.mark.parametrize("name, k", _SERIES, ids=_SERIES_IDS)
+def test_trimmed_kernels_equal_ten_term_series(name, k):
+    # 10^5 seeded points on the audit range (1, 2), log-uniform across the
+    # double range and densely around the cutoff.  psi^(k)(x) ~ k!/x^(k+1)
+    # leaves double range near x = 1e-308^(1/(k+1)) (there the scalar
+    # kernel raises ZeroDivisionError and the twin returns inf), so its
+    # log-uniform band starts at 1e-300^(1/(k+1)).
+    rng = np.random.default_rng(20261018)
+    low = -300.0 / (k + 1) if k else -300.0
+    xs = np.concatenate([
+        rng.uniform(1.0, 2.0, 30000),
+        10.0 ** rng.uniform(low, 300.0, 40000),
+        rng.uniform(14.0, 17.0, 30000),
+    ])
+    if k:
+        array = refcore.polygamma_array(k, xs)
+        scalar = [refcore.polygamma(k, x) for x in xs.tolist()]
+    else:
+        array = getattr(refcore, name + "_array")(xs)
+        scalar = list(map(getattr(refcore, name), xs.tolist()))
+    ref_array = _ten_term_kernel(name, k, xs, np.log)
+    assert np.array_equal(array, ref_array)
+    ref_scalar = [_ten_term_kernel(name, k, x, math.log) for x in xs.tolist()]
+    assert scalar == ref_scalar
