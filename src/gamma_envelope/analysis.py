@@ -17,7 +17,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gamma_envelope import bounds, refcore, sweep
-from gamma_envelope.proofaudit import ratio_R, proof_function
+from gamma_envelope.proofaudit import (
+    _in_unit_band, _lhospital_band, proof_function, ratio_R,
+)
 
 # Relative inset used to keep grids away from open-interval boundaries.
 BOUNDARY_INSET = 1e-6
@@ -32,25 +34,12 @@ def _grid(a, b, n):
 # ratio-family functions
 
 
-def _lhospital_band(psi, x, p):
-    # psi (x^2+p)(x+p) / (2x(x+p) - (x^2+p)): one L'Hospital step of
-    # ln Gamma / ln((x^2+p)/(x+p)) at a removable 0/0, where psi is the
-    # digamma value at the ln Gamma argument; elementwise on arrays
-    return psi * (x * x + p) * (x + p) / (2.0 * x * (x + p) - (x * x + p))
-
-
-def _in_unit_band(x):
-    # within 1e-6 of the removable points 0 and 1 of the lambda ratio;
-    # elementwise on arrays
-    return (x < 1e-6) | (abs(x - 1.0) < 1e-6)
-
-
 def lambda_ratio(lam, x):
     """ln Gamma(x+1) / (ln(x^2+lam) - ln(x+lam)) for lam > 0, 0 < x < 1.
 
     Removable 0/0 points at x = 0 and x = 1 are handled by one
-    L'Hospital step inside a 1e-6 band; at lam = 1 this coincides with
-    :func:`ratio_R`.
+    L'Hospital step inside a 1e-6 band; at lam = 1 this equals
+    :func:`ratio_R` bit for bit.
     """
     if not lam > 0.0:
         raise ValueError("lambda_ratio requires lam > 0, got %r" % (lam,))

@@ -13,10 +13,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-# Endpoint perturbation when p vanishes exactly at an interval endpoint.
-ENDPOINT_EPS = Fraction(1, 10**6)
-
-
 def _trim(coeffs):
     """Drop trailing zero coefficients in place; a lone zero stays."""
     while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -58,15 +54,6 @@ class Polynomial:
         return Polynomial(
             [i * c for i, c in enumerate(self.coefficients)][1:] or [0]
         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.coefficients == other.coefficients
-        )
-
-    def __hash__(self):
-        return hash(tuple(self.coefficients))
 
     def __repr__(self):
         return "Polynomial(%r)" % (self.coefficients,)
@@ -143,19 +130,6 @@ def _interval(p, a, b):
     return a, b
 
 
-def _nudge_endpoints(p, a, b):
-    """(a, b, adjusted): each endpoint of the interval where p vanishes
-    moved inward by :data:`ENDPOINT_EPS` until it no longer does."""
-    adjusted = False
-    while p(a) == 0:
-        a += ENDPOINT_EPS
-        adjusted = True
-    while p(b) == 0:
-        b -= ENDPOINT_EPS
-        adjusted = True
-    return a, b, adjusted
-
-
 def _divide_out_root(coeffs, r):
     """Integer ``coeffs`` with every factor (d x - n) divided out, where
     r = n/d is a Fraction in lowest terms.  d x - n is primitive, so by
@@ -192,13 +166,12 @@ class SignCertificate:
     """Machine-checkable record of why p has fixed sign on (a, b)."""
 
     polynomial: Polynomial
-    interval: tuple  # (Fraction, Fraction), after any endpoint adjustment
+    interval: tuple  # (Fraction, Fraction)
     claimed_sign: str  # "negative" | "positive"
     descartes_bound: int
     endpoint_values: list  # [(Fraction point, Fraction value), ...]
     sturm_root_count: int
     verdict: str  # "certified" | "refuted"
-    endpoint_adjusted: bool = False
     spot_checks: list = field(default_factory=list)  # extra exact anchors
 
     def to_json(self):
@@ -217,7 +190,6 @@ class SignCertificate:
                 ],
                 "sturm_root_count": self.sturm_root_count,
                 "verdict": self.verdict,
-                "endpoint_adjusted": self.endpoint_adjusted,
                 "spot_checks": [
                     [frac(x), frac(v)] for x, v in self.spot_checks
                 ],
@@ -227,32 +199,26 @@ class SignCertificate:
         )
 
 
-def _matches(value, claimed):
-    if claimed == "negative":
-        return value < 0
-    if claimed == "positive":
-        return value > 0
-    raise ValueError("claimed sign must be 'negative' or 'positive'")
-
-
 def certify_sign(p, a, b, claimed, spot_points=()):
     """Certify (or refute) that p has the claimed strict sign on (a, b).
 
     Certified means: zero roots on the open interval (a, b) by exact
-    Sturm count, and exact evaluation at both endpoints and the midpoint
-    agrees with the claim.  Endpoints where p vanishes are nudged inward
-    by :data:`ENDPOINT_EPS` for the evaluation, and the adjusted interval
-    is recorded; the root count still covers all of (a, b).
+    Sturm count, the claimed sign at the midpoint, and the claimed sign
+    or 0 at each endpoint, all by exact evaluation.  With no root inside,
+    the midpoint's sign holds on all of (a, b); an endpoint lies outside
+    the open interval and may vanish, and its 0 is recorded as is.
     ``spot_points`` are extra rational points whose exact values are
     recorded for cross-checking against published anchor values.
     """
+    if claimed not in ("negative", "positive"):
+        raise ValueError("claimed sign must be 'negative' or 'positive', "
+                         "got %r" % (claimed,))
     a, b = _interval(p, a, b)
     count = sturm_root_count(p, a, b)
-    a, b, adjusted = _nudge_endpoints(p, a, b)
-    mid = (a + b) / 2
-    points = [a, mid, b]
-    values = [(x, p(x)) for x in points]
-    ok = count == 0 and all(_matches(v, claimed) for _, v in values)
+    values = [(x, p(x)) for x in (a, (a + b) / 2, b)]
+    sign = 1 if claimed == "positive" else -1
+    at_a, at_mid, at_b = (sign * v for _, v in values)
+    ok = count == 0 and at_mid > 0 and at_a >= 0 and at_b >= 0
     return SignCertificate(
         polynomial=p,
         interval=(a, b),
@@ -261,7 +227,6 @@ def certify_sign(p, a, b, claimed, spot_points=()):
         endpoint_values=values,
         sturm_root_count=count,
         verdict="certified" if ok else "refuted",
-        endpoint_adjusted=adjusted,
         spot_checks=[(Fraction(x), p(Fraction(x))) for x in spot_points],
     )
 

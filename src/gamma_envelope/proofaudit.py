@@ -22,9 +22,6 @@ import numpy as np
 from gamma_envelope import refcore, sweep
 from gamma_envelope.polycert import LEMMA_POLYNOMIALS
 
-# Half-width of the removable-singularity band around x = 1 for ratio_R.
-SINGULAR_BAND = 1e-6
-
 # Half-width of the series band around x = 1 where the numerator and
 # denominator of f'/g' both vanish like (x-1)^2 and the direct formulas
 # lose all their leading digits to cancellation.
@@ -48,36 +45,32 @@ class ProofClaim:
     witness: float | None = None
 
 
-def _lhospital_quotient(x):
-    # (x+1)(x^2+1) psi(x+1) / (x^2+2x-1): the 0/0 resolution at x = 1.
-    # This is analysis._lhospital_band at p = 1 in another operand order;
-    # that order rounds 68% of the band values differently, the audited
-    # limit at 1- among them, so the audit keeps this one.
-    return (
-        (x + 1.0)
-        * (x * x + 1.0)
-        * refcore.digamma(x + 1.0)
-        / (x * x + 2.0 * x - 1.0)
-    )
+def _lhospital_band(psi, x, p):
+    # psi (x^2+p)(x+p) / (2x(x+p) - (x^2+p)): one L'Hospital step of
+    # ln Gamma / ln((x^2+p)/(x+p)) at a removable 0/0, where psi is the
+    # digamma value at the ln Gamma argument; elementwise on arrays
+    return psi * (x * x + p) * (x + p) / (2.0 * x * (x + p) - (x * x + p))
+
+
+def _in_unit_band(x):
+    # within 1e-6 of the removable points 0 and 1 of the ratio;
+    # elementwise on arrays
+    return (x < 1e-6) | (abs(x - 1.0) < 1e-6)
 
 
 def ratio_R(x):
     """ln Gamma(x+1) / ln((x^2+1)/(x+1)) for x > 0.
 
-    The denominator vanishes at x = 1 (removable 0/0); inside a band of
-    half-width 1e-6 the smooth quotient from one L'Hospital step is used
-    instead.  Below 1e-8 the x -> 0+ limit (Euler-Mascheroni) is
-    returned directly.
+    The quotient is 0/0 at x = 0 and x = 1 (limits EulerGamma and
+    2(1 - EulerGamma)); within 1e-6 of either point one L'Hospital step
+    is used instead, the band of the lambda ratio, so on (0, 1) this is
+    :func:`gamma_envelope.analysis.lambda_ratio` at lambda = 1.
     """
     if not x > 0.0:
         raise ValueError("ratio_R requires x > 0, got %r" % (x,))
-    if x <= 1e-8:
-        return refcore.EULER_GAMMA
-    if abs(x - 1.0) < SINGULAR_BAND:
-        return _lhospital_quotient(x)
-    num = refcore.ln_gamma(x + 1.0)
-    den = math.log1p(refcore.log_base_arg(x))
-    return num / den
+    if _in_unit_band(x):
+        return _lhospital_band(refcore.digamma(x + 1.0), x, 1.0)
+    return refcore.ln_gamma(x + 1.0) / math.log1p(refcore.log_base_arg(x))
 
 
 def _every(flags):

@@ -292,7 +292,8 @@ def constants():
 
 def log_base_arg(x, lam=1.0):
     """(x^2+lam)/(x+lam) - 1 = (x^2-x)/(x+lam): ln of the envelope base is
-    log1p of this, free of cancellation near x = 1; float or array."""
+    log1p of this; float or array.  x*x - x cancels near x = 1: the
+    relative error is 8e-11 at 1 +- 1e-7 and 1e-9 at 1 +- 1e-9."""
     return (x * x - x) / (x + lam)
 
 

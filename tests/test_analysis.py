@@ -12,15 +12,19 @@ from gamma_envelope import bounds, refcore
 mp.mp.dps = 50
 G = refcore.EULER_GAMMA
 
+# points inside and at the edges of the L'Hospital bands at 0 and 1
+BAND_POINTS = [1e-12, 5e-7, 9.999999e-7, 1e-6, 1.000001e-6,
+               1.0 - 1.000001e-6, 1.0 - 1e-6, 1.0 - 5e-7, 1.0 - 1e-12]
+
 
 class TestRatioFamilies:
     def test_lambda_one_matches_base_ratio(self):
+        # both ratios resolve their 0/0 points with the same band
         from gamma_envelope.proofaudit import ratio_R
 
-        for x in (0.1, 0.5, 0.9):
-            assert an.lambda_ratio(1.0, x) == pytest.approx(
-                ratio_R(x), rel=1e-12
-            )
+        xs = an._grid(0.0, 1.0, 2000).tolist() + BAND_POINTS
+        for x in xs:
+            assert ratio_R(x) == an.lambda_ratio(1.0, x), x
 
     def test_lambda6_limits(self):
         assert an.lambda_ratio(6.0, 1e-7) == pytest.approx(6.0 * G, abs=1e-5)
@@ -143,11 +147,8 @@ class TestLambdaThresholds:
         "lam", [0.5, 1.0, 1.1765625000000002, 6.0, 100.0]
     )
     def test_sweep_equals_scalar_ratio(self, lam):
-        # the search's grid plus points inside and at the edges of the
-        # L'Hospital bands at 0 and 1
-        band = [1e-12, 5e-7, 9.999999e-7, 1e-6, 1.000001e-6,
-                1.0 - 1.000001e-6, 1.0 - 1e-6, 1.0 - 5e-7, 1.0 - 1e-12]
-        xs = np.sort(np.concatenate([an._grid(0.0, 1.0, 2000), band]))
+        # the search's grid plus the band points
+        xs = np.sort(np.concatenate([an._grid(0.0, 1.0, 2000), BAND_POINTS]))
         vals = an._lambda_sweep(xs)(lam)
         expected = [an.lambda_ratio(lam, x) for x in xs.tolist()]
         assert all(v == e for v, e in zip(vals.tolist(), expected))
@@ -289,6 +290,13 @@ class TestCrossover:
     def test_one_sided_family_rejected_on_lower(self):
         with pytest.raises(bounds.DomainError):
             an.find_crossover("unitball", "batir_15", "lower", 0.6, 0.9)
+
+    def test_undefined_point_rejected_on_both_sides(self):
+        # unitball has neither side at x <= 1/2, so the upper side fails
+        # at the first grid point
+        with pytest.raises(bounds.DomainError, match="x > 1/2, got 0.25"):
+            an.find_crossover("qi_guo_extended", "unitball", "upper",
+                              0.25, 1.0)
 
 
 class TestCompareFamilies:

@@ -99,6 +99,30 @@ class TestSubcommands:
         assert code == 0
         assert "cm_h" in out
 
+    def test_conjecture_ratio_global(self, capsys):
+        code, out, _ = run(
+            ["conjecture", "ratio-global", "--grid", "500"], capsys
+        )
+        assert code == 0
+        assert out == ("probe,interval,violations,verdict\n"
+                       "ratio_global_increasing,(0,50),0,consistent\n")
+
+    def test_rows_as_json(self, capsys):
+        # one object per row, keyed by the header, keys sorted
+        code, out, _ = run(
+            ["monotone", "--grid", "500", "--format", "json"], capsys
+        )
+        assert code == 0
+        (row,) = json.loads(out)
+        assert list(row) == sorted(row)
+        assert {k: row[k] for k in ("function", "a", "b", "direction",
+                                    "grid_n", "violations", "verdict")} == {
+            "function": "ratio_R", "a": 0.0, "b": 1.0,
+            "direction": "increasing", "grid_n": 500, "violations": 0,
+            "verdict": "consistent",
+        }
+        assert row["min_abs_diff"] > 0.0
+
     def test_conjecture_tau(self, capsys):
         code, out, _ = run(
             ["conjecture", "tau", "--grid", "500"], capsys

@@ -81,8 +81,8 @@ class TestSturm:
         assert sturm_root_count(Polynomial([0, 1]), 0, 1) == 0
 
     def test_root_near_a_vanishing_endpoint_counted(self):
-        # x (2*10^6 x - 1): roots at 0 and 5e-7, closer to 0 than the
-        # endpoint nudge; the root at the endpoint is divided out instead
+        # x (2*10^6 x - 1): roots at 0 and 5e-7; the root at the endpoint
+        # is divided out, and the one next to it is still counted
         p = Polynomial([0, -1, 2 * 10**6])
         assert sturm_root_count(p, 0, 1) == 1
         # the mirror image at the upper endpoint: (x - 1)(2*10^6 x - 1999999)
@@ -135,27 +135,28 @@ class TestCertificates:
         assert cert.verdict == "refuted"
 
     def test_zero_polynomial_rejected(self):
-        # both callers of the endpoint nudge reject it before nudging
+        # it vanishes everywhere, so no sign or root count is defined
         with pytest.raises(ValueError, match="zero polynomial"):
             certify_sign(Polynomial([0]), 0, 1, "negative")
         with pytest.raises(ValueError, match="zero polynomial"):
             sturm_root_count(Polynomial([0]), 0, 1)
 
     def test_endpoint_zero_adjustment_recorded(self):
+        # x (x - 1) vanishes at both ends of (0, 1): the endpoints lie
+        # outside the open interval, so their zeros are recorded as is
         cert = certify_sign(Polynomial([0, -1, 1]), 0, 1, "negative")
         assert cert.verdict == "certified"
-        assert cert.endpoint_adjusted
-        assert cert.interval[0] == Fraction(1, 10**6)
+        assert cert.interval == (Fraction(0), Fraction(1))
+        assert [v for _, v in cert.endpoint_values] == [0, Fraction(-1, 4), 0]
 
     def test_root_near_a_vanishing_endpoint_refutes(self):
-        # p < 0 on (0, 5e-7), inside the nudge of the endpoint 0 where p
-        # vanishes: the count on all of (0, 1) finds that root
+        # p < 0 on (0, 5e-7) next to the endpoint 0 where p vanishes: the
+        # count on all of (0, 1) finds that root
         p = Polynomial([0, -1, 2 * 10**6])
         cert = certify_sign(p, 0, 1, "positive")
         assert cert.verdict == "refuted"
         assert cert.sturm_root_count == 1
-        assert cert.endpoint_adjusted
-        assert cert.interval == (Fraction(1, 10**6), Fraction(1))
+        assert cert.interval == (Fraction(0), Fraction(1))
 
     def test_reevaluation_reproduces_recorded_values(self):
         for i, cert in certify_lemma_polynomials().items():

@@ -163,6 +163,21 @@ class TestAudit:
         w = claims["q1_unique_zero"].witness
         assert 0.0 < w < 1.0
 
+    @pytest.mark.parametrize("vals, changes, witness", [
+        ([1.0, 2.0, 3.0, 4.0], 0.0, None),
+        ([1.0, 2.0, -1.0, 3.0], 2.0, 0.25),
+    ])
+    def test_unique_zero_fails(self, vals, changes, witness):
+        # no sign change, or two: the claim fails without a bisection, and
+        # the witness is the first change's left grid point
+        xs = np.array([0.0, 0.25, 0.5, 0.75])
+        claim = pa._grid_claim("z", "unique_zero", None, xs, np.array(vals),
+                               "q1")
+        assert claim.verdict == "fail"
+        assert claim.measured == changes
+        assert claim.witness == witness
+        assert claim.interval == (0.0, 0.75)
+
     def test_serialization(self):
         import json
 

@@ -134,3 +134,9 @@ def test_nan_never_passes():
     xs = [0.0, 0.5, 1.0]
     assert not sweep.lowest(xs, [1.0, math.nan, 2.0]).ok
     assert not sweep.monotone(xs, [1.0, math.nan, 2.0], 1.0).ok
+
+
+def test_no_margins_hold_vacuously():
+    assert sweep.lowest([], []) == (True, math.inf, None)
+    # one value has no step
+    assert sweep.monotone([0.5], [1.0], 1.0) == (True, math.inf, None)
