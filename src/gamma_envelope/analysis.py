@@ -17,9 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gamma_envelope import bounds, refcore, sweep
-from gamma_envelope.proofaudit import (
-    _in_unit_band, _lhospital_band, proof_function, ratio_R,
-)
+from gamma_envelope.proofaudit import _lambda_quotient, proof_function, ratio_R
 
 # Relative inset used to keep grids away from open-interval boundaries.
 BOUNDARY_INSET = 1e-6
@@ -35,46 +33,28 @@ def _grid(a, b, n):
 
 
 def lambda_ratio(lam, x):
-    """ln Gamma(x+1) / (ln(x^2+lam) - ln(x+lam)) for lam > 0, 0 < x < 1.
-
-    Removable 0/0 points at x = 0 and x = 1 are handled by one
-    L'Hospital step inside a 1e-6 band; at lam = 1 this equals
-    :func:`ratio_R` bit for bit.
-    """
+    """ln Gamma(x+1) / (ln(x^2+lam) - ln(x+lam)) for lam > 0, 0 < x < 1;
+    at lam = 1 this equals :func:`ratio_R` bit for bit."""
     if not lam > 0.0:
         raise ValueError("lambda_ratio requires lam > 0, got %r" % (lam,))
     if not 0.0 < x < 1.0:
         raise ValueError("lambda_ratio requires 0 < x < 1, got %r" % (x,))
-    if _in_unit_band(x):
-        return _lhospital_band(refcore.digamma(x + 1.0), x, lam)
-    return refcore.ln_gamma(x + 1.0) / math.log1p(refcore.log_base_arg(x, lam))
+    return _lambda_quotient(lam, x)
 
 
 def _lambda_sweep(xs):
     """A function (lam, idx) -> the array of :func:`lambda_ratio` values at
-    the grid points xs[idx] of a grid in (0, 1), by default all of them,
-    equal to them bit for bit.
-
-    The numerator (ln Gamma(x+1), or psi(x+1) in the band) does not
-    depend on lambda and is evaluated once; each call builds only the
-    denominators it is asked for.  That applies math.log1p per element,
-    because np.log1p rounds differently: at lambda = 2 it changes the
-    last bit of 618 of the 20,000 denominators of the 20,000-point grid.
-    Every step is elementwise, so a value does not depend on which other
-    indices are requested with it.
-    """
-    band = _in_unit_band(xs)
-    num = np.array([
-        refcore.digamma(x + 1.0) if in_band else refcore.ln_gamma(x + 1.0)
-        for x, in_band in zip(xs.tolist(), band.tolist())
-    ])
+    the grid points xs[idx] of a grid of normal doubles in (0, 1), by
+    default all of them, equal to them bit for bit: the numerator is
+    evaluated once, each call's denominators elementwise with math.log1p
+    (np.log1p changes the last bit of 618 of the 20,000 denominators of
+    the 20,000-point grid at lambda = 2)."""
+    num = np.array([refcore.ln_gamma1p(x) for x in xs.tolist()])
 
     def values(lam, idx=slice(None)):
-        x, n, b = xs[idx], num[idx], band[idx]
+        x = xs[idx]
         den = map(math.log1p, refcore.log_base_arg(x, lam).tolist())
-        vals = n / np.fromiter(den, float, len(x))
-        vals[b] = _lhospital_band(n[b], x[b], lam)
-        return vals
+        return num[idx] / np.fromiter(den, float, len(x))
 
     return values
 
@@ -86,8 +66,8 @@ def tau_ratio(tau, x):
         raise ValueError("tau_ratio requires tau > 0, got %r" % (tau,))
     if not x > 0.0:
         raise ValueError("tau_ratio requires x > 0, got %r" % (x,))
-    if abs(x - 1.0) < 1e-6:
-        return _lhospital_band(refcore.digamma(x), x, tau)
+    if x == 1.0:
+        return -(1.0 + tau) * refcore.EULER_GAMMA
     return refcore.ln_gamma(x) / math.log1p(refcore.log_base_arg(x, tau))
 
 

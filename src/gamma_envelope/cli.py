@@ -74,9 +74,10 @@ def _cmd_bounds(args):
     if args.x is None:
         raise SystemExit2("--x is required for the bounds command")
     bp = bounds.evaluate_family(args.family, args.x)
-    shift = 1.0 if bp.argument_convention == bounds.GAMMA_OF_X_PLUS_1 else 0.0
-    # compare logs: Gamma overflows a double past x ~ 171, its log does not
-    log_true = refcore.ln_gamma(args.x + shift)
+    # compare logs: Gamma overflows a double past x ~ 171, its log does
+    # not; ln_gamma1p keeps the digits of ln Gamma(x+1) near x = 0 and 1
+    plus_1 = bp.argument_convention == bounds.GAMMA_OF_X_PLUS_1
+    log_true = (refcore.ln_gamma1p if plus_1 else refcore.ln_gamma)(args.x)
     header = [
         "family", "x", "lower", "true_gamma", "upper", "convention",
         "equality_point", "one_sided",

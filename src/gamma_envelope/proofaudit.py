@@ -45,32 +45,23 @@ class ProofClaim:
     witness: float | None = None
 
 
-def _lhospital_band(psi, x, p):
-    # psi (x^2+p)(x+p) / (2x(x+p) - (x^2+p)): one L'Hospital step of
-    # ln Gamma / ln((x^2+p)/(x+p)) at a removable 0/0, where psi is the
-    # digamma value at the ln Gamma argument; elementwise on arrays
-    return psi * (x * x + p) * (x + p) / (2.0 * x * (x + p) - (x * x + p))
-
-
-def _in_unit_band(x):
-    # within 1e-6 of the removable points 0 and 1 of the ratio;
-    # elementwise on arrays
-    return (x < 1e-6) | (abs(x - 1.0) < 1e-6)
+def _lambda_quotient(lam, x):
+    # ln Gamma(x+1) / ln((x^2+lam)/(x+lam)), x > 0: both sides keep their
+    # digits at their zeros, so only x == 1 and subnormal x take the limits
+    if x < 2.0**-1022:
+        return lam * refcore.EULER_GAMMA
+    if x == 1.0:
+        return (1.0 + lam) * (1.0 - refcore.EULER_GAMMA)
+    return refcore.ln_gamma1p(x) / math.log1p(refcore.log_base_arg(x, lam))
 
 
 def ratio_R(x):
-    """ln Gamma(x+1) / ln((x^2+1)/(x+1)) for x > 0.
-
-    The quotient is 0/0 at x = 0 and x = 1 (limits EulerGamma and
-    2(1 - EulerGamma)); within 1e-6 of either point one L'Hospital step
-    is used instead, the band of the lambda ratio, so on (0, 1) this is
-    :func:`gamma_envelope.analysis.lambda_ratio` at lambda = 1.
-    """
+    """ln Gamma(x+1) / ln((x^2+1)/(x+1)) for x > 0, 0/0 at x = 0 and 1 with
+    limits EulerGamma and 2(1 - EulerGamma); on (0, 1) this is
+    :func:`gamma_envelope.analysis.lambda_ratio` at lambda = 1."""
     if not x > 0.0:
         raise ValueError("ratio_R requires x > 0, got %r" % (x,))
-    if _in_unit_band(x):
-        return _lhospital_band(refcore.digamma(x + 1.0), x, 1.0)
-    return refcore.ln_gamma(x + 1.0) / math.log1p(refcore.log_base_arg(x))
+    return _lambda_quotient(1.0, x)
 
 
 def _every(flags):
@@ -86,7 +77,7 @@ def _h2_near_one(x):
     # until every element has stopped; a term added after an element's
     # own stop is below 1e-20 of its sum and leaves the sum unchanged.
     u = x - 1.0
-    v = x * u / (x + 1.0)
+    v = refcore.log_base_arg(x)
     s = 0.0
     p = -v
     for m in range(2, 40):
@@ -153,9 +144,10 @@ def _h2_block(x):
 
 # Each displayed proof function as one formula, shared by the point and
 # the array evaluation: (the values it takes after x, formula).  lg, psi,
-# psi1, psi2 and psi3 are ln Gamma, psi, psi', psi'' and psi''' at x + 1;
-# h1..h4 are the lemma expressions at x.  For f'/g' this is the direct
-# formula; inside NEAR_ONE_BAND the series above replaces it.
+# psi1, psi2 and psi3 are ln Gamma, psi, psi', psi'' and psi''' at x + 1
+# (lg taken from x itself, by ln_gamma1p); h1..h4 are the lemma
+# expressions at x.  For f'/g' this is the direct formula; inside
+# NEAR_ONE_BAND the series above replaces it.
 _FORMULAS = {
     "f_over_g_prime": (
         ("lg", "psi", "h2"),
@@ -185,7 +177,7 @@ _FORMULAS = {
 # Those values at one point.  Kernels are looked up on refcore at each
 # call, so a wrapper installed there sees every call.
 _POINT_VALUES = {
-    "lg": lambda x: refcore.ln_gamma(x + 1.0),
+    "lg": lambda x: refcore.ln_gamma1p(x),
     "psi": lambda x: refcore.digamma(x + 1.0),
     "psi1": lambda x: refcore.polygamma(1, x + 1.0),
     "psi2": lambda x: refcore.polygamma(2, x + 1.0),
@@ -198,7 +190,7 @@ _POINT_VALUES = {
 
 # The same values on an array block, h5 included.
 _BLOCK_VALUES = {
-    "lg": lambda x: refcore.ln_gamma_array(x + 1.0),
+    "lg": lambda x: refcore.ln_gamma1p_array(x),
     "psi": lambda x: refcore.digamma_array(x + 1.0),
     "psi1": lambda x: refcore.polygamma_array(1, x + 1.0),
     "psi2": lambda x: refcore.polygamma_array(2, x + 1.0),
@@ -368,25 +360,23 @@ def audit_proof(grid_n=10000):
     closed = closed_grid(grid_n)
     interior = interior_grid(grid_n)
     # Sweeps: (grid, [(proof function name or lemma index, [(claim, kind,
-    # sign, grid points used)])]).  The functions of one sweep are
-    # evaluated together and share their kernel values; the cheap lemma
-    # polynomials get a sweep each, so fewer value arrays are alive at
-    # once.  q(1) = 0 exactly, so strict negativity of q leaves out the
-    # last point.
+    # sign)])]).  The functions of one sweep are evaluated together and
+    # share their kernel values; the cheap lemma polynomials get a sweep
+    # each, so fewer value arrays are alive at once.
     sweeps = [
         (closed, [
-            ("q1", [("q1_strictly_decreasing", "monotonicity", -1.0, None)]),
+            ("q1", [("q1_strictly_decreasing", "monotonicity", -1.0)]),
         ]),
         (interior, [
-            ("q1", [("q1_unique_zero", "unique_zero", None, None)]),
-            ("q", [("q_unique_minimum", "unique_minimum", None, None),
-                   ("q_negative_interior", "sign", -1.0, -1)]),
+            ("q1", [("q1_unique_zero", "unique_zero", None)]),
+            ("q", [("q_unique_minimum", "unique_minimum", None),
+                   ("q_negative_interior", "sign", -1.0)]),
             ("f_over_g_prime", [("f_over_g_prime_strictly_increasing",
-                                 "monotonicity", 1.0, None)]),
-            (2, [("lemma_h2_positive", "sign", 1.0, None)]),
+                                 "monotonicity", 1.0)]),
+            (2, [("lemma_h2_positive", "sign", 1.0)]),
         ]),
     ] + [
-        (interior, [(i, [("lemma_h%d_negative" % i, "sign", -1.0, None)])])
+        (interior, [(i, [("lemma_h%d_negative" % i, "sign", -1.0)])])
         for i in (1, 3, 4, 5)
     ]
     claims = []
@@ -394,10 +384,8 @@ def audit_proof(grid_n=10000):
         values = _evaluate([arg for arg, _ in functions], xs)
         for arg, checks in functions:
             vals = values.pop(arg)  # each released once its claims are made
-            for name, kind, sign, stop in checks:
-                claims.append(_grid_claim(
-                    name, kind, sign, xs[:stop], vals[:stop], arg
-                ))
+            for name, kind, sign in checks:
+                claims.append(_grid_claim(name, kind, sign, xs, vals, arg))
     # Point claims: the helper functions' endpoint anchors, printed to 3
     # decimals in the derivation, and the ratio's two one-sided limits.
     # (name, kind, measured, expected, tolerance)

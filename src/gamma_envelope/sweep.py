@@ -50,13 +50,15 @@ def monotone(xs, vals, sign):
 
 def unique_minimum(xs, vals):
     """The steps turn from descending to ascending exactly once, falling
-    at the start and rising at the end; measured is the number of turns
-    and the witness the x after the first one."""
+    at the start and rising at the end; measured is the number of turns,
+    the witness the x after the first or where a failing end step starts."""
     d = np.diff(vals)
     a, b = d[:-1], d[1:]
     turns = np.flatnonzero(((a < 0.0) & (b >= 0.0)) | ((a <= 0.0) & (b > 0.0)))
     ok = bool(len(turns) == 1 and d[0] < 0.0 < d[-1])
     witness = float(xs[turns[0] + 1]) if len(turns) else None
+    if len(turns) == 1 and not ok:
+        witness = float(xs[0] if not d[0] < 0.0 else xs[-2])
     return Verdict(ok, float(len(turns)), witness)
 
 

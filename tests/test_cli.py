@@ -237,6 +237,20 @@ class TestExitCodes:
             "true_gamma"
         ] == "inf"
 
+    @pytest.mark.parametrize("family, x, code", [
+        # ln Gamma(x+1) keeps its digits near x = 0, so the true margins
+        # (+4.3e-16 and +6.8e-18 in log) resolve
+        ("qi_guo", "1e-7", 0),
+        ("batir_14", "1e-8", 0),
+        # the margin is below one ulp of ln Gamma(1001): it needs an
+        # unresolved verdict, not a kernel
+        ("batir_12", "1000", 1),
+    ])
+    def test_bounds_exit_codes_at_the_resolution_limit(self, family, x, code,
+                                                       capsys):
+        assert run(["bounds", "--family", family, "--x", x],
+                   capsys)[0] == code
+
     def test_extended_bounds_at_huge_x(self, capsys):
         # an integer, so an equality point; summing its 1e300 logs would
         # never end

@@ -31,7 +31,7 @@ class TestRatio:
         )
 
     def test_band_is_continuous(self):
-        # values just inside and outside the removable band agree closely
+        # values either side of 1 - 1e-6 agree closely
         assert pa.ratio_R(1.0 - 2e-6) == pytest.approx(
             pa.ratio_R(1.0 - 9e-7), abs=1e-5
         )
@@ -50,6 +50,27 @@ class TestRatio:
     def test_domain(self):
         with pytest.raises(ValueError):
             pa.ratio_R(0.0)
+
+    @pytest.mark.parametrize("center, tol", [(0.0, 2e-15), (1.0, 2e-15),
+                                             (2.0, 2e-14)])
+    def test_near_the_zeros_against_mpmath(self, center, tol):
+        # center +- 10^-k, k = 3..12, where x > 0.  Both sides vanish at 0
+        # and 1 and keep their digits there; at 2 nothing vanishes, and
+        # ln Gamma(3 +- 10^-k) carries the recurrence shift's absolute
+        # error, up to 1.3e-14 relative
+        xs = [center + s * 10.0**-k for k in range(3, 13)
+              for s in (-1.0, 1.0)]
+        for x in (x for x in xs if x > 0.0):
+            m = mp.mpf(x)
+            ref = mp.loggamma(m + 1) / mp.log((m * m + 1) / (m + 1))
+            assert abs(pa.ratio_R(x) - ref) <= tol * abs(ref), x
+
+    def test_limits_at_exact_points(self):
+        g = refcore.EULER_GAMMA
+        assert pa.ratio_R(1.0) == 2.0 * (1.0 - g)
+        # subnormal x: no quotient of doubles keeps its digits there
+        assert pa.ratio_R(5e-324) == g
+        assert pa.ratio_R(1e-310) == g
 
 
 class TestLemmaExpr:
@@ -187,19 +208,14 @@ class TestAudit:
         assert all(len(c["interval"]) == 2 for c in doc)
 
 
-# Claims that fail at grid 10**5 because q loses its accuracy near x = 1,
-# not because the mathematics fails: see ROADMAP item 1 (an accurate proof
-# chain near x = 1), which empties this set.
-DENSE_AUDIT_KNOWN_FAILURES = {"q_unique_minimum", "q_negative_interior"}
-
-
 class TestDenseAudit:
-    def test_only_the_known_failures(self):
+    def test_every_claim_passes(self):
+        # at 100x the default grid the last interior point is 1 - 1e-6,
+        # where q is -4.7e-19: q keeps its sign only because ln Gamma(x+1)
+        # keeps its digits near its zero at x = 1
         claims = pa.audit_proof(grid_n=100000)
-        failing = {c.name for c in claims if c.verdict != "pass"}
-        assert failing == DENSE_AUDIT_KNOWN_FAILURES
         assert len(claims) == 16
-        assert sum(c.verdict == "pass" for c in claims) == 14
+        assert [c.name for c in claims if c.verdict != "pass"] == []
 
 
 class TestGrids:

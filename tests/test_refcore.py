@@ -50,6 +50,56 @@ class TestLnGamma:
                 refcore.ln_gamma(bad)
 
 
+# 10^-k, 1 +- 10^-k and 2 +- 10^-k for k = 3..12: the pole of ln Gamma at 0
+# and its zeros at 1 and 2, approached from both sides
+NEAR_ZEROS = [10.0**-k for k in range(3, 13)] + [
+    c + s * 10.0**-k for k in range(3, 13) for c in (1.0, 2.0)
+    for s in (-1.0, 1.0)]
+
+
+def _rel_err(value, ref):
+    return abs(value - ref) / abs(ref)
+
+
+class TestNearZeros:
+    def test_ln_gamma(self):
+        for x in NEAR_ZEROS:
+            ref = mp.loggamma(x)
+            assert _rel_err(refcore.ln_gamma(x), ref) <= 2e-15, x
+
+    def test_ln_gamma1p_and_twin(self):
+        # at the same arguments of Gamma: 1 + x near 0, 1 and 2, x from
+        # -1 + 10^-k to 1 + 10^-k
+        xs = [x - 1.0 for x in NEAR_ZEROS]
+        twin = refcore.ln_gamma1p_array(np.array(xs))
+        for x, v in zip(xs, twin.tolist()):
+            ref = mp.loggamma(1 + mp.mpf(x))
+            assert _rel_err(refcore.ln_gamma1p(x), ref) <= 2e-15, x
+            assert _rel_err(v, ref) <= 2e-15, x
+
+    def test_ln_gamma1p_exact_zeros(self):
+        assert refcore.ln_gamma1p(0.0) == 0.0
+        assert refcore.ln_gamma1p(1.0) == 0.0
+        assert refcore.ln_gamma(1.0) == refcore.ln_gamma(2.0) == 0.0
+
+    def test_ln_gamma1p_far_from_zeros_is_ln_gamma(self):
+        for x in (-0.5, 0.1, 0.5, 0.9 - 1e-9, 1.1, 3.5, 1e6):
+            assert refcore.ln_gamma1p(x) == refcore.ln_gamma(1.0 + x)
+
+    @pytest.mark.parametrize("lam", [1.0, 6.0])
+    def test_log_base_arg_within_4_ulps(self, lam):
+        for x in (1.0 + s * 10.0**-k for k in range(3, 13) for s in (-1, 1)):
+            m = mp.mpf(x)
+            ref = float(m * (m - 1) / (m + lam))
+            assert abs(refcore.log_base_arg(x, lam) - ref) <= 4 * math.ulp(
+                ref), x
+
+    @pytest.mark.parametrize("bad", [-1.0, -2.0, math.nan, math.inf])
+    def test_ln_gamma1p_domain(self, bad):
+        with pytest.raises(ValueError):
+            refcore.ln_gamma1p(bad)
+
+
 class TestDigamma:
     def test_at_one_is_minus_gamma(self):
         assert refcore.digamma(1.0) == pytest.approx(
@@ -197,24 +247,29 @@ class TestZetaTable:
 
 
 def _array_kernels():
+    # (id, twin, scalar kernel, oracle, lower end of the domain).  The
+    # ln Gamma twin is ln_gamma1p_array, ln Gamma(1+x) on x > -1: every
+    # sample below is shifted by that lower end, so it runs on the proof
+    # chain's (0, 1) where the others run on (1, 2).
     return [
-        ("ln_gamma", refcore.ln_gamma_array, refcore.ln_gamma, mp.loggamma),
-        ("digamma", refcore.digamma_array, refcore.digamma, mp.digamma),
+        ("ln_gamma", refcore.ln_gamma1p_array, refcore.ln_gamma1p,
+         lambda x: mp.loggamma(1 + mp.mpf(x)), -1.0),
+        ("digamma", refcore.digamma_array, refcore.digamma, mp.digamma, 0.0),
     ] + [
         ("polygamma%d" % k,
          lambda x, k=k: refcore.polygamma_array(k, x),
          lambda x, k=k: refcore.polygamma(k, x),
-         lambda x, k=k: mp.polygamma(k, x))
+         lambda x, k=k: mp.polygamma(k, x), 0.0)
         for k in (1, 2, 3)
     ]
 
 
 @pytest.mark.parametrize(
-    "name, array, scalar, oracle", _array_kernels(),
+    "name, array, scalar, oracle, low", _array_kernels(),
     ids=[k[0] for k in _array_kernels()],
 )
 class TestArrayKernels:
-    def test_accuracy_against_mpmath(self, name, array, scalar, oracle):
+    def test_accuracy_against_mpmath(self, name, array, scalar, oracle, low):
         # the scalar sweeps' samples and tolerance, on the audit range
         # (1, 2) and across the wide range
         rng = random.Random(20240811)
@@ -222,35 +277,39 @@ class TestArrayKernels:
         xs += [rng.uniform(1e-3, 100.0) for _ in range(400)]
         xs += [rng.uniform(100.0, 1e6) for _ in range(100)]
         xs += [rng.uniform(1.0, 2.0) for _ in range(200)] + [1.0, 2.0]
+        xs = [low + x for x in xs]
         values = array(np.array(xs))
         for x, v in zip(xs, values):
             ref = float(oracle(x))
             assert abs(v - ref) <= 1e-12 * (1.0 + abs(ref)), x
 
-    def test_close_to_scalar(self, name, array, scalar, oracle):
+    def test_close_to_scalar(self, name, array, scalar, oracle, low):
         # same scheme and operation order: they differ only where numpy's
-        # log or ** rounds differently, by a few ulps of the shift sum
-        xs = np.random.default_rng(5).uniform(1.0, 2.0, 4000)
+        # log, log1p or ** rounds differently, by a few ulps of the shift
+        # sum
+        xs = low + np.random.default_rng(5).uniform(1.0, 2.0, 4000)
         values = array(xs)
         ref = np.array([scalar(float(x)) for x in xs])
         assert np.all(np.abs(values - ref) <= 1e-14 * (1.0 + np.abs(ref)))
         assert np.mean(values == ref) >= 0.9
 
-    def test_keeps_shape(self, name, array, scalar, oracle):
-        xs = np.array([[0.5, 1.5], [3.0, 40.0]])
+    def test_keeps_shape(self, name, array, scalar, oracle, low):
+        xs = low + np.array([[0.5, 1.5], [3.0, 40.0]])
         assert array(xs).shape == (2, 2)
-        assert array(xs)[1, 0] == array(np.array([3.0]))[0]
+        assert array(xs)[1, 0] == array(np.array([low + 3.0]))[0]
+        assert array(low + 3.0) == array(np.array([low + 3.0]))[0]
 
-    def test_empty(self, name, array, scalar, oracle):
+    def test_empty(self, name, array, scalar, oracle, low):
         out = array(np.array([]))
         assert out.shape == (0,)
 
     @pytest.mark.parametrize(
         "bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, -1e-300]
     )
-    def test_domain_errors(self, name, array, scalar, oracle, bad):
+    def test_domain_errors(self, name, array, scalar, oracle, low, bad):
+        # at or below the lower end, or not finite
         with pytest.raises(ValueError):
-            array(np.array([1.5, bad, 2.5]))
+            array(low + np.array([1.5, bad, 2.5]))
 
 
 def test_array_polygamma_unsupported_order():
@@ -377,13 +436,24 @@ def test_trimmed_kernels_equal_ten_term_series(name, k):
         10.0 ** rng.uniform(low, 300.0, 40000),
         rng.uniform(14.0, 17.0, 30000),
     ])
-    if k:
+    twin_xs = xs
+    if name == "ln_gamma":
+        # the twin is ln_gamma1p_array, whose x shifts as 1 + x does in
+        # the reference; within 0.1 of the zeros of ln Gamma each kernel
+        # sums its Taylor series instead, so those points are left out
+        # (the zero tests check them against mpmath)
+        twin_xs = xs[(abs(xs) >= 0.1) & (abs(xs - 1.0) >= 0.1)]
+        array = refcore.ln_gamma1p_array(twin_xs)
+        twin_xs = 1.0 + twin_xs
+        xs =xs[(abs(xs - 1.0) >= 0.1) & (abs(xs - 2.0) >= 0.1)]
+        scalar = list(map(refcore.ln_gamma, xs.tolist()))
+    elif k:
         array = refcore.polygamma_array(k, xs)
         scalar = [refcore.polygamma(k, x) for x in xs.tolist()]
     else:
         array = getattr(refcore, name + "_array")(xs)
         scalar = list(map(getattr(refcore, name), xs.tolist()))
-    ref_array = _ten_term_kernel(name, k, xs, np.log)
+    ref_array = _ten_term_kernel(name, k, twin_xs, np.log)
     assert np.array_equal(array, ref_array)
     ref_scalar = [_ten_term_kernel(name, k, x, math.log) for x in xs.tolist()]
     assert scalar == ref_scalar

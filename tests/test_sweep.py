@@ -140,3 +140,14 @@ def test_no_margins_hold_vacuously():
     assert sweep.lowest([], []) == (True, math.inf, None)
     # one value has no step
     assert sweep.monotone([0.5], [1.0], 1.0) == (True, math.inf, None)
+
+
+@pytest.mark.parametrize("vals, witness", [
+    # one turn, at 0.5, but the first step is flat: where it starts
+    ([1.0, 1.0, 0.0, 1.0, 2.0], 0.0),
+    # one turn, at 0.25, but the last step is flat: where it starts
+    ([3.0, 1.0, 2.0, 3.0, 3.0], 0.75),
+])
+def test_unique_minimum_witnesses_the_failing_end_step(vals, witness):
+    xs = [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert sweep.unique_minimum(xs, vals) == (False, 1.0, witness)
