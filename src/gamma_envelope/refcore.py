@@ -1,32 +1,40 @@
 """Reference evaluation of ln Gamma, psi and psi^(k), plus shared constants.
 
-Scheme: shift the argument upward by the recurrence until it exceeds
-``_SHIFT_CUTOFF`` = 15, then sum the Stirling-type asymptotic series.  Each
-series keeps only the Bernoulli terms that can change a double at y >= 15:
-7 of the ten for ln Gamma, 8 for psi, 6 for psi', 7 for psi'' and 8 for
-psi'''.  The first term left out is below 2^-54 of the partial sum before
-it, so less than half an ulp of that sum, and the ratio only falls as y
-grows: adding it, or any later and smaller term, rounds back to the same
-double, so the kernels return what the ten-term series returns, bit for
-bit.  The truncation error of every kernel is below 1e-13 relative, which
-leaves the double-precision rounding of the recurrence as the dominant
-error source.
+Scheme: on (0.5, 2.5) ln Gamma sums its Taylor series about 2 with no
+shift (below).  Elsewhere each kernel shifts the argument upward by the
+recurrence until it exceeds ``_SHIFT_CUTOFF`` = 15, then sums the
+Stirling-type asymptotic series.  Each asymptotic series keeps only the
+Bernoulli terms that can change a double at y >= 15: 7 of the ten for
+ln Gamma, 8 for psi, 6 for psi', 7 for psi'' and 8 for psi'''.  The first
+term left out is below 2^-54 of the partial sum before it, so less than
+half an ulp of that sum, and the ratio only falls as y grows: adding it,
+or any later and smaller term, rounds back to the same double, so the
+kernels return what the ten-term series returns, bit for bit.  The
+truncation error of every kernel is below 1e-13 relative, which leaves the
+double-precision rounding of the recurrence as the dominant error source;
+the shift is accurate in absolute terms only.
 
-The shift is accurate in absolute terms only, and x + 1 rounds, so near
-the zeros of ln Gamma(1+x) at x = 0 and 1 :func:`ln_gamma1p` takes it from
-x itself: within 0.1 of either it sums the Taylor series of ln Gamma(2+z)
-(DLMF 5.7.3, https://dlmf.nist.gov/5.7), minus log1p(x) near 0, to a few
-ulps relative (against mpmath 2.7e-16 on |z| <= 0.1; 9.4e-16 on 0.2,
-3.6e-13 on 0.3); :func:`ln_gamma` within 0.1 of 1 or 2 defers to it.
+On (0.5, 2.5) ln Gamma(y) is the Taylor series of ln Gamma(2+z) (DLMF
+5.7.3, https://dlmf.nist.gov/5.7; 23 coefficients from ``ZETA_MINUS_ONE``)
+at z = y - 2 from 1.5 up, and at z = y - 1, minus log1p(z), below.  Both z
+are exact and |z| <= 0.5, and against mpmath the result is within 8e-16
+relative, through the zeros at 1 and 2.  Since x + 1 rounds,
+:func:`ln_gamma1p` takes z from x itself next to the zeros of
+ln Gamma(1+x) at x = 0 and 1: z = x on (-0.5, 0.1), within 3.5e-16
+relative, and z = x - 1 on (0.9, 1.5), within 2.6e-16.  Elsewhere it
+returns ``ln_gamma(1.0 + x)``, which the rounding of 1 + x leaves within
+1.2e-15 relative on [0.1, 0.9].
 
 Each series is written once, as plain arithmetic on a float or an array,
 and serves a scalar kernel and its array twin (``ln_gamma1p_array``,
 ``digamma_array``, ``polygamma_array``); the two differ only in their
 input check and their shift loop, which take the same steps in the same
-order.  A twin differs from its scalar kernel only where numpy's ``log``,
-``log1p`` or ``**`` rounds a term differently from the ``math`` function
-or float ``**``: by a few ulps of the shift sum, on about 0.1% (ln Gamma,
-psi, psi') to 5% (psi'' and psi''') of arguments in (1, 2).
+order.  The Taylor branch takes only +, -, * and ``math.log1p``, so on
+(-0.5, 1.5) ``ln_gamma1p_array`` equals ``ln_gamma1p`` bit for bit.
+Elsewhere a twin differs from its scalar kernel only where numpy's ``log``
+or ``**`` rounds a term differently from the ``math`` function or float
+``**``: by a few ulps of the shift sum, on about 0.1% (ln Gamma, psi,
+psi') to 5% (psi'' and psi''') of arguments in (1, 2).
 
 All functions are pure and stateless.
 """
@@ -89,7 +97,7 @@ _POLYGAMMA_TAILS = {
     k: _POLYGAMMA_CONSTANTS[k][4][:n] for k, n in ((1, 6), (2, 7), (3, 8))
 }
 
-# zeta(m) - 1 for m = 2..14, correctly rounded: the Taylor coefficients'
+# zeta(m) - 1 for m = 2..24, correctly rounded: the Taylor coefficients'
 # arithmetic core for expansions about x = 1 and 2
 # (psi^(m)(2) = (-1)^(m+1) m! (zeta(m+1) - 1)).
 ZETA_MINUS_ONE = (
@@ -106,11 +114,27 @@ ZETA_MINUS_ONE = (
     0.0002460865533080483,
     0.00012271334757848915,
     6.124813505870483e-05,
+    3.058823630702049e-05,
+    1.528225940865187e-05,
+    7.637197637899763e-06,
+    3.81729326499984e-06,
+    1.908212716553939e-06,
+    9.539620338727962e-07,
+    4.769329867878064e-07,
+    2.38450502727733e-07,
+    1.1921992596531106e-07,
+    5.960818905125948e-08,
 )
 
-_ZERO_BAND = 0.1  # half-width of ln_gamma1p's series bands
+# ln_gamma1p takes z from x itself on (-0.5, _ZERO_BAND) and on
+# (1 - _ZERO_BAND, 1.5), where the rounding of 1 + x would cost the most
+# relative accuracy; [0.1, 0.9] stays with ln_gamma(1 + x), whose calls
+# perfbench's tracer test counts (ROADMAP item 8)
+_ZERO_BAND = 0.1
 
-# ln Gamma(2+z) = (1-gamma) z + sum_{k=2}^{14} (-1)^k (zeta(k)-1) z^k/k
+# ln Gamma(2+z) = (1-gamma) z + sum_{k=2}^{24} (-1)^k (zeta(k)-1) z^k/k; the
+# terms left out sum to at most 4.7e-17 at |z| <= 0.5 (at z = -0.5, 3.9e-16
+# of ln Gamma(1.5))
 _LNGAMMA2P_COEFFS = tuple(reversed([1.0 - EULER_GAMMA] + [
     (-1) ** k * c / k for k, c in enumerate(ZETA_MINUS_ONE, 2)]))
 
@@ -134,11 +158,19 @@ def _ln_gamma_series(y, log):
 
 
 def _ln_gamma2p_series(z):
-    # ln Gamma(2+z) for |z| < _ZERO_BAND by Horner's rule; float or array
+    # ln Gamma(2+z) for |z| <= 0.5 by Horner's rule; float or array
     s = 0.0
     for c in _LNGAMMA2P_COEFFS:  # highest power first
         s = s * z + c
     return s * z
+
+
+def _ln_gamma1p_taylor(x):
+    # ln Gamma(1+x) for -0.5 < x < 1.5 with no shift: the series at
+    # z = x - 1 from 0.5 up, at z = x minus log1p(x) below; |z| <= 0.5
+    if x < 0.5:
+        return _ln_gamma2p_series(x) - math.log1p(x)
+    return _ln_gamma2p_series(x - 1.0)
 
 
 def _digamma_series(y, log):
@@ -171,8 +203,8 @@ def ln_gamma(x):
     x = float(x)
     if not 0.0 < x < math.inf:
         raise ValueError("ln_gamma requires finite x > 0, got %r" % (x,))
-    if abs(x - 1.0) < _ZERO_BAND or abs(x - 2.0) < _ZERO_BAND:
-        return ln_gamma1p(x - 1.0)
+    if 0.5 < x < 2.5:
+        return _ln_gamma1p_taylor(x - 1.0)  # x - 1 is exact here
     log = math.log
     cutoff = _SHIFT_CUTOFF
     shift = 0.0
@@ -184,14 +216,13 @@ def ln_gamma(x):
 
 
 def ln_gamma1p(x):
-    """ln Gamma(1+x) for finite x > -1, to a few ulps relative at 0 and 1."""
+    """ln Gamma(1+x) for finite x > -1, to a few ulps relative at 0 and 1:
+    near them the series takes z from x itself, since 1 + x rounds."""
     x = float(x)
     if not -1.0 < x < math.inf:
         raise ValueError("ln_gamma1p requires finite x > -1, got %r" % (x,))
-    if abs(x - 1.0) < _ZERO_BAND:
-        return _ln_gamma2p_series(x - 1.0)
-    if abs(x) < _ZERO_BAND:
-        return _ln_gamma2p_series(x) - math.log1p(x)
+    if -0.5 < x < _ZERO_BAND or -_ZERO_BAND < x - 1.0 < 0.5:
+        return _ln_gamma1p_taylor(x)
     return ln_gamma(1.0 + x)
 
 
@@ -209,6 +240,10 @@ def digamma(x):
     return _digamma_series(y, math.log) - shift
 
 
+def _out_of_range(k, x):
+    return ValueError("psi^(%d)(%r) is not a finite double" % (k, x))
+
+
 def polygamma(k, x):
     """psi^(k)(x) for k in {1, 2, 3} and finite x > 0."""
     x = float(x)
@@ -222,10 +257,16 @@ def polygamma(k, x):
     # recurrence: psi^(k)(x) = psi^(k)(x+1) + (-1)^(k+1) k! / x^(k+1)
     shift = 0.0
     y = x
-    while y < cutoff:
-        shift += rec / y**power
-        y += 1.0
-    return _polygamma_series(k, y) + shift
+    try:
+        while y < cutoff:
+            shift += rec / y**power
+            y += 1.0
+    except ZeroDivisionError:  # y**power underflowed to 0
+        raise _out_of_range(k, x) from None
+    value = _polygamma_series(k, y) + shift
+    if not math.isfinite(value):
+        raise _out_of_range(k, x)
+    return value
 
 
 def _finite_array(name, x, low=0.0):
@@ -261,12 +302,25 @@ def ln_gamma1p_array(x):
     import numpy as np
 
     x = _finite_array("ln_gamma1p_array", x, -1.0)
-    y, shift = _shift_up(1.0 + x, np.log)
-    out = np.asarray(_ln_gamma_series(y, np.log) - shift)  # 0-d stays an array
-    near = abs(x - 1.0) < _ZERO_BAND
-    out[near] = _ln_gamma2p_series(x[near] - 1.0)
-    near = abs(x) < _ZERO_BAND
-    out[near] = _ln_gamma2p_series(x[near]) - np.log1p(x[near])
+    y = 1.0 + x
+    out = np.empty_like(y)  # 0-d stays an array
+    # the scalar kernel's branches, element by element: the Taylor series
+    # at ln_gamma1p's own bands and wherever ln_gamma(y) takes it, the
+    # shift elsewhere
+    own = (((-0.5 < x) & (x < _ZERO_BAND))
+           | ((-_ZERO_BAND < x - 1.0) & (x - 1.0 < 0.5)))
+    taylor = own | ((0.5 < y) & (y < 2.5))
+    far, shift = _shift_up(y[~taylor], np.log)
+    out[~taylor] = _ln_gamma_series(far, np.log) - shift
+    # _ln_gamma1p_taylor, at x itself or at y - 1 as ln_gamma passes it
+    x = np.where(own, x, y - 1.0)[taylor]
+    lower = x < 0.5
+    s = _ln_gamma2p_series(np.where(lower, x, x - 1.0))
+    # math.log1p, as the scalar kernel: np.log1p rounds some x differently;
+    # fed element by element, with no list of every x held at once
+    x = x[lower]
+    s[lower] -= np.fromiter(map(math.log1p, x), float, len(x))
+    out[taylor] = s
     return out
 
 
@@ -290,13 +344,18 @@ def polygamma_array(k, x):
 
     def term(y):
         # y ** (k + 1) overflows only in elements long past the cutoff
-        # (y > 1e77), whose term _shift_up multiplies by 0
-        with np.errstate(over="ignore"):
-            power = y ** (k + 1)
-        return rec / power
+        # (y > 1e77), whose term _shift_up multiplies by 0; it underflows,
+        # and the term overflows, only where psi^(k) leaves double range
+        with np.errstate(over="ignore", divide="ignore"):
+            return rec / y ** (k + 1)
 
-    y, shift = _shift_up(_finite_array("polygamma_array", x), term)
-    return _polygamma_series(k, y) + shift
+    x = _finite_array("polygamma_array", x)
+    y, shift = _shift_up(x, term)
+    value = _polygamma_series(k, y) + shift
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise _out_of_range(k, float(x[bad].flat[0]))
+    return value
 
 
 def gamma(x):

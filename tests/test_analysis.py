@@ -96,6 +96,13 @@ class TestRatioFamilies:
         with pytest.raises(ValueError):
             an.h_cm(0.0)
 
+    @pytest.mark.parametrize("tau", [0.5, 2.0])
+    @pytest.mark.parametrize("x", [5e-324, 1e-320])
+    def test_tau_ratio_beyond_double_range(self, tau, x):
+        # the quotient overflows, or its denominator rounds to -0.0
+        with pytest.raises(ValueError, match="not a finite double"):
+            an.tau_ratio(tau, x)
+
 
 class TestCheckMonotone:
     def test_base_ratio_increasing_on_unit_interval(self):
@@ -177,15 +184,23 @@ class TestLambdaThresholds:
         assert all(v == e for v, e in zip(vals.tolist(), expected))
 
     def test_kernels_evaluated_once_per_grid_point(self, monkeypatch):
-        # the numerator does not depend on lambda; every classification
-        # only rebuilds the denominator
-        calls = []
-        kernel = refcore.ln_gamma1p
+        # the numerator does not depend on lambda: one array kernel call
+        # evaluates it over the whole grid, and every classification only
+        # rebuilds the denominator
+        calls, scalar_calls = [], []
+        kernel, scalar = refcore.ln_gamma1p_array, refcore.ln_gamma1p
         monkeypatch.setattr(
-            refcore, "ln_gamma1p", lambda x: calls.append(x) or kernel(x)
+            refcore, "ln_gamma1p_array",
+            lambda x: calls.append(np.copy(x)) or kernel(x),
+        )
+        monkeypatch.setattr(
+            refcore, "ln_gamma1p",
+            lambda x: scalar_calls.append(x) or scalar(x),
         )
         an.search_lambda_thresholds(2000)
-        assert 0 < len(calls) <= 2000
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], an._grid(0.0, 1.0, 2000))
+        assert scalar_calls == []
 
     @pytest.mark.parametrize("grid_n", [2000, 20000])
     def test_ends_first_agrees_with_full_sweep(self, grid_n):

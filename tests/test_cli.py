@@ -1,6 +1,7 @@
 """End-to-end CLI contract: exit codes, formats, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -47,6 +48,17 @@ class TestSubcommands:
         assert float(cells["lower"]) == pytest.approx(0.857131, abs=1e-6)
         assert float(cells["upper"]) == pytest.approx(0.900109, abs=1e-6)
         assert float(cells["true_gamma"]) == pytest.approx(0.886227, abs=1e-6)
+
+    def test_bounds_true_gamma_at_half_within_an_ulp(self, capsys):
+        # Gamma(3/2) = sqrt(pi)/2; ln Gamma(1.5) is summed with no shift
+        code, out, _ = run(
+            ["bounds", "--family", "qi_guo", "--x", "0.5", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        true_gamma = json.loads(out)[0]["true_gamma"]
+        exact = 0.886226925452758014
+        assert abs(true_gamma - exact) <= math.ulp(exact)
 
     def test_lemma2_five_rows(self, capsys):
         code, out, _ = run(["lemma2", "--grid", "500"], capsys)
@@ -292,6 +304,16 @@ class TestExitCodes:
     def test_unknown_function_exits_2(self, capsys):
         code, _, err = run(["monotone", "--function", "nope"], capsys)
         assert code == 2
+
+    def test_tau_ratio_beyond_double_range_exits_2(self, capsys):
+        # at 5e-324 the denominator rounds to -0.0
+        code, out, err = run(
+            ["monotone", "--function", "tau_ratio:2", "--interval", "5e-324",
+             "1e-321", "--grid", "3"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "not a finite double" in err
 
     def test_wrong_constant_injection_exits_1(self, capsys, monkeypatch):
         # deliberately corrupt the Euler-Mascheroni literal: the audited

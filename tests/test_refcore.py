@@ -10,6 +10,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gamma_envelope import refcore
 
@@ -83,7 +84,7 @@ class TestNearZeros:
         assert refcore.ln_gamma(1.0) == refcore.ln_gamma(2.0) == 0.0
 
     def test_ln_gamma1p_far_from_zeros_is_ln_gamma(self):
-        for x in (-0.5, 0.1, 0.5, 0.9 - 1e-9, 1.1, 3.5, 1e6):
+        for x in (-0.5, 0.1, 0.5, 0.9 - 1e-9, 1.5, 3.5, 1e6):
             assert refcore.ln_gamma1p(x) == refcore.ln_gamma(1.0 + x)
 
     @pytest.mark.parametrize("lam", [1.0, 6.0])
@@ -164,6 +165,26 @@ class TestPolygamma:
         with pytest.raises(ValueError):
             refcore.polygamma(0, 1.0)
 
+    # psi^(k)(x) ~ k!/x^(k+1) leaves double range below about
+    # 1e-154, 1e-103 and 1e-77 (k = 1, 2, 3); the shift's x^(k+1)
+    # underflows to 0 from 1e-162, 1e-108 and 1e-81
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.sampled_from([1, 2, 3]),
+           x=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @example(k=1, x=1e-162)
+    @example(k=1, x=1e-155)
+    @example(k=2, x=1e-108)
+    @example(k=3, x=1e-81)
+    @example(k=3, x=5e-324)
+    def test_finite_or_value_error(self, k, x):
+        for kernel in (refcore.polygamma,
+                       lambda k, x: refcore.polygamma_array(k, [x])[0]):
+            try:
+                value = kernel(k, x)
+            except ValueError:
+                continue
+            assert math.isfinite(value), (k, x)
+
 
 class TestConsistency:
     def test_lngamma_recurrence(self):
@@ -240,10 +261,51 @@ class TestConstants:
 
 class TestZetaTable:
     def test_entries_correctly_rounded(self):
-        # zeta(m) - 1 at 50 digits, rounded once to double, for m = 2..14
+        # zeta(m) - 1 at 50 digits, rounded once to double, for m = 2..24
         with mp.workdps(50):
-            expected = tuple(float(mp.zeta(m) - 1) for m in range(2, 15))
+            expected = tuple(float(mp.zeta(m) - 1) for m in range(2, 25))
         assert refcore.ZETA_MINUS_ONE == expected
+
+
+def _ulps_around(c, n=4):
+    """c and the n doubles on either side of it."""
+    out, below, above = [c], c, c
+    for _ in range(n):
+        below = math.nextafter(below, -math.inf)
+        above = math.nextafter(above, math.inf)
+        out += [below, above]
+    return sorted(out)
+
+
+class TestTaylorBand:
+    """ln Gamma on (0.5, 2.5) and ln_gamma1p on (-0.5, 1.5): the Taylor
+    series about 2, with no recurrence shift."""
+
+    @pytest.mark.parametrize("kernel, low, high, oracle", [
+        (refcore.ln_gamma, 0.5, 2.5, mp.loggamma),
+        (refcore.ln_gamma1p, -0.5, 1.5, lambda x: mp.loggamma(1 + mp.mpf(x))),
+    ], ids=["ln_gamma", "ln_gamma1p"])
+    def test_against_mpmath(self, kernel, low, high, oracle):
+        rng = random.Random(20261018)
+        xs = [rng.uniform(low, high) for _ in range(2000)]
+        xs += [x for c in (low, low + 1.0, high) for x in _ulps_around(c)]
+        for x in xs:
+            err = _rel_err(kernel(x), oracle(x))
+            if low < x < high:
+                assert err <= 2e-15, x
+            else:
+                # just outside the band the shift keeps its absolute
+                # error: up to 1.4e-14 relative at 2.5 + 4 ulps
+                assert err <= 2e-14, x
+
+    def test_twin_equals_scalar_at_branch_edges(self):
+        # 1 + x rounds onto 0.5 or 2.5 just inside (-0.5, 1.5); the twin
+        # takes the scalar kernel's branch there too (TestArrayKernels
+        # compares the two inside the band)
+        xs = [x for c in (-0.5, -0.1, 0.1, 0.5, 0.9, 1.5)
+              for x in _ulps_around(c)]
+        twin = refcore.ln_gamma1p_array(np.array(xs)).tolist()
+        assert twin == [refcore.ln_gamma1p(x) for x in xs]
 
 
 def _array_kernels():
@@ -285,13 +347,21 @@ class TestArrayKernels:
 
     def test_close_to_scalar(self, name, array, scalar, oracle, low):
         # same scheme and operation order: they differ only where numpy's
-        # log, log1p or ** rounds differently, by a few ulps of the shift
-        # sum
-        xs = low + np.random.default_rng(5).uniform(1.0, 2.0, 4000)
+        # log or ** rounds differently, by a few ulps of the shift sum.
+        # ln Gamma(1+x) takes no shift on (-0.5, 1.5), where the twin and
+        # the scalar kernel are equal; it is sampled on (-0.75, 3).
+        rng = np.random.default_rng(5)
+        if name == "ln_gamma":
+            xs = low + rng.uniform(0.25, 4.0, 8000)
+        else:
+            xs = low + rng.uniform(1.0, 2.0, 4000)
         values = array(xs)
         ref = np.array([scalar(float(x)) for x in xs])
         assert np.all(np.abs(values - ref) <= 1e-14 * (1.0 + np.abs(ref)))
         assert np.mean(values == ref) >= 0.9
+        if name == "ln_gamma":
+            band = (-0.5 < xs) & (xs < 1.5)
+            assert np.array_equal(values[band], ref[band])
 
     def test_keeps_shape(self, name, array, scalar, oracle, low):
         xs = low + np.array([[0.5, 1.5], [3.0, 40.0]])
@@ -426,9 +496,9 @@ def _ten_term_kernel(name, k, x, log):
 def test_trimmed_kernels_equal_ten_term_series(name, k):
     # 10^5 seeded points on the audit range (1, 2), log-uniform across the
     # double range and densely around the cutoff.  psi^(k)(x) ~ k!/x^(k+1)
-    # leaves double range near x = 1e-308^(1/(k+1)) (there the scalar
-    # kernel raises ZeroDivisionError and the twin returns inf), so its
-    # log-uniform band starts at 1e-300^(1/(k+1)).
+    # leaves double range near x = 1e-308^(1/(k+1)), where both kernels
+    # raise ValueError, so its log-uniform band starts at
+    # 1e-300^(1/(k+1)).
     rng = np.random.default_rng(20261018)
     low = -300.0 / (k + 1) if k else -300.0
     xs = np.concatenate([
@@ -439,13 +509,13 @@ def test_trimmed_kernels_equal_ten_term_series(name, k):
     twin_xs = xs
     if name == "ln_gamma":
         # the twin is ln_gamma1p_array, whose x shifts as 1 + x does in
-        # the reference; within 0.1 of the zeros of ln Gamma each kernel
-        # sums its Taylor series instead, so those points are left out
-        # (the zero tests check them against mpmath)
-        twin_xs = xs[(abs(xs) >= 0.1) & (abs(xs - 1.0) >= 0.1)]
+        # the reference; on (0.5, 2.5) ln Gamma sums its Taylor series
+        # about 2 instead, so those points are left out (TestTaylorBand
+        # checks them against mpmath)
+        twin_xs = xs[(xs <= -0.5) | (xs >= 1.5)]
         array = refcore.ln_gamma1p_array(twin_xs)
         twin_xs = 1.0 + twin_xs
-        xs =xs[(abs(xs - 1.0) >= 0.1) & (abs(xs - 2.0) >= 0.1)]
+        xs = xs[(xs <= 0.5) | (xs >= 2.5)]
         scalar = list(map(refcore.ln_gamma, xs.tolist()))
     elif k:
         array = refcore.polygamma_array(k, xs)
