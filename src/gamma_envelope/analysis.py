@@ -17,7 +17,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gamma_envelope import bounds, refcore, sweep
-from gamma_envelope.proofaudit import _lambda_quotient, proof_function, ratio_R
+from gamma_envelope.proofaudit import (
+    _ON_ARRAY, _lambda_den, _lambda_sides, _quotient, proof_function, ratio_R,
+)
 
 # Relative inset used to keep grids away from open-interval boundaries.
 BOUNDARY_INSET = 1e-6
@@ -33,13 +35,13 @@ def _grid(a, b, n):
 
 
 def lambda_ratio(lam, x):
-    """ln Gamma(x+1) / (ln(x^2+lam) - ln(x+lam)) for lam > 0, 0 < x < 1;
-    at lam = 1 this equals :func:`ratio_R` bit for bit."""
+    """ln Gamma(x+1) / (ln(x^2+lam) - ln(x+lam)) for lam > 0, 0 < x < 1,
+    at a float or every element of a 1-D array; at lam = 1 this equals
+    :func:`ratio_R` bit for bit."""
     if not lam > 0.0:
         raise ValueError("lambda_ratio requires lam > 0, got %r" % (lam,))
-    if not 0.0 < x < 1.0:
-        raise ValueError("lambda_ratio requires 0 < x < 1, got %r" % (x,))
-    return _lambda_quotient(lam, x)
+    return _quotient("lambda_ratio", "0 < x < 1", (0.0 < x) & (x < 1.0), x,
+                     _lambda_sides, lam, None, lam * refcore.EULER_GAMMA)
 
 
 def _lambda_sweep(xs):
@@ -47,65 +49,78 @@ def _lambda_sweep(xs):
     the grid points xs[idx] of a grid of normal doubles in (0, 1), by
     default all of them, equal to them bit for bit.  The numerator is
     evaluated once, by ``ln_gamma1p_array``, which equals ``ln_gamma1p``
-    bit for bit on (0, 1); each call's denominators are evaluated
-    elementwise with math.log1p (np.log1p changes the last bit of 618 of
-    the 20,000 denominators of the 20,000-point grid at lambda = 2)."""
+    bit for bit on (0, 1); each call takes the array quotient's
+    denominators, elementwise with math.log1p (np.log1p changes the last
+    bit of 618 of the 20,000 denominators of the 20,000-point grid at
+    lambda = 2)."""
     num = refcore.ln_gamma1p_array(xs)
 
     def values(lam, idx=slice(None)):
-        x = xs[idx]
-        den = map(math.log1p, refcore.log_base_arg(x, lam).tolist())
-        return num[idx] / np.fromiter(den, float, len(x))
+        return num[idx] / _lambda_den(_ON_ARRAY, xs[idx], lam)
 
     return values
 
 
+def _tau_sides(k, x, tau):
+    return k.ln_gamma(x), k.log1p(refcore.log_base_arg(x, tau))
+
+
 def tau_ratio(tau, x):
     """ln Gamma(x) / (ln(x^2+tau) - ln(x+tau)) with the defined value
-    -(1+tau)*EulerGamma at the removable point x = 1."""
+    -(1+tau)*EulerGamma at the removable point x = 1, at a float or every
+    element of a 1-D array.  At subnormal x the denominator rounds to -0.0
+    or the quotient overflows, and past x ~ 2.56e305 ln Gamma(x) does:
+    there it raises ValueError."""
     if not tau > 0.0:
         raise ValueError("tau_ratio requires tau > 0, got %r" % (tau,))
-    if not x > 0.0:
-        raise ValueError("tau_ratio requires x > 0, got %r" % (x,))
-    if x == 1.0:
-        return -(1.0 + tau) * refcore.EULER_GAMMA
-    den = math.log1p(refcore.log_base_arg(x, tau))
-    # at subnormal x the denominator rounds to -0.0 or the quotient overflows
-    value = refcore.ln_gamma(x) / den if den else math.inf
-    if not math.isfinite(value):
-        raise ValueError("tau_ratio(%r, %r) is not a finite double" % (tau, x))
-    return value
+    return _quotient("tau_ratio", "x > 0", x > 0.0, x, _tau_sides, tau,
+                     -(1.0 + tau) * refcore.EULER_GAMMA)
+
+
+def _unitball_sides(k, x, _):
+    return k.ln_gamma(x + 1.0), x * k.log(2.0 * x)
 
 
 def F_unitball(x):
-    """ln Gamma(x+1) / (x ln(2x)) on (1/2, inf); increasing, concave, < 1."""
-    if not x > 0.5:
-        raise ValueError("F_unitball requires x > 1/2, got %r" % (x,))
-    return refcore.ln_gamma(x + 1.0) / (x * math.log(2.0 * x))
+    """ln Gamma(x+1) / (x ln(2x)) on (1/2, inf); increasing, concave, < 1.
+    At a float or every element of a 1-D array; raises ValueError past
+    x ~ 2.56e305, where ln Gamma(x+1) overflows."""
+    return _quotient("F_unitball", "x > 1/2", x > 0.5, x, _unitball_sides)
+
+
+def _h_cm_sides(k, x, _):
+    return k.log(x), k.log1p(refcore.log_base_arg(x))
 
 
 def h_cm(x):
     """ln x / (ln(1+x^2) - ln(1+x)) with the defined value 2 at x = 1.
 
     Conjectured completely monotonic on (0, inf); evaluated with log1p
-    forms so the removable point at 1 costs no accuracy nearby.
+    forms so the removable point at 1 costs no accuracy nearby.  At a
+    float or every element of a 1-D array; raises ValueError at subnormal
+    x, where the quotient overflows.
     """
-    if not x > 0.0:
-        raise ValueError("h_cm requires x > 0, got %r" % (x,))
-    if x == 1.0:
-        return 2.0
-    return math.log(x) / math.log1p(refcore.log_base_arg(x))
+    return _quotient("h_cm", "x > 0", x > 0.0, x, _h_cm_sides, None, 2.0)
 
 
-# registry for check_monotone / cm_probe; parametrized ids use "name:value"
+def _proof_function_each(name, x):
+    # one scalar proof_function call per point: perfbench's tracer test
+    # counts these calls for check_monotone('q', ..., grid_n=10), so moving
+    # them to proof_function_array waits for the benchmark change of
+    # ROADMAP item 8
+    if not isinstance(x, np.ndarray):
+        return proof_function(name, x)
+    return np.array([proof_function(name, v) for v in x.tolist()])
+
+
+# registry for check_monotone / cm_probe, each entry taking a float or a
+# 1-D array; parametrized ids use "name:value"
 _FUNCTIONS = {
     "ratio_R": ratio_R,
     "F_unitball": F_unitball,
     "h_cm": h_cm,
-    "q": lambda x: proof_function("q", x),
-    "q1": lambda x: proof_function("q1", x),
-    "q1_prime": lambda x: proof_function("q1_prime", x),
-    "f_over_g_prime": lambda x: proof_function("f_over_g_prime", x),
+    **{name: functools.partial(_proof_function_each, name)
+       for name in ("q", "q1", "q1_prime", "f_over_g_prime")},
 }
 
 _PARAMETRIZED = {
@@ -115,16 +130,20 @@ _PARAMETRIZED = {
 
 
 def resolve_function(function_id):
-    """Map a registry id ('ratio_R', 'lambda_ratio:6', ...) to a callable."""
+    """Map a registry id ('ratio_R', 'lambda_ratio:6', ...) to a callable
+    of a 1-D array."""
     if function_id in _FUNCTIONS:
         return _FUNCTIONS[function_id]
     if ":" in function_id:
         name, _, param = function_id.partition(":")
         if name in _PARAMETRIZED:
-            p = float(param)
-            base = _PARAMETRIZED[name]
-            return lambda x: base(p, x)
+            return functools.partial(_PARAMETRIZED[name], float(param))
     raise KeyError("unknown function id %r" % (function_id,))
+
+
+def _finite_interval(a, b):
+    if not math.isfinite(b - a):  # an infinite or NaN end, or width
+        raise ValueError("interval (%r, %r) is not finite" % (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +168,7 @@ def check_monotone(function_id, a, b, direction, grid_n=10000):
     requires every consecutive difference to have the claimed sign in
     exact double comparison; ties count as violations.
     """
+    _finite_interval(a, b)
     if not a < b:
         raise ValueError("need a < b")
     if grid_n < 2:
@@ -157,7 +177,7 @@ def check_monotone(function_id, a, b, direction, grid_n=10000):
         raise ValueError("direction must be 'increasing' or 'decreasing'")
     f = resolve_function(function_id)
     xs = _grid(a, b, grid_n)
-    vals = [f(float(x)) for x in xs]
+    vals = f(xs)
     sign = 1.0 if direction == "increasing" else -1.0
     steps = sign * np.diff(vals)
     check = sweep.lowest(xs, steps)
@@ -289,12 +309,13 @@ def cm_probe(function_id, a, b, max_order, step):
         raise ValueError("step must be positive")
     if not a > 0.0:
         raise ValueError("a must be positive")
+    _finite_interval(a, b)
     if a + max_order * step > b:
         raise ValueError("stencil exceeds the domain")
     f = resolve_function(function_id)
     n_pts = int(math.floor((b - a) / step)) + 1
     xs = a + step * np.arange(n_pts)
-    vals = np.array([f(float(x)) for x in xs])
+    vals = f(xs)
     absvals = np.abs(vals)
     violations = []
     for n in range(max_order + 1):
@@ -318,7 +339,7 @@ def cm_probe(function_id, a, b, max_order, step):
 
 # ---------------------------------------------------------------------------
 # family comparison: every comparison reads one grid evaluation per
-# family, both log sides at each point from one evaluate_family call
+# family, both log sides at every point from one array evaluation
 
 
 class _FamilyLogs(NamedTuple):
@@ -328,22 +349,27 @@ class _FamilyLogs(NamedTuple):
 
 
 def _family_logs(family_id, xs):
-    """Both log sides of one family at every x of a grid."""
-    logs = _FamilyLogs(np.full(len(xs), np.nan), np.full(len(xs), np.nan), {})
-    for i, x in enumerate(xs):
+    """Both log sides of one family at every x of a grid (a one-point grid
+    too), with the errors a walk of evaluate_family over it would meet:
+    the first point where it raises takes its exception from that one
+    call, and a one-sided family's lower side fails at the first point."""
+    xs = np.asarray(xs, dtype=float)
+    lower, upper, bad = bounds.family_logs_array(family_id, xs)
+    errors = {}
+    for i in np.flatnonzero(bad).tolist():
         try:
-            bp = bounds.evaluate_family(family_id, x)
+            bp = bounds.evaluate_family(family_id, xs[i])
         except bounds.DomainError as exc:
-            logs.errors.setdefault("lower", (i, exc))
-            logs.errors.setdefault("upper", (i, exc))
-            continue
-        logs.upper[i] = bp.log_upper
-        if bp.one_sided and bp.log_lower == -math.inf:
-            no_lower = bounds.DomainError("%s has no lower bound" % family_id)
-            logs.errors.setdefault("lower", (i, no_lower))
-        else:
-            logs.lower[i] = bp.log_lower
-    return logs
+            errors["lower"] = errors["upper"] = (i, exc)
+            break
+        # the array kernels left double range where the point ones do not
+        lower[i], upper[i] = bp.log_lower, bp.log_upper
+    if bounds.FAMILIES[family_id].one_sided and len(xs):
+        lower[:] = np.nan
+        if errors.get("lower", (None,))[0] != 0:  # the first point is valid
+            errors["lower"] = (0, bounds.DomainError(
+                "%s has no lower bound" % family_id))
+    return _FamilyLogs(lower, upper, errors)
 
 
 def _side(logs, side):

@@ -17,6 +17,8 @@ families carry a ``-inf`` sentinel on the missing side plus the
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from types import SimpleNamespace
 
 from gamma_envelope import refcore
 
@@ -24,11 +26,15 @@ GAMMA_OF_X_PLUS_1 = "gamma_of_x_plus_1"
 GAMMA_OF_X = "gamma_of_x"
 
 
+# the sharp constants, built once at refcore's import
+_C = refcore.constants()
+
+
 class DomainError(ValueError):
     """Argument outside a family's validity domain."""
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundPair:
     """A certified (lower, upper) interval for Gamma at one point."""
 
@@ -47,6 +53,8 @@ class BoundPair:
 def _safe_exp(v):
     if v == -math.inf:
         return -math.inf
+    if v > 710.0:  # past ln(DBL_MAX) ~ 709.78; saves raising and catching
+        return math.inf
     try:
         return math.exp(v)
     except OverflowError:
@@ -65,9 +73,15 @@ def _pair(log_lower, log_upper, conv, family, x, is_equality_point=False,
             "%s(%r): log bounds (%r, %r) are outside double range"
             % (family, x, log_lower, log_upper)
         )
+    if log_lower < 709.0 and log_upper < 709.0:  # both exps in range
+        lower, upper = math.exp(log_lower), math.exp(log_upper)
+        if log_lower == -math.inf:
+            lower = -math.inf
+    else:  # a valid bound beyond double range
+        lower, upper = _safe_exp(log_lower), _safe_exp(log_upper)
     return BoundPair(
-        _safe_exp(log_lower), _safe_exp(log_upper), conv, family, x,
-        log_lower, log_upper, is_equality_point, one_sided, warning,
+        lower, upper, conv, family, x, log_lower, log_upper,
+        is_equality_point, one_sided, warning,
     )
 
 
@@ -106,27 +120,7 @@ def extended_bounds(x):
     collapse to x! and the pair is flagged as an equality point.
     """
     _require_finite(x, "extended_bounds")
-    if not x > 0.0:
-        raise DomainError("extended_bounds requires x > 0, got %r" % (x,))
-    n = math.floor(x)
-    t = x - n
-    # ln(x (x-1) ... (t+1)), summed while that is the more accurate form
-    if n < _EXTENDED_CLOSED_FORM_N:
-        log_prod = 0.0
-        for i in range(int(n)):
-            log_prod += math.log(x - i)
-    else:
-        log_prod = refcore.ln_gamma(x + 1.0) - refcore.ln_gamma(t + 1.0)
-    c = refcore.constants()
-    lb = math.log1p(refcore.log_base_arg(t)) if t > 0.0 else 0.0
-    return _pair(
-        c.alpha_sharp * lb + log_prod,
-        c.beta_sharp * lb + log_prod,
-        GAMMA_OF_X_PLUS_1,
-        "qi_guo_extended",
-        x,
-        is_equality_point=(t == 0.0),
-    )
+    return FAMILIES["qi_guo_extended"].evaluate(x)
 
 
 def polygamma_bounds(k, x):
@@ -156,143 +150,119 @@ def polygamma_bounds(k, x):
 
 # ---------------------------------------------------------------------------
 # family catalog
+#
+# Each family's two log sides are written once, as a function of x and
+# the kernels, for a float or an array: math's log and log1p and
+# refcore.digamma at a point; np.log, math.log1p element by element and
+# digamma_array on an array.
 
 
-def _ivady(x):
-    _require_open_unit(x, "ivady")
-    return _pair(
-        math.log((x * x + 1.0) / (x + 1.0)),
-        math.log((x * x + 2.0) / (x + 2.0)),
-        GAMMA_OF_X_PLUS_1,
-        "ivady",
-        x,
+def _falling_log(x):
+    # ln(x (x-1) ... (t+1)), t = x - floor(x), summed while that is the
+    # more accurate form, else from ln Gamma
+    n = math.floor(x)
+    if n < _EXTENDED_CLOSED_FORM_N:
+        log_prod = 0.0
+        for i in range(n):
+            log_prod += math.log(x - i)
+        return log_prod
+    return refcore.ln_gamma(x + 1.0) - refcore.ln_gamma(x - n + 1.0)
+
+
+# The kernels the log sides take at a float; where(c, a, b) is a where c
+# holds, else b.  refcore.digamma is looked up at each call, so a wrapper
+# installed there sees every call.
+_AT_POINT = SimpleNamespace(
+    log=math.log, log1p=math.log1p, digamma=lambda x: refcore.digamma(x),
+    where=lambda c, a, b: a if c else b, falling_log=_falling_log,
+)
+
+
+def _on_array():
+    # numpy is imported by the array evaluation only: a point query loads
+    # none
+    import numpy as np
+
+    return SimpleNamespace(
+        log=np.log, log1p=partial(refcore._each, math.log1p),
+        digamma=refcore.digamma_array, where=np.where,
+        falling_log=partial(refcore._each, _falling_log),
     )
 
 
-def _qi_guo_rearranged(x):
-    _require_open_unit(x, "qi_guo_rearranged")
-    c = refcore.constants()
-    lb = math.log1p(refcore.log_base_arg(x))
-    lx = math.log(x)
-    return _pair(
-        c.alpha_sharp * lb - lx,
-        c.beta_sharp * lb - lx,
-        GAMMA_OF_X,
-        "qi_guo_rearranged",
-        x,
-    )
+def _ivady(x, k):
+    return k.log((x * x + 1.0) / (x + 1.0)), k.log((x * x + 2.0) / (x + 2.0))
 
 
-def _lambda6(x):
-    _require_open_unit(x, "lambda6")
-    c = refcore.constants()
-    lb = math.log((x * x + 6.0) / (x + 6.0))
-    return _pair(
-        6.0 * c.euler_gamma * lb,
-        7.0 * (1.0 - c.euler_gamma) * lb,
-        GAMMA_OF_X_PLUS_1,
-        "lambda6",
-        x,
-    )
+def _qi_guo(x, k):
+    lb = k.log1p(refcore.log_base_arg(x))
+    return _C.alpha_sharp * lb, _C.beta_sharp * lb
 
 
-def _alzer_power(x):
-    if x <= 0.0 or x == 1.0:
-        raise DomainError(
-            "alzer_power is valid on (0,1) and (1,inf), got %r" % (x,)
-        )
-    c = refcore.constants()
-    if x < 1.0:
-        a, b = c.alzer_alpha, c.alzer_beta
-    else:
-        a, b = c.alzer_beta, 1.0
-    lx = math.log(x)
-    return _pair(
-        (a * (x - 1.0) - c.euler_gamma) * lx,
-        (b * (x - 1.0) - c.euler_gamma) * lx,
-        GAMMA_OF_X,
-        "alzer_power",
-        x,
-    )
+def _qi_guo_extended(x, k):
+    # the envelope at t = x - floor(x) times x (x-1) ... (t+1); at t = 0
+    # lb is -0.0 and the sides are the falling log
+    lb = k.log1p(refcore.log_base_arg(x % 1.0))
+    log_prod = k.falling_log(x)
+    return _C.alpha_sharp * lb + log_prod, _C.beta_sharp * lb + log_prod
 
 
-def _alzer_batir(x):
-    _require_positive(x, "alzer_batir")
-    base = 0.5 * math.log(2.0 * math.pi) + x * math.log(x) - x
-    return _pair(
-        base - 0.5 * refcore.digamma(x + 1.0 / 3.0),
-        base - 0.5 * refcore.digamma(x),
-        GAMMA_OF_X,
-        "alzer_batir",
-        x,
-    )
+def _qi_guo_rearranged(x, k):
+    lb = k.log1p(refcore.log_base_arg(x))
+    lx = k.log(x)
+    return _C.alpha_sharp * lb - lx, _C.beta_sharp * lb - lx
 
 
-def _qi_guo_zhang(x):
-    if not 0.0 < x <= 1.0:
-        raise DomainError("qi_guo_zhang requires 0 < x <= 1, got %r" % (x,))
-    core = x * (1.0 - math.log(x) + refcore.digamma(x)) * math.log(x)
-    return _pair(
-        core - x,
-        core - (x - 1.0),
-        GAMMA_OF_X,
-        "qi_guo_zhang",
-        x,
-        is_equality_point=(x == 1.0),
-    )
+def _lambda6(x, k):
+    lb = k.log((x * x + 6.0) / (x + 6.0))
+    return 6.0 * _C.euler_gamma * lb, 7.0 * (1.0 - _C.euler_gamma) * lb
 
 
-def _batir_14(x):
-    _require_positive(x, "batir_14")
+def _alzer_power(x, k):
+    below = x < 1.0
+    a = k.where(below, _C.alzer_alpha, _C.alzer_beta)
+    b = k.where(below, _C.alzer_beta, 1.0)
+    lx = k.log(x)
+    return ((a * (x - 1.0) - _C.euler_gamma) * lx,
+            (b * (x - 1.0) - _C.euler_gamma) * lx)
+
+
+def _alzer_batir(x, k):
+    base = 0.5 * math.log(2.0 * math.pi) + x * k.log(x) - x
+    return (base - 0.5 * k.digamma(x + 1.0 / 3.0),
+            base - 0.5 * k.digamma(x))
+
+
+def _qi_guo_zhang(x, k):
+    lx = k.log(x)
+    core = x * (1.0 - lx + k.digamma(x)) * lx
+    return core - x, core - (x - 1.0)
+
+
+def _batir_14(x, k):
     g = refcore.EULER_GAMMA
     inv_eg = math.exp(-g)  # 1 / e^gamma
     # ln(x+c) = ln(c) + log1p(x/c) with the ln(c) terms cancelled
     # analytically: both sides vanish like O(x) at 0, and the log of a
     # rounded x + c would leave an O(ulp) error there.
-    return _pair(
-        -x * math.log(2.0) + (x + 0.5) * math.log1p(2.0 * x) - x,
-        -g * x + (x + inv_eg) * math.log1p(x / inv_eg) - x,
-        GAMMA_OF_X_PLUS_1,
-        "batir_14",
-        x,
-    )
+    return (-x * math.log(2.0) + (x + 0.5) * k.log1p(2.0 * x) - x,
+            -g * x + (x + inv_eg) * k.log1p(x / inv_eg) - x)
 
 
-def _batir_15(x):
-    _require_positive(x, "batir_15")
-    core = (x + 0.5) * (math.log(x + 0.5) - 1.0)
-    return _pair(
-        0.5 * math.log(2.0 * math.e) + core,
-        0.5 * math.log(2.0 * math.pi) + core,
-        GAMMA_OF_X_PLUS_1,
-        "batir_15",
-        x,
-    )
+def _batir_15(x, k):
+    core = (x + 0.5) * (k.log(x + 0.5) - 1.0)
+    return (0.5 * math.log(2.0 * math.e) + core,
+            0.5 * math.log(2.0 * math.pi) + core)
 
 
-def _batir_12(x):
-    _require_positive(x, "batir_12")
-    core = x * math.log(x) - x - 1.0 / (6.0 * (x + 0.375))
-    return _pair(
-        0.5 * math.log(2.0 * x + 1.0) + core + 4.0 / 9.0,
-        0.5 * math.log(math.pi * (2.0 * x + 1.0)) + core,
-        GAMMA_OF_X_PLUS_1,
-        "batir_12",
-        x,
-    )
+def _batir_12(x, k):
+    core = x * k.log(x) - x - 1.0 / (6.0 * (x + 0.375))
+    return (0.5 * k.log(2.0 * x + 1.0) + core + 4.0 / 9.0,
+            0.5 * k.log(math.pi * (2.0 * x + 1.0)) + core)
 
 
-def _unitball(x):
-    if not x > 0.5:
-        raise DomainError("unitball requires x > 1/2, got %r" % (x,))
-    return _pair(
-        -math.inf,
-        x * math.log(2.0 * x),
-        GAMMA_OF_X_PLUS_1,
-        "unitball",
-        x,
-        one_sided=True,
-    )
+def _unitball(x, k):
+    return -math.inf, x * k.log(2.0 * x)
 
 
 def _require_finite(x, what):
@@ -302,14 +272,12 @@ def _require_finite(x, what):
         raise DomainError("%s requires finite x, got %r" % (what, x))
 
 
-def _require_open_unit(x, family):
-    if not 0.0 < x < 1.0:
-        raise DomainError("%s requires 0 < x < 1, got %r" % (family, x))
+def _open_unit(x):
+    return (0.0 < x) & (x < 1.0)
 
 
-def _require_positive(x, family):
-    if not x > 0.0:
-        raise DomainError("%s requires x > 0, got %r" % (family, x))
+def _positive(x):
+    return x > 0.0
 
 
 @dataclass(frozen=True)
@@ -318,8 +286,15 @@ class FamilyEntry:
     domain: str
     convention: str
     citation: str
-    evaluate: object = field(repr=False)
+    sides: object = field(repr=False)  # (x, kernels) -> both log sides
+    inside: object = field(repr=False)  # x -> in the domain, per element
+    domain_error: str = field(repr=False)  # its DomainError, %r for x
     one_sided: bool = False
+    equality: object = field(default=None, repr=False)  # x -> x! exactly
+
+    def evaluate(self, x):
+        """:func:`evaluate_family` of this family."""
+        return evaluate_family(self.id, x)
 
 
 FAMILIES = {
@@ -330,7 +305,7 @@ FAMILIES = {
             "(0,1)",
             GAMMA_OF_X_PLUS_1,
             "rational bounds (x^2+1)/(x+1) < Gamma(x+1) < (x^2+2)/(x+2)",
-            _ivady,
+            _ivady, _open_unit, "ivady requires 0 < x < 1, got %r",
         ),
         FamilyEntry(
             "qi_guo",
@@ -338,21 +313,24 @@ FAMILIES = {
             GAMMA_OF_X_PLUS_1,
             "sharp-exponent envelope ((x^2+1)/(x+1))^a with a in "
             "{2(1-gamma), gamma}",
-            theorem_bounds,
+            _qi_guo, _open_unit, "theorem_bounds requires 0 < x < 1, got %r",
         ),
         FamilyEntry(
             "qi_guo_extended",
             "(0,inf), equality at integers",
             GAMMA_OF_X_PLUS_1,
             "sharp envelope extended by the factorial recurrence",
-            extended_bounds,
+            _qi_guo_extended, _positive,
+            "extended_bounds requires x > 0, got %r",
+            equality=lambda x: x % 1.0 == 0.0,
         ),
         FamilyEntry(
             "qi_guo_rearranged",
             "(0,1)",
             GAMMA_OF_X,
             "sharp envelope divided by x to bracket Gamma(x)",
-            _qi_guo_rearranged,
+            _qi_guo_rearranged, _open_unit,
+            "qi_guo_rearranged requires 0 < x < 1, got %r",
         ),
         FamilyEntry(
             "lambda6",
@@ -360,14 +338,15 @@ FAMILIES = {
             GAMMA_OF_X_PLUS_1,
             "envelope of (x^2+6)/(x+6) with exponents 6*gamma and "
             "7(1-gamma)",
-            _lambda6,
+            _lambda6, _open_unit, "lambda6 requires 0 < x < 1, got %r",
         ),
         FamilyEntry(
             "alzer_power",
             "(0,1) u (1,inf), region-specific constants",
             GAMMA_OF_X,
             "power bounds x^(c(x-1)-gamma)",
-            _alzer_power,
+            _alzer_power, lambda x: (x > 0.0) & (x != 1.0),
+            "alzer_power is valid on (0,1) and (1,inf), got %r",
         ),
         FamilyEntry(
             "alzer_batir",
@@ -375,21 +354,23 @@ FAMILIES = {
             GAMMA_OF_X,
             "Stirling form sqrt(2 pi) x^x exp(-x - psi(x+c)/2), "
             "c in {1/3, 0}",
-            _alzer_batir,
+            _alzer_batir, _positive, "alzer_batir requires x > 0, got %r",
         ),
         FamilyEntry(
             "qi_guo_zhang",
             "(0,1], equality at x=1 (upper)",
             GAMMA_OF_X,
             "bounds x^(x(1-ln x+psi(x))) / e^(x-c), c in {0, 1}",
-            _qi_guo_zhang,
+            _qi_guo_zhang, lambda x: (0.0 < x) & (x <= 1.0),
+            "qi_guo_zhang requires 0 < x <= 1, got %r",
+            equality=lambda x: x == 1.0,
         ),
         FamilyEntry(
             "batir_12",
             "(0,inf)",
             GAMMA_OF_X_PLUS_1,
             "sqrt(2x+1) x^x exp(-(x + 1/(6(x+3/8)) - c)) forms",
-            _batir_12,
+            _batir_12, _positive, "batir_12 requires x > 0, got %r",
         ),
         FamilyEntry(
             "batir_14",
@@ -397,37 +378,84 @@ FAMILIES = {
             GAMMA_OF_X_PLUS_1,
             "shifted-Stirling forms sqrt(2)(x+1/2)^(x+1/2) e^-x and the "
             "e^(gamma/e^gamma) companion",
-            _batir_14,
+            _batir_14, _positive, "batir_14 requires x > 0, got %r",
         ),
         FamilyEntry(
             "batir_15",
             "(0,inf)",
             GAMMA_OF_X_PLUS_1,
             "((x+1/2)/e)^(x+1/2) between sqrt(2e) and sqrt(2 pi)",
-            _batir_15,
+            _batir_15, _positive, "batir_15 requires x > 0, got %r",
         ),
         FamilyEntry(
             "unitball",
             "(1/2,inf), upper side only",
             GAMMA_OF_X_PLUS_1,
             "one-sided bound Gamma(x+1) < (2x)^x",
-            _unitball,
+            _unitball, lambda x: x > 0.5, "unitball requires x > 1/2, got %r",
             one_sided=True,
         ),
     ]
 }
 
 
+# the entry fields a point evaluation reads, unpacked from one tuple per
+# query instead of five attribute loads
+_POINT_FIELDS = {
+    e.id: (e.inside, e.sides, e.convention, e.equality, e.one_sided)
+    for e in FAMILIES.values()
+}
+
+
+def _entry(family_id):
+    try:
+        return FAMILIES[family_id]
+    except KeyError:
+        raise KeyError("unknown bound family %r" % (family_id,)) from None
+
+
 def evaluate_family(family_id, x):
     """Evaluate one catalog family at x; raises DomainError outside its
     validity domain or where a log bound leaves double range."""
     try:
-        entry = FAMILIES[family_id]
+        inside, sides, conv, equality, one_sided = _POINT_FIELDS[family_id]
     except KeyError:
-        raise KeyError("unknown bound family %r" % (family_id,)) from None
+        _entry(family_id)  # raises the unknown family's KeyError
     x = float(x)
-    _require_finite(x, family_id)
-    return entry.evaluate(x)
+    if not math.isfinite(x):
+        _require_finite(x, family_id)
+    if not inside(x):
+        raise DomainError(FAMILIES[family_id].domain_error % (x,))
+    log_lower, log_upper = sides(x, _AT_POINT)
+    return _pair(log_lower, log_upper, conv, family_id, x,
+                 equality is not None and equality(x), one_sided)
+
+
+def family_logs_array(family_id, xs):
+    """Both log sides of one catalog family at every element of a 1-D
+    float array, in one evaluation with the array kernels.
+
+    Returns (log_lower, log_upper, bad): ``bad`` marks the elements where
+    :func:`evaluate_family` would raise, outside the domain or where a log
+    side is not finite, and both sides are NaN there.  A one-sided
+    family's lower side is -inf.
+    """
+    import numpy as np
+
+    entry = _entry(family_id)
+    xs = np.asarray(xs, dtype=float)
+    lower = np.full(xs.shape, np.nan)
+    upper = np.full(xs.shape, np.nan)
+    ok = (np.abs(xs) < math.inf) & entry.inside(xs)
+    # overflow and 0/0 become non-finite sides, which are flagged bad
+    with np.errstate(all="ignore"):
+        lower[ok], upper[ok] = entry.sides(xs[ok], _on_array())
+    finite_lower = np.isfinite(lower)
+    if entry.one_sided:
+        finite_lower |= lower == -math.inf
+    bad = ~(finite_lower & np.isfinite(upper))
+    lower[bad] = upper[bad] = np.nan
+    return lower, upper, bad
 
 
 def catalog():

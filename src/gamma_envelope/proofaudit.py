@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, asdict
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,23 +46,100 @@ class ProofClaim:
     witness: float | None = None
 
 
-def _lambda_quotient(lam, x):
-    # ln Gamma(x+1) / ln((x^2+lam)/(x+lam)), x > 0: both sides keep their
-    # digits at their zeros, so only x == 1 and subnormal x take the limits
-    if x < 2.0**-1022:
-        return lam * refcore.EULER_GAMMA
-    if x == 1.0:
-        return (1.0 + lam) * (1.0 - refcore.EULER_GAMMA)
-    return refcore.ln_gamma1p(x) / math.log1p(refcore.log_base_arg(x, lam))
+# The kernels a ratio function takes.  At a float: math's, and refcore's
+# looked up at each call, so a wrapper installed there sees every call.
+_AT_POINT = SimpleNamespace(
+    log=math.log, log1p=math.log1p,
+    ln_gamma=lambda x: refcore.ln_gamma(x),
+    ln_gamma1p=lambda x: refcore.ln_gamma1p(x),
+)
+# On an array: math.log and math.log1p element by element, and the
+# refcore twins.
+_ON_ARRAY = SimpleNamespace(
+    log=partial(refcore._each, math.log),
+    log1p=partial(refcore._each, math.log1p),
+    ln_gamma=lambda x: refcore.ln_gamma_array(x),
+    ln_gamma1p=lambda x: refcore.ln_gamma1p_array(x),
+)
+
+_LEAST_NORMAL = 2.0**-1022
+
+
+def _quotient(name, domain, inside, x, sides, param=None, at_one=None,
+              tiny=None):
+    """One ratio function num / den, ``sides(kernels, x, param)`` giving
+    (num, den), at a float x or at every element of a 1-D array.
+
+    ``inside`` is x's domain test (a bool per element on an array) and
+    ``domain`` its text for the error.  ``at_one`` is the defined value at
+    x == 1, ``tiny`` the limit below the least normal double, where the
+    quotient of the two rounded sides no longer holds it (None: the
+    quotient).  A value that is not a finite double raises ValueError.
+    On an array, every element where the float form would raise is
+    handed to it, so the first of them raises the float form's error.
+    """
+    if inside is True:  # a float in the domain; an array's test is an array
+        if x == 1.0 and at_one is not None:
+            return at_one
+        if x < _LEAST_NORMAL and tiny is not None:
+            return tiny
+        num, den = sides(_AT_POINT, x, param)
+        value = num / den if den else math.inf
+        if math.isfinite(value):
+            return value
+        shown = (x,) if param is None else (param, x)
+        raise ValueError("%s(%s) is not a finite double"
+                         % (name, ", ".join(map(repr, shown))))
+    if not isinstance(x, np.ndarray):
+        if not inside:
+            raise ValueError("%s requires %s, got %r" % (name, domain, x))
+        # a numpy scalar in the domain
+        return _quotient(name, domain, True, x, sides, param, at_one, tiny)
+    value = np.full(x.shape, np.nan)
+    ok = inside & (np.abs(x) < math.inf)  # the kernels take finite x
+    # an overflow or 0/0 leaves a non-finite value, handed on below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        num, den = sides(_ON_ARRAY, x[ok], param)
+        value[ok] = num / den
+    if at_one is not None:
+        value[ok & (x == 1.0)] = at_one
+    if tiny is not None:
+        value[ok & (x < _LEAST_NORMAL)] = tiny
+    for i in np.flatnonzero(~np.isfinite(value)):
+        value[i] = _quotient(name, domain, bool(inside[i]), float(x[i]),
+                             sides, param, at_one, tiny)
+    return value
+
+
+def _lambda_den(k, x, lam):
+    # ln((x^2+lam)/(x+lam)), which keeps its digits at its zeros
+    return k.log1p(refcore.log_base_arg(x, lam))
+
+
+def _lambda_sides(k, x, lam):
+    # ln Gamma(x+1) keeps its digits at its zeros too, so only x == 1 and
+    # subnormal x take limits
+    return k.ln_gamma1p(x), _lambda_den(k, x, lam)
+
+
+def _ratio_R_sides(k, x, _):
+    return _lambda_sides(k, x, 1.0)
+
+
+# ratio_R's limits at x == 1 and below the least normal double
+_RATIO_R_AT_ONE = (1.0 + 1.0) * (1.0 - refcore.EULER_GAMMA)
+_RATIO_R_TINY = 1.0 * refcore.EULER_GAMMA
 
 
 def ratio_R(x):
-    """ln Gamma(x+1) / ln((x^2+1)/(x+1)) for x > 0, 0/0 at x = 0 and 1 with
-    limits EulerGamma and 2(1 - EulerGamma); on (0, 1) this is
-    :func:`gamma_envelope.analysis.lambda_ratio` at lambda = 1."""
-    if not x > 0.0:
-        raise ValueError("ratio_R requires x > 0, got %r" % (x,))
-    return _lambda_quotient(1.0, x)
+    """ln Gamma(x+1) / ln((x^2+1)/(x+1)) for x > 0, at a float or every
+    element of a 1-D array; 0/0 at x = 0 and 1 with limits EulerGamma and
+    2(1 - EulerGamma); on (0, 1) this is
+    :func:`gamma_envelope.analysis.lambda_ratio` at lambda = 1.  Raises
+    ValueError where the value is not a finite double (x past ~2.56e305,
+    where ln Gamma(x+1) overflows)."""
+    return _quotient("ratio_R", "x > 0", x > 0.0, x, _ratio_R_sides, None,
+                     _RATIO_R_AT_ONE, _RATIO_R_TINY)
 
 
 def _every(flags):

@@ -26,15 +26,18 @@ returns ``ln_gamma(1.0 + x)``, which the rounding of 1 + x leaves within
 1.2e-15 relative on [0.1, 0.9].
 
 Each series is written once, as plain arithmetic on a float or an array,
-and serves a scalar kernel and its array twin (``ln_gamma1p_array``,
-``digamma_array``, ``polygamma_array``); the two differ only in their
-input check and their shift loop, which take the same steps in the same
-order.  The Taylor branch takes only +, -, * and ``math.log1p``, so on
-(-0.5, 1.5) ``ln_gamma1p_array`` equals ``ln_gamma1p`` bit for bit.
-Elsewhere a twin differs from its scalar kernel only where numpy's ``log``
-or ``**`` rounds a term differently from the ``math`` function or float
-``**``: by a few ulps of the shift sum, on about 0.1% (ln Gamma, psi,
-psi') to 5% (psi'' and psi''') of arguments in (1, 2).
+and serves a scalar kernel and its array twin (``ln_gamma_array``,
+``ln_gamma1p_array``, ``digamma_array``, ``polygamma_array``); the two
+differ only in their input check and their shift loop, which take the
+same steps in the same order.  ``ln_gamma1p_array`` mirrors
+``ln_gamma1p``: its own bands, else ``ln_gamma_array(1 + x)``.  The
+Taylor branch takes only +, -, * and ``math.log1p``, so ``ln_gamma_array``
+equals ``ln_gamma`` bit for bit on (0.5, 2.5), and ``ln_gamma1p_array``
+equals ``ln_gamma1p`` on (-0.5, 1.5).  Elsewhere a twin differs from its
+scalar kernel only where numpy's ``log`` or ``**`` rounds a term
+differently from the ``math`` function or float ``**``: by a few ulps of
+the shift sum, on about 0.05% of arguments outside (0.5, 2.5) (ln Gamma)
+and on 0.1% (psi, psi') to 5% (psi'', psi''') of arguments in (1, 2).
 
 All functions are pure and stateless.
 """
@@ -281,6 +284,15 @@ def _finite_array(name, x, low=0.0):
     return x
 
 
+def _each(fn, x):
+    """A math function of every element of a 1-D array, so that each
+    rounds as it does on a float (a list's floats are faster to feed than
+    the array's numpy scalars)."""
+    import numpy as np
+
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
+
+
 def _shift_up(x, term):
     """(y, shift): each element raised by 1 until it reaches the cutoff,
     as the scalar kernels' loop does, and the sum of ``term(y)`` over the
@@ -297,30 +309,52 @@ def _shift_up(x, term):
     return y, shift
 
 
-def ln_gamma1p_array(x):
-    """:func:`ln_gamma1p` of every element of a float array."""
+def _taylor_array(x):
+    """:func:`_ln_gamma1p_taylor` of every element of an array in
+    (-0.5, 1.5), with the same operations in the same order."""
     import numpy as np
 
-    x = _finite_array("ln_gamma1p_array", x, -1.0)
-    y = 1.0 + x
-    out = np.empty_like(y)  # 0-d stays an array
-    # the scalar kernel's branches, element by element: the Taylor series
-    # at ln_gamma1p's own bands and wherever ln_gamma(y) takes it, the
-    # shift elsewhere
-    own = (((-0.5 < x) & (x < _ZERO_BAND))
-           | ((-_ZERO_BAND < x - 1.0) & (x - 1.0 < 0.5)))
-    taylor = own | ((0.5 < y) & (y < 2.5))
-    far, shift = _shift_up(y[~taylor], np.log)
-    out[~taylor] = _ln_gamma_series(far, np.log) - shift
-    # _ln_gamma1p_taylor, at x itself or at y - 1 as ln_gamma passes it
-    x = np.where(own, x, y - 1.0)[taylor]
     lower = x < 0.5
     s = _ln_gamma2p_series(np.where(lower, x, x - 1.0))
     # math.log1p, as the scalar kernel: np.log1p rounds some x differently;
     # fed element by element, with no list of every x held at once
     x = x[lower]
     s[lower] -= np.fromiter(map(math.log1p, x), float, len(x))
-    out[taylor] = s
+    return s
+
+
+def _ln_gamma_elements(y):
+    # ln_gamma's branches, element by element, on a checked array: the
+    # Taylor series at y - 1 (exact) on (0.5, 2.5), the shift elsewhere
+    import numpy as np
+
+    out = np.empty_like(y)  # 0-d stays an array
+    taylor = (0.5 < y) & (y < 2.5)
+    far, shift = _shift_up(y[~taylor], np.log)
+    # past y ~ 2.56e305 the series overflows to inf, as the scalar's does
+    with np.errstate(over="ignore"):
+        out[~taylor] = _ln_gamma_series(far, np.log) - shift
+    out[taylor] = _taylor_array(y[taylor] - 1.0)
+    return out
+
+
+def ln_gamma_array(x):
+    """:func:`ln_gamma` of every element of a float array."""
+    return _ln_gamma_elements(_finite_array("ln_gamma_array", x))
+
+
+def ln_gamma1p_array(x):
+    """:func:`ln_gamma1p` of every element of a float array: the Taylor
+    series at x itself on ln_gamma1p's own bands, else
+    ``ln_gamma_array(1 + x)``."""
+    import numpy as np
+
+    x = _finite_array("ln_gamma1p_array", x, -1.0)
+    out = np.empty_like(x)
+    own = (((-0.5 < x) & (x < _ZERO_BAND))
+           | ((-_ZERO_BAND < x - 1.0) & (x - 1.0 < 0.5)))
+    out[own] = _taylor_array(x[own])
+    out[~own] = _ln_gamma_elements(1.0 + x[~own])
     return out
 
 
@@ -393,8 +427,18 @@ def constants():
 def log_base_arg(x, lam=1.0):
     """(x^2+lam)/(x+lam) - 1 = x(x-1)/(x+lam): ln of the envelope base is
     log1p of this; float or array.  x - 1 is exact on [0.5, 2], so this
-    stays within a few ulps relative through its zero at x = 1."""
-    return x * (x - 1.0) / (x + lam)
+    stays within a few ulps relative through its zero at x = 1.  Past
+    x ~ 1.34e154, where x(x-1) overflows, it is x((x-1)/(x+lam))."""
+    if isinstance(x, (float, int)):
+        v = x * (x - 1.0) / (x + lam)
+        return v if v < math.inf else x * ((x - 1.0) / (x + lam))
+    if not (abs(x) > 1e154).any():  # x (x - 1) is finite
+        return x * (x - 1.0) / (x + lam)
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        v = x * (x - 1.0) / (x + lam)
+    return np.where(np.isposinf(v), x * ((x - 1.0) / (x + lam)), v)
 
 
 def _check_gamma_literal():

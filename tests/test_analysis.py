@@ -437,3 +437,240 @@ class TestUnitballCompanions:
             assert refcore.ln_gamma(float(x) + 1.0) < float(x) * math.log(
                 2.0 * float(x)
             )
+
+
+def _walk(f, xs):
+    """The per-point evaluation the registry's array forms replace: f at
+    each float of the grid, in order, stopping at the first error."""
+    return np.array([f(x) for x in xs.tolist()])
+
+
+class TestArrayForms:
+    # Where only +, -, *, /, math.log and math.log1p element by element and
+    # the Taylor band of ln Gamma on (0.5, 2.5) enter, the array form
+    # equals the walk bit for bit: every h_cm and lambda_ratio, ratio_R on
+    # (0, 1.5) (ln Gamma(x+1) takes x itself there), tau_ratio on
+    # (0.5, 2.5), F_unitball on (0.5, 1.5), and the proof functions, which
+    # the registry still evaluates point by point.
+    EXACT = [
+        ("ratio_R", 0.0, 1.5), ("h_cm", 0.0, 1.0), ("h_cm", 0.1, 50.0),
+        ("h_cm", 50.0, 1e300), ("F_unitball", 0.5, 1.5),
+        ("tau_ratio:2", 0.5, 2.5), ("tau_ratio:0.5", 0.5, 2.5),
+        ("lambda_ratio:1", 0.0, 1.0), ("lambda_ratio:6", 0.0, 1.0),
+        ("lambda_ratio:0.5", 0.0, 1.0), ("q", 0.0, 1.0), ("q1", 0.0, 1.0),
+        ("q1_prime", 0.0, 1.0), ("f_over_g_prime", 0.0, 1.0),
+    ]
+    # Elsewhere ln Gamma shifts with numpy's log, which rounds a term of
+    # the shift sum differently on a few points: on these samples at most
+    # 1.1e-14 relative (tau_ratio on (1e-3, 0.5)); 2.3e-14 is the largest
+    # seen on other seeds (ratio_R on (1.5, 50), where ln Gamma(x+1) is
+    # near 0.28 and the shift sum near 24).
+    CLOSE = [
+        ("ratio_R", 1.5, 50.0), ("ratio_R", 50.0, 1e300),
+        ("F_unitball", 1.5, 1e6), ("tau_ratio:2", 1e-3, 0.5),
+        ("tau_ratio:2", 2.5, 50.0), ("tau_ratio:6", 1e-3, 1e300),
+    ]
+
+    @pytest.mark.parametrize("function_id, a, b", EXACT)
+    def test_equals_the_walk(self, function_id, a, b):
+        xs = an._grid(a, b, 3000)
+        if b <= 1.0:
+            xs = np.sort(np.concatenate([xs, BAND_POINTS]))
+        f = an.resolve_function(function_id)
+        assert f(xs).tolist() == _walk(f, xs).tolist()
+
+    @pytest.mark.parametrize("function_id, a, b", CLOSE)
+    def test_close_to_the_walk(self, function_id, a, b):
+        xs = np.sort(np.random.default_rng(15).uniform(a, b, 20000))
+        f = an.resolve_function(function_id)
+        values, ref = f(xs), _walk(f, xs)
+        assert np.all(np.abs(values - ref) <= 4e-14 * np.abs(ref))
+        assert np.mean(values == ref) >= 0.99
+
+    def test_limits_by_mask(self):
+        xs = np.array([5e-324, 1e-310, 0.5, 1.0, 2.0])
+        assert an.ratio_R(xs).tolist() == _walk(an.ratio_R, xs).tolist()
+        assert an.ratio_R(xs)[[0, 1, 3]].tolist() == [
+            G, G, 2.0 * (1.0 - G)]
+        assert an.h_cm(xs[2:]).tolist() == _walk(an.h_cm, xs[2:]).tolist()
+        assert an.h_cm(xs[2:])[1] == 2.0
+        taus = an.tau_ratio(2.0, xs[2:])
+        assert taus.tolist() == [an.tau_ratio(2.0, x) for x in (0.5, 1.0, 2.0)]
+        assert taus[1] == -3.0 * G
+        lams = an.lambda_ratio(6.0, xs[:3])
+        assert lams.tolist() == [6.0 * G, 6.0 * G, an.lambda_ratio(6.0, 0.5)]
+
+    @pytest.mark.parametrize("function_id, xs", [
+        ("lambda_ratio:2", an._grid(0.0, 2.0, 1000)),
+        ("F_unitball", an._grid(0.0, 1.0, 1000)),
+        ("h_cm", an._grid(-1.0, 1.0, 1000)),
+        ("ratio_R", an._grid(-1.0, 1.0, 1000)),
+        ("tau_ratio:2", an._grid(-1.0, 1.0, 1000)),
+        ("tau_ratio:2", np.array([5e-324, 1e-322, 1e-321])),
+        ("h_cm", np.array([1.0, 0.5, 5e-324, -1.0])),
+        ("ratio_R", an._grid(1e305, 1e307, 100)),
+        ("ratio_R", np.array([0.5, 1e306, -1.0])),
+        ("ratio_R", np.array([0.5, -1.0, 1e306])),
+        ("ratio_R", np.array([2.0, math.inf, math.nan])),
+        ("ratio_R", np.array([2.0, math.nan, math.inf])),
+        ("F_unitball", np.array([2.0, 1e306, 0.5])),
+        ("tau_ratio:2", np.array([2.0, -math.inf])),
+        ("lambda_ratio:6", np.array([0.5, 1.0])),
+        ("q", an._grid(0.0, 2.0, 100)),
+    ])
+    def test_raises_the_walks_first_error(self, function_id, xs):
+        f = an.resolve_function(function_id)
+        with pytest.raises(ValueError) as walk:
+            _walk(f, xs)
+        with pytest.raises(ValueError) as array:
+            f(xs)
+        assert type(array.value) is type(walk.value)
+        assert str(array.value) == str(walk.value)
+
+    @pytest.mark.parametrize("x", [1e154, 1.3e154, 1.4e154, 1e200, 1e300])
+    def test_huge_x_against_mpmath(self, x):
+        # past x ~ 1.34e154 x(x-1) overflows; log_base_arg then divides
+        # first, and the ratios stay finite and close
+        m = mp.mpf(x)
+        cases = [
+            (an.ratio_R, mp.loggamma(m + 1) / mp.log((m * m + 1) / (m + 1))),
+            (an.h_cm, mp.log(m) / mp.log((1 + m * m) / (1 + m))),
+            (lambda x: an.tau_ratio(2.0, x),
+             mp.loggamma(m) / mp.log((m * m + 2) / (m + 2))),
+            (an.F_unitball, mp.loggamma(m + 1) / (m * mp.log(2 * m))),
+        ]
+        for f, ref in cases:
+            for value in (f(x), f(np.array([0.75, x]))[1]):
+                assert abs(value - ref) <= 4e-16 * abs(ref), (f, x)
+
+    @pytest.mark.parametrize("f", [
+        an.ratio_R, an.F_unitball, lambda x: an.tau_ratio(2.0, x),
+    ], ids=["ratio_R", "F_unitball", "tau_ratio"])
+    def test_not_a_finite_double_past_ln_gamma_overflow(self, f):
+        # ln Gamma overflows past x ~ 2.56e305
+        for x in (1e306, np.array([2.0, 1e306])):
+            with pytest.raises(ValueError, match="1e.306. is not a finite"):
+                f(x)
+
+    def test_h_cm_not_a_finite_double_at_subnormal_x(self):
+        for x in (5e-324, np.array([0.5, 5e-324])):
+            with pytest.raises(ValueError,
+                               match=r"h_cm\(5e-324\) is not a finite"):
+                an.h_cm(x)
+
+    @pytest.mark.parametrize("function_id", ["h_cm", "ratio_R", "tau_ratio:2"])
+    def test_check_monotone_calls_the_entry_once(self, function_id,
+                                                 monkeypatch):
+        calls = []
+        name, _, _ = function_id.partition(":")
+        registry = an._FUNCTIONS if name in an._FUNCTIONS else an._PARAMETRIZED
+        f = registry[name]
+        monkeypatch.setitem(registry, name,
+                            lambda *a: calls.append(len(a[-1])) or f(*a))
+        an.check_monotone(function_id, 0.5, 5.0, "decreasing", 777)
+        assert calls == [777]
+
+    def test_cm_probe_calls_the_entry_once(self, monkeypatch):
+        calls = []
+        f = an._FUNCTIONS["h_cm"]
+        monkeypatch.setitem(an._FUNCTIONS, "h_cm",
+                            lambda x: calls.append(len(x)) or f(x))
+        rep = an.cm_probe("h_cm", 0.1, 50.0, 6, 0.01)
+        assert rep.verdict == "consistent"
+        assert calls == [4991]
+
+    @pytest.mark.parametrize("call", [
+        lambda: an.check_monotone("h_cm", 0.0, math.inf, "decreasing", 10),
+        lambda: an.check_monotone("h_cm", -math.inf, 1.0, "decreasing", 10),
+        lambda: an.check_monotone("h_cm", 0.0, math.nan, "decreasing", 10),
+        lambda: an.check_monotone("h_cm", -1e308, 1e308, "decreasing", 10),
+        lambda: an.cm_probe("h_cm", 0.1, math.inf, 2, 0.01),
+        lambda: an.cm_probe("h_cm", 0.1, math.nan, 2, 0.01),
+    ])
+    def test_non_finite_interval_named(self, call):
+        with pytest.raises(ValueError, match=r"interval \(.*\) is not finite"):
+            call()
+
+
+def _walk_logs(family_id, xs):
+    """Both log sides of one family by one evaluate_family call per point:
+    the walk that _family_logs replaces, kept as its reference."""
+    lower = np.full(len(xs), np.nan)
+    upper = np.full(len(xs), np.nan)
+    errors = {}
+    for i, x in enumerate(xs):
+        try:
+            bp = bounds.evaluate_family(family_id, x)
+        except bounds.DomainError as exc:
+            errors.setdefault("lower", (i, exc))
+            errors.setdefault("upper", (i, exc))
+            continue
+        upper[i] = bp.log_upper
+        if bp.one_sided and bp.log_lower == -math.inf:
+            no_lower = bounds.DomainError("%s has no lower bound" % family_id)
+            errors.setdefault("lower", (i, no_lower))
+        else:
+            lower[i] = bp.log_lower
+    return lower, upper, errors
+
+
+# grids that cross every domain edge (0, 1/2, 1, the integers) and reach
+# the subnormals and lnGamma's overflow, plus one-point and empty grids
+FAMILY_GRIDS = {
+    "wide": an._grid(-1.0, 3.0, 4001),
+    "knots": np.linspace(-0.5, 2.0, 26),
+    "huge": np.array([1e100, 1e300, 1e306, 1e307, 1.7e308, 2.0]),
+    "tiny": np.array([5e-324, 1e-320, 1e-310, 1e-300, 1e-200, 0.25]),
+    "one": np.array([0.5]),
+    "one_bad": np.array([-0.5]),
+    "empty": np.array([]),
+}
+
+# the families whose sides take no np.log or digamma_array
+EXACT_FAMILIES = ("qi_guo", "qi_guo_extended", "batir_14")
+
+
+class TestFamilyLogsArray:
+    @pytest.mark.parametrize("grid", FAMILY_GRIDS)
+    @pytest.mark.parametrize("family", sorted(bounds.FAMILIES))
+    def test_matches_the_walk(self, family, grid):
+        xs = FAMILY_GRIDS[grid]
+        logs = an._family_logs(family, xs)
+        lower, upper, errors = _walk_logs(family, xs)
+        assert {k: (i, type(e), str(e)) for k, (i, e) in logs.errors.items()} \
+            == {k: (i, type(e), str(e)) for k, (i, e) in errors.items()}
+        for got, want in ((logs.lower, lower), (logs.upper, upper)):
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            got, want = got[~np.isnan(want)], want[~np.isnan(want)]
+            if family in EXACT_FAMILIES:
+                assert got.tolist() == want.tolist()
+            else:
+                # np.log and digamma_array against math.log and digamma:
+                # measured at most 4.5e-16 of max(1, |side|) on these grids
+                assert np.all(np.abs(got - want)
+                              <= 4e-14 * np.maximum(1.0, np.abs(want)))
+
+    def test_no_point_calls_on_valid_grids(self, monkeypatch):
+        calls = []
+        evaluate = bounds.evaluate_family
+        monkeypatch.setattr(bounds, "evaluate_family",
+                            lambda f, x: calls.append(f) or evaluate(f, x))
+        findings = an.remark_claims(2000)
+        assert [v for _, _, v in findings] == ["pass"] * 10 + ["flagged"]
+        assert calls == []
+
+    @pytest.mark.parametrize("family, a, b, expected", [
+        ("qi_guo", 0.0, 3.0, ["qi_guo"]),
+        ("unitball", 0.25, 1.0, ["unitball"]),
+        ("unitball", 0.75, 3.0, []),
+        ("alzer_power", 0.0, 3.0, []),
+        ("batir_12", 0.0, 3.0, []),
+    ])
+    def test_one_point_call_per_error(self, family, a, b, expected,
+                                      monkeypatch):
+        calls = []
+        evaluate = bounds.evaluate_family
+        monkeypatch.setattr(bounds, "evaluate_family",
+                            lambda f, x: calls.append(f) or evaluate(f, x))
+        an._family_logs(family, an._grid(a, b, 1000))
+        assert calls == expected

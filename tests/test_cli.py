@@ -119,6 +119,18 @@ class TestSubcommands:
         assert out == ("probe,interval,violations,verdict\n"
                        "ratio_global_increasing,(0,50),0,consistent\n")
 
+    @pytest.mark.parametrize("which, a, rows", [
+        ("ratio-global", "0", 1), ("tau", "1", 4),
+    ])
+    def test_conjecture_up_to_1e300(self, which, a, rows, capsys):
+        # past x ~ 1.34e154 x(x-1) overflows; the ratios must not drop to 0
+        code, out, _ = run(["conjecture", which, "--interval", a, "1e300"],
+                           capsys)
+        assert code == 0
+        lines = out.splitlines()[1:]
+        assert len(lines) == rows
+        assert all(line.endswith(",0,consistent") for line in lines)
+
     def test_rows_as_json(self, capsys):
         # one object per row, keyed by the header, keys sorted
         code, out, _ = run(
@@ -314,6 +326,60 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "not a finite double" in err
+
+    # Each misuse of the analysis commands, and the one stderr line it
+    # exits 2 with; a non-finite interval is named before any grid point
+    # is evaluated.
+    MISUSES = [
+        ("monotone --function nope", "\"unknown function id 'nope'\""),
+        ("monotone --function tau_ratio:-1",
+         "tau_ratio requires tau > 0, got -1.0"),
+        ("monotone --function tau_ratio:abc",
+         "could not convert string to float: 'abc'"),
+        ("monotone --function lambda_ratio:0",
+         "lambda_ratio requires lam > 0, got 0.0"),
+        ("monotone --interval 1 0", "need a < b"),
+        ("conjecture ratio-global --interval 1 0", "need a < b"),
+        ("monotone --function ratio_R --interval -1 1",
+         "ratio_R requires x > 0, got -0.999998"),
+        ("monotone --function lambda_ratio:2 --interval 0 2",
+         "lambda_ratio requires 0 < x < 1, got 1.00010000980098"),
+        ("monotone --function tau_ratio:2 --interval -1 1",
+         "tau_ratio requires x > 0, got -0.999998"),
+        ("monotone --function F_unitball",
+         "F_unitball requires x > 1/2, got 1e-06"),
+        ("monotone --function F_unitball --interval 0 1",
+         "F_unitball requires x > 1/2, got 1e-06"),
+        ("monotone --function h_cm --interval -1 1",
+         "h_cm requires x > 0, got -0.999998"),
+        ("monotone --function q --interval 0 2", "q requires 0 <= x <= 1"),
+        ("monotone --function q1 --interval -1 1", "q1 requires 0 <= x <= 1"),
+        ("monotone --function q1_prime --interval 0 2",
+         "q1_prime requires 0 <= x <= 1"),
+        ("monotone --function f_over_g_prime --interval 0 2",
+         "f_over_g_prime requires 0 < x < 1"),
+        ("monotone --function tau_ratio:2 --interval 5e-324 1e-321 --grid 3",
+         "tau_ratio(2.0, 5e-324) is not a finite double"),
+        ("monotone --function ratio_R --interval 1e305 1e307",
+         "ratio_R(2.564452306930693e+305) is not a finite double"),
+        ("conjecture tau --interval -1 1",
+         "tau_ratio requires x > 0, got -0.999998"),
+        ("conjecture cm --step 0", "step must be positive"),
+        ("conjecture cm --interval 0 1", "a must be positive"),
+        ("conjecture cm --max-order 9", "max_order must be in 0..8, got 9"),
+        ("monotone --function h_cm --interval 0 inf",
+         "interval (0.0, inf) is not finite"),
+        ("conjecture ratio-global --interval 0 nan",
+         "interval (0.0, nan) is not finite"),
+        ("conjecture cm --interval 0.1 inf",
+         "interval (0.1, inf) is not finite"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", MISUSES,
+                             ids=[m[0] for m in MISUSES])
+    def test_analysis_misuse_exits_2(self, argv, message, capsys):
+        code, out, err = run(argv.split(), capsys)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
 
     def test_wrong_constant_injection_exits_1(self, capsys, monkeypatch):
         # deliberately corrupt the Euler-Mascheroni literal: the audited

@@ -95,6 +95,24 @@ class TestNearZeros:
             assert abs(refcore.log_base_arg(x, lam) - ref) <= 4 * math.ulp(
                 ref), x
 
+    @pytest.mark.parametrize("x", [1e154, 1.3e154, 1.35e154, 1e200, 1e300,
+                                   1.7e308])
+    @pytest.mark.parametrize("lam", [1.0, 6.0])
+    def test_log_base_arg_past_the_product_overflow(self, x, lam):
+        # x(x-1) overflows past ~1.34e154; the value does not
+        m = mp.mpf(x)
+        ref = float(m * (m - 1) / (m + lam))
+        for value in (refcore.log_base_arg(x, lam),
+                      refcore.log_base_arg(np.array([0.5, x]), lam)[1]):
+            assert abs(value - ref) <= 4 * math.ulp(ref), x
+
+    def test_log_base_arg_keeps_its_bits_where_the_product_is_finite(self):
+        xs = np.array([0.5, 2.0, 1e100, 1e154, 1.3e154, 1e200])
+        plain = [x * (x - 1.0) / (x + 2.0) for x in xs[:-1].tolist()]
+        assert refcore.log_base_arg(xs, 2.0)[:-1].tolist() == plain
+        assert [refcore.log_base_arg(x, 2.0)
+                for x in xs[:-1].tolist()] == plain
+
     @pytest.mark.parametrize("bad", [-1.0, -2.0, math.nan, math.inf])
     def test_ln_gamma1p_domain(self, bad):
         with pytest.raises(ValueError):
@@ -307,6 +325,20 @@ class TestTaylorBand:
         twin = refcore.ln_gamma1p_array(np.array(xs)).tolist()
         assert twin == [refcore.ln_gamma1p(x) for x in xs]
 
+    def test_ln_gamma_twin_equals_scalar_on_the_band(self):
+        rng = random.Random(15)
+        xs = [rng.uniform(0.5, 2.5) for _ in range(2000)]
+        xs += [x for c in (0.5, 1.0, 1.5, 2.0, 2.5) for x in _ulps_around(c)]
+        twin = refcore.ln_gamma_array(np.array(xs)).tolist()
+        assert twin == [refcore.ln_gamma(x) for x in xs]
+
+    def test_ln_gamma_twin_overflows_as_the_scalar(self):
+        # past x ~ 2.56e305 the Stirling sum leaves double range
+        xs = [1e305, 1e306, 1.7e308]
+        twin = refcore.ln_gamma_array(np.array(xs)).tolist()
+        assert twin == [refcore.ln_gamma(x) for x in xs]
+        assert twin[1:] == [math.inf, math.inf]
+
 
 def _array_kernels():
     # (id, twin, scalar kernel, oracle, lower end of the domain).  The
@@ -316,6 +348,8 @@ def _array_kernels():
     return [
         ("ln_gamma", refcore.ln_gamma1p_array, refcore.ln_gamma1p,
          lambda x: mp.loggamma(1 + mp.mpf(x)), -1.0),
+        ("ln_gamma_of_x", refcore.ln_gamma_array, refcore.ln_gamma,
+         mp.loggamma, 0.0),
         ("digamma", refcore.digamma_array, refcore.digamma, mp.digamma, 0.0),
     ] + [
         ("polygamma%d" % k,
