@@ -358,12 +358,10 @@ def _family_logs(family_id, xs):
     errors = {}
     for i in np.flatnonzero(bad).tolist():
         try:
-            bp = bounds.evaluate_family(family_id, xs[i])
+            bounds.evaluate_family(family_id, xs[i])
         except bounds.DomainError as exc:
             errors["lower"] = errors["upper"] = (i, exc)
             break
-        # the array kernels left double range where the point ones do not
-        lower[i], upper[i] = bp.log_lower, bp.log_upper
     if bounds.FAMILIES[family_id].one_sided and len(xs):
         lower[:] = np.nan
         if errors.get("lower", (None,))[0] != 0:  # the first point is valid

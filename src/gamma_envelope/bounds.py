@@ -313,7 +313,7 @@ FAMILIES = {
             GAMMA_OF_X_PLUS_1,
             "sharp-exponent envelope ((x^2+1)/(x+1))^a with a in "
             "{2(1-gamma), gamma}",
-            _qi_guo, _open_unit, "theorem_bounds requires 0 < x < 1, got %r",
+            _qi_guo, _open_unit, "qi_guo requires 0 < x < 1, got %r",
         ),
         FamilyEntry(
             "qi_guo_extended",
@@ -321,7 +321,7 @@ FAMILIES = {
             GAMMA_OF_X_PLUS_1,
             "sharp envelope extended by the factorial recurrence",
             _qi_guo_extended, _positive,
-            "extended_bounds requires x > 0, got %r",
+            "qi_guo_extended requires x > 0, got %r",
             equality=lambda x: x % 1.0 == 0.0,
         ),
         FamilyEntry(

@@ -3,11 +3,15 @@ deterministic reports.
 
 Exit codes: 0 when every check passes / every probe is consistent, 1 when
 any verification fails or a conjecture violation is found, 2 on usage or
-I/O errors.  All output is deterministic: CSV uses '.' decimals, 17
-significant digits and LF line endings, JSON is sorted.
+I/O errors.  Each sub-command returns a table, (header, rows, ok), and
+:func:`main` alone renders and writes it.  All output is deterministic:
+CSV follows RFC 4180 with '.' decimals, 17 significant digits and LF line
+endings, and quotes a cell only when it holds a comma, a double quote or
+a line break (a quote inside it is doubled); JSON is sorted.
 """
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -20,59 +24,42 @@ from gamma_envelope import bounds, refcore
 FORMATS = ("csv", "json", "markdown")
 
 
-class SystemExit2(Exception):
-    """Usage error surfaced as exit code 2."""
-
-
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cell(v):
+    if v is None:
+        return ""
     return "%.17g" % v if isinstance(v, float) else str(v)
 
 
-def _rows_to_csv(header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_cell, row)) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _rows_to_markdown(header, rows):
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "---|" * len(header),
-    ]
-    lines.extend("| " + " | ".join(map(_cell, row)) + " |" for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _render(header, rows, fmt):
+    """The report text of one table.  JSON gives one object per row, keyed
+    by the header; a header of None marks ``rows`` as a whole document."""
     if fmt == "csv":
-        return _rows_to_csv(header, rows)
+        import csv  # only CSV reports pay for it
+
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+        return buf.getvalue()
     if fmt == "markdown":
-        return _rows_to_markdown(header, rows)
-    return (
-        json.dumps(
-            [dict(zip(header, row)) for row in rows],
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+        lines = [
+            "| " + " | ".join(header) + " |",
+            "|" + "---|" * len(header),
+        ]
+        lines.extend("| " + " | ".join(map(_cell, row)) + " |"
+                     for row in rows)
+        return "\n".join(lines) + "\n"
+    doc = rows if header is None else [dict(zip(header, r)) for r in rows]
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# sub-commands
+# sub-commands: each returns (header, rows, ok), ok meaning exit code 0
 
 
 def _cmd_bounds(args):
     if args.x is None:
-        raise SystemExit2("--x is required for the bounds command")
+        raise ValueError("--x is required for the bounds command")
     bp = bounds.evaluate_family(args.family, args.x)
     # compare logs: Gamma overflows a double past x ~ 171, its log does
     # not; ln_gamma1p keeps the digits of ln Gamma(x+1) near x = 0 and 1
@@ -86,11 +73,9 @@ def _cmd_bounds(args):
         bp.family, float(args.x), bp.lower, bounds._safe_exp(log_true),
         bp.upper, bp.argument_convention, bp.is_equality_point, bp.one_sided,
     ]]
-    _emit(_render(header, rows, args.format), args.out)
-    if bp.is_equality_point:
-        return 0
     lower_ok = bp.one_sided or bp.log_lower < log_true
-    return 0 if lower_ok and log_true < bp.log_upper else 1
+    ok = bp.is_equality_point or (lower_ok and log_true < bp.log_upper)
+    return header, rows, ok
 
 
 def _cmd_compare(args):
@@ -99,28 +84,19 @@ def _cmd_compare(args):
     findings = analysis.remark_claims(grid_n=max(args.grid, args.grid_floor))
     header = ["claim_id", "description", "verdict"]
     rows = [list(f) for f in findings]
-    _emit(_render(header, rows, args.format), args.out)
-    return 0 if all(v in ("pass", "flagged") for _, _, v in findings) else 1
+    return header, rows, all(v in ("pass", "flagged") for _, _, v in findings)
 
 
 def _cmd_audit(args):
     from gamma_envelope import proofaudit
 
     claims = proofaudit.audit_proof(grid_n=args.grid)
-    if args.format == "json":
-        # the JSON form also carries each claim's interval
-        text = proofaudit.claims_to_json(claims) + "\n"
-    else:
-        header = ["name" if args.format == "csv" else "claim", "kind",
-                  "expected", "measured", "verdict", "witness"]
-        rows = [
-            [c.name, c.kind, c.expected, c.measured, c.verdict,
-             "" if c.witness is None else c.witness]
-            for c in claims
-        ]
-        text = _render(header, rows, args.format)
-    _emit(text, args.out)
-    return 0 if all(c.verdict == "pass" for c in claims) else 1
+    fields = ["name", "kind", "expected", "measured", "verdict", "witness"]
+    if args.format == "json":  # a JSON row also carries the claim's interval
+        fields.insert(2, "interval")
+    rows = [[getattr(c, f) for f in fields] for c in claims]
+    header = ["claim"] + fields[1:] if args.format == "markdown" else fields
+    return header, rows, all(c.verdict == "pass" for c in claims)
 
 
 def _cmd_lemma2(args):
@@ -151,8 +127,8 @@ def _cmd_lemma2(args):
     ok = ok and h2_ok
     header = ["name", "kind", "claimed_sign", "descartes_bound",
               "sturm_root_count", "verdict"]
-    if args.format == "json":
-        payload = {
+    if args.format == "json":  # a document of the exact certificates
+        header, rows = None, {
             "certificates": {
                 "h%d" % i: json.loads(cert.to_json())
                 for i, cert in certs.items()
@@ -163,10 +139,7 @@ def _cmd_lemma2(args):
                 "verdict": "consistent" if h2_ok else "violated",
             },
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(_render(header, rows, args.format), args.out)
-    return 0 if ok else 1
+    return header, rows, ok
 
 
 def _cmd_monotone(args):
@@ -180,8 +153,7 @@ def _cmd_monotone(args):
               "min_abs_diff", "violations", "verdict"]
     rows = [[rep.function_id, a, b, rep.direction, rep.grid_n,
              rep.min_abs_diff, len(rep.strict_violations), rep.verdict]]
-    _emit(_render(header, rows, args.format), args.out)
-    return 0 if rep.verdict == "consistent" else 1
+    return header, rows, rep.verdict == "consistent"
 
 
 def _cmd_conjecture(args):
@@ -214,8 +186,7 @@ def _cmd_conjecture(args):
                          len(rep.strict_violations), rep.verdict])
             ok = ok and rep.verdict == "consistent"
     header = ["probe", "interval", "violations", "verdict"]
-    _emit(_render(header, rows, args.format), args.out)
-    return 0 if ok else 1
+    return header, rows, ok
 
 
 def _cmd_openproblem_lambda(args):
@@ -229,8 +200,7 @@ def _cmd_openproblem_lambda(args):
     rows.append(["lambda_inc_max_estimate", "%.17g" % inc])
     rows.append(["lambda_dec_min_estimate", "%.17g" % dec])
     rows.append(["note", "numerical estimates for an open question"])
-    _emit(_render(header, rows, args.format), args.out)
-    return 0 if 1.0 < inc <= dec < 6.0 else 1
+    return header, rows, 1.0 < inc <= dec < 6.0
 
 
 def _cmd_polygamma_check(args):
@@ -252,8 +222,7 @@ def _cmd_polygamma_check(args):
                      "pass" if check.ok else "fail"])
         ok = ok and check.ok
     header = ["k", "x_min", "x_max", "points", "min_margin", "verdict"]
-    _emit(_render(header, rows, args.format), args.out)
-    return 0 if ok else 1
+    return header, rows, ok
 
 
 def _grid_size(text):
@@ -344,13 +313,17 @@ def main(argv=None):
         # argparse exits 2 on usage errors already; normalize others
         return 2 if exc.code not in (0,) else 0
     try:
-        return args.fn(args)
-    except SystemExit2 as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        header, rows, ok = args.fn(args)
+        text = _render(header, rows, args.format)
+        if args.out:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (OSError, ValueError, KeyError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -12,9 +12,8 @@ forms; the audit's sweeps use the array form, in blocks of
 :data:`BLOCK` points.
 """
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
 
@@ -492,6 +491,3 @@ def audit_proof(grid_n=10000):
         ))
     return claims
 
-
-def claims_to_json(claims):
-    return json.dumps([asdict(c) for c in claims], indent=2, sort_keys=True)

@@ -1,5 +1,8 @@
 """End-to-end CLI contract: exit codes, formats, determinism."""
 
+import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -117,7 +120,7 @@ class TestSubcommands:
         )
         assert code == 0
         assert out == ("probe,interval,violations,verdict\n"
-                       "ratio_global_increasing,(0,50),0,consistent\n")
+                       'ratio_global_increasing,"(0,50)",0,consistent\n')
 
     @pytest.mark.parametrize("which, a, rows", [
         ("ratio-global", "0", 1), ("tau", "1", 4),
@@ -146,6 +149,15 @@ class TestSubcommands:
             "verdict": "consistent",
         }
         assert row["min_abs_diff"] > 0.0
+
+    def test_audit_json_rows_carry_every_field(self, capsys):
+        # one object per claim with all of its fields, the interval too
+        code, out, _ = run(["audit", "--grid", "200", "--format", "json"],
+                           capsys)
+        assert code == 0
+        claims = proofaudit.audit_proof(grid_n=200)
+        assert json.loads(out) == json.loads(json.dumps(
+            [dataclasses.asdict(c) for c in claims]))
 
     def test_conjecture_tau(self, capsys):
         code, out, _ = run(
@@ -381,6 +393,39 @@ class TestExitCodes:
         code, out, err = run(argv.split(), capsys)
         assert (code, out, err) == (2, "", "error: %s\n" % message)
 
+    # Misuses of bounds, audit and openproblem-lambda, and a report written
+    # into a missing directory: each exits 2 with one stderr line and no
+    # report.  A domain error names the family, not a Python function.
+    USAGE_MISUSES = [
+        ("bounds --family ivady", "--x is required for the bounds command"),
+        ("bounds --x -1", "qi_guo requires 0 < x < 1, got -1.0"),
+        ("bounds --family qi_guo_extended --x -1",
+         "qi_guo_extended requires x > 0, got -1.0"),
+        ("bounds --family unitball --x 0.25",
+         "unitball requires x > 1/2, got 0.25"),
+        ("bounds --family alzer_power --x 1",
+         "alzer_power is valid on (0,1) and (1,inf), got 1.0"),
+        ("bounds --x nan", "qi_guo requires finite x, got nan"),
+        ("bounds --family batir_12 --x 1e306",
+         "batir_12(1e+306): log bounds (inf, inf) are outside double range"),
+        ("audit --grid 99", "grid_n must be >= 100, got 99"),
+        ("openproblem-lambda --lambda-tol -1",
+         "lambda_tol must be positive and finite"),
+        ("bounds --x 0.5 --out missing/r.csv",
+         "[Errno 2] No such file or directory: 'missing/r.csv'"),
+        ("audit --grid 200 --format json --out missing/r.json",
+         "[Errno 2] No such file or directory: 'missing/r.json'"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", USAGE_MISUSES,
+                             ids=[m[0] for m in USAGE_MISUSES])
+    def test_usage_misuse_exits_2(self, argv, message, capsys, tmp_path,
+                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where no directory "missing" exists
+        code, out, err = run(argv.split(), capsys)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+        assert list(tmp_path.iterdir()) == []
+
     def test_wrong_constant_injection_exits_1(self, capsys, monkeypatch):
         # deliberately corrupt the Euler-Mascheroni literal: the audited
         # limit at 1- is computed from digamma, so the anchor check fails
@@ -417,6 +462,30 @@ class TestDeterminism:
         text = raw.decode()
         header = text.split("\n", 1)[0]
         assert header == "name,kind,expected,measured,verdict,witness"
+
+    # every sub-command's default report, and the ratio probe up to 1e300
+    CSV_REPORTS = [
+        "bounds --x 0.5", "compare", "audit", "lemma2", "monotone",
+        "conjecture cm", "conjecture ratio-global", "conjecture tau",
+        "openproblem-lambda", "polygamma-check",
+        "conjecture ratio-global --interval 0 1e300",
+    ]
+
+    @pytest.mark.parametrize("argv", CSV_REPORTS)
+    def test_csv_rows_have_the_header_width(self, argv, capsys):
+        code, out, _ = run(argv.split(), capsys)
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows
+        assert [len(row) for row in rows] == [len(header)] * len(rows)
+
+    def test_csv_cell_round_trips(self):
+        # RFC 4180: the cell is quoted and its quote doubled
+        cell = 'a, "b"\nc'
+        text = cli._render(["x", "y"], [[cell, 0.5]], "csv")
+        assert text == 'x,y\n"a, ""b""\nc",0.5\n'
+        assert list(csv.reader(io.StringIO(text))) == [["x", "y"],
+                                                       [cell, "0.5"]]
 
 
 # Runs CLI argvs in a fresh interpreter and prints their exit codes and

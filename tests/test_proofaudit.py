@@ -199,14 +199,6 @@ class TestAudit:
         assert claim.witness == witness
         assert claim.interval == (0.0, 0.75)
 
-    def test_serialization(self):
-        import json
-
-        claims = pa.audit_proof(grid_n=200)
-        doc = json.loads(pa.claims_to_json(claims))
-        assert len(doc) == len(claims)
-        assert all(len(c["interval"]) == 2 for c in doc)
-
 
 class TestDenseAudit:
     def test_every_claim_passes(self):
