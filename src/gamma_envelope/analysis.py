@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from gamma_envelope import bounds, refcore, sweep
 from gamma_envelope.proofaudit import (
-    _ON_ARRAY, _lambda_den, _lambda_sides, _quotient, proof_function, ratio_R,
+    _lambda_den, _lambda_sides, _quotient, proof_function, ratio_R,
 )
 
 # Relative inset used to keep grids away from open-interval boundaries.
@@ -50,13 +50,11 @@ def _lambda_sweep(xs):
     default all of them, equal to them bit for bit.  The numerator is
     evaluated once, by ``ln_gamma1p_array``, which equals ``ln_gamma1p``
     bit for bit on (0, 1); each call takes the array quotient's
-    denominators, elementwise with math.log1p (np.log1p changes the last
-    bit of 618 of the 20,000 denominators of the 20,000-point grid at
-    lambda = 2)."""
+    denominators from ``refcore.ON_ARRAY``, which rounds each as a float."""
     num = refcore.ln_gamma1p_array(xs)
 
     def values(lam, idx=slice(None)):
-        return num[idx] / _lambda_den(_ON_ARRAY, xs[idx], lam)
+        return num[idx] / _lambda_den(refcore.ON_ARRAY, xs[idx], lam)
 
     return values
 
@@ -107,7 +105,7 @@ def _proof_function_each(name, x):
     # one scalar proof_function call per point: perfbench's tracer test
     # counts these calls for check_monotone('q', ..., grid_n=10), so moving
     # them to proof_function_array waits for the benchmark change of
-    # ROADMAP item 8
+    # ROADMAP item 10
     if not isinstance(x, np.ndarray):
         return proof_function(name, x)
     return np.array([proof_function(name, v) for v in x.tolist()])
@@ -171,7 +169,7 @@ def check_monotone(function_id, a, b, direction, grid_n=10000):
     _finite_interval(a, b)
     if not a < b:
         raise ValueError("need a < b")
-    if grid_n < 2:
+    if sweep.grid_size(grid_n, "grid_n") < 2:
         raise ValueError("grid_n must be >= 2, got %r" % (grid_n,))
     if direction not in ("increasing", "decreasing"):
         raise ValueError("direction must be 'increasing' or 'decreasing'")
@@ -250,7 +248,7 @@ def search_lambda_thresholds(grid_n=2000, lambda_tol=1e-3):
     directions is non-monotone at once, and only the others are swept
     over the whole grid.  The answers equal full-grid sweeps exactly.
     """
-    if grid_n < 1000:
+    if sweep.grid_size(grid_n, "grid_n") < 1000:
         raise ValueError("grid_n must be >= 1000")
     if not 0.0 < lambda_tol < math.inf:
         raise ValueError("lambda_tol must be positive and finite")
@@ -303,7 +301,7 @@ def cm_probe(function_id, a, b, max_order, step):
     tol_n = 2^n * 1e-12 * max|f| over the stencil.  A clean sweep is
     reported "consistent" (no violation found, not a proof).
     """
-    if not 0 <= max_order <= 8:
+    if not 0 <= sweep.grid_size(max_order, "max_order") <= 8:
         raise ValueError("max_order must be in 0..8, got %r" % (max_order,))
     if not step > 0.0:
         raise ValueError("step must be positive")
@@ -410,7 +408,7 @@ def find_crossover(family_a, family_b, side, a, b, scan_n=1000):
         logs = [_family_logs(f, xs) for f in (family_a, family_b)]
         return _side_difference(side, *logs)
 
-    xs = _grid(a, b, scan_n)
+    xs = _grid(a, b, sweep.grid_size(scan_n, "scan_n"))
     vals = diff(xs)
     return [
         sweep.root(lambda x: diff([x])[0], float(xs[i]), float(xs[i + 1]),
@@ -443,7 +441,7 @@ def compare_families(side, a, b, grid_n, families):
         raise ValueError(
             "families mix argument conventions: %s" % (sorted(conventions),)
         )
-    xs = _grid(a, b, grid_n)
+    xs = _grid(a, b, sweep.grid_size(grid_n, "grid_n"))
     values = [_side(_family_logs(f, xs), side) for f in families]
     winners = _winners(side, values)
     return ComparisonReport(
@@ -540,7 +538,7 @@ def remark_claims(grid_n=2000):
     """Evaluate every encoded comparison finding; returns
     [(claim_id, description, verdict)] with verdict in
     {pass, fail, flagged}."""
-    c = _ClaimGrids(grid_n)
+    c = _ClaimGrids(sweep.grid_size(grid_n, "grid_n"))
     out = [(cid, text, "pass" if holds(c) else "fail")
            for cid, text, holds in _CLAIMS]
     # The companion upper-bound finding in the source text compares a

@@ -17,8 +17,6 @@ families carry a ``-inf`` sentinel on the missing side plus the
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from types import SimpleNamespace
 
 from gamma_envelope import refcore
 
@@ -53,12 +51,9 @@ class BoundPair:
 def _safe_exp(v):
     if v == -math.inf:
         return -math.inf
-    if v > 710.0:  # past ln(DBL_MAX) ~ 709.78; saves raising and catching
+    if v > refcore.LN_DBL_MAX:  # exp overflows
         return math.inf
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
+    return math.exp(v)
 
 
 def _pair(log_lower, log_upper, conv, family, x, is_equality_point=False,
@@ -138,6 +133,9 @@ def polygamma_bounds(k, x):
         tail = math.factorial(k) / x ** (k + 1)
     except (OverflowError, ZeroDivisionError):  # a power over/underflows
         head = tail = math.inf
+    except TypeError:  # from math.factorial
+        raise DomainError("polygamma_bounds requires an integer k, got %r"
+                          % (k,)) from None
     lower = head + 0.5 * tail
     upper = head + tail
     if upper == math.inf:
@@ -151,10 +149,9 @@ def polygamma_bounds(k, x):
 # ---------------------------------------------------------------------------
 # family catalog
 #
-# Each family's two log sides are written once, as a function of x and
-# the kernels, for a float or an array: math's log and log1p and
-# refcore.digamma at a point; np.log, math.log1p element by element and
-# digamma_array on an array.
+# Each family's two log sides are written once, as a function of x and a
+# kernel namespace, refcore.AT_POINT at a float and refcore.ON_ARRAY on an
+# array, so every element of an array rounds as the float does.
 
 
 def _falling_log(x):
@@ -167,27 +164,6 @@ def _falling_log(x):
             log_prod += math.log(x - i)
         return log_prod
     return refcore.ln_gamma(x + 1.0) - refcore.ln_gamma(x - n + 1.0)
-
-
-# The kernels the log sides take at a float; where(c, a, b) is a where c
-# holds, else b.  refcore.digamma is looked up at each call, so a wrapper
-# installed there sees every call.
-_AT_POINT = SimpleNamespace(
-    log=math.log, log1p=math.log1p, digamma=lambda x: refcore.digamma(x),
-    where=lambda c, a, b: a if c else b, falling_log=_falling_log,
-)
-
-
-def _on_array():
-    # numpy is imported by the array evaluation only: a point query loads
-    # none
-    import numpy as np
-
-    return SimpleNamespace(
-        log=np.log, log1p=partial(refcore._each, math.log1p),
-        digamma=refcore.digamma_array, where=np.where,
-        falling_log=partial(refcore._each, _falling_log),
-    )
 
 
 def _ivady(x, k):
@@ -203,7 +179,7 @@ def _qi_guo_extended(x, k):
     # the envelope at t = x - floor(x) times x (x-1) ... (t+1); at t = 0
     # lb is -0.0 and the sides are the falling log
     lb = k.log1p(refcore.log_base_arg(x % 1.0))
-    log_prod = k.falling_log(x)
+    log_prod = k.each(_falling_log, x)
     return _C.alpha_sharp * lb + log_prod, _C.beta_sharp * lb + log_prod
 
 
@@ -426,7 +402,7 @@ def evaluate_family(family_id, x):
         _require_finite(x, family_id)
     if not inside(x):
         raise DomainError(FAMILIES[family_id].domain_error % (x,))
-    log_lower, log_upper = sides(x, _AT_POINT)
+    log_lower, log_upper = sides(x, refcore.AT_POINT)
     return _pair(log_lower, log_upper, conv, family_id, x,
                  equality is not None and equality(x), one_sided)
 
@@ -449,7 +425,7 @@ def family_logs_array(family_id, xs):
     ok = (np.abs(xs) < math.inf) & entry.inside(xs)
     # overflow and 0/0 become non-finite sides, which are flagged bad
     with np.errstate(all="ignore"):
-        lower[ok], upper[ok] = entry.sides(xs[ok], _on_array())
+        lower[ok], upper[ok] = entry.sides(xs[ok], refcore.ON_ARRAY)
     finite_lower = np.isfinite(lower)
     if entry.one_sided:
         finite_lower |= lower == -math.inf

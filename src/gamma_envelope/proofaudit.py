@@ -15,7 +15,6 @@ forms; the audit's sweeps use the array form, in blocks of
 import math
 from dataclasses import dataclass
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,22 +44,6 @@ class ProofClaim:
     witness: float | None = None
 
 
-# The kernels a ratio function takes.  At a float: math's, and refcore's
-# looked up at each call, so a wrapper installed there sees every call.
-_AT_POINT = SimpleNamespace(
-    log=math.log, log1p=math.log1p,
-    ln_gamma=lambda x: refcore.ln_gamma(x),
-    ln_gamma1p=lambda x: refcore.ln_gamma1p(x),
-)
-# On an array: math.log and math.log1p element by element, and the
-# refcore twins.
-_ON_ARRAY = SimpleNamespace(
-    log=partial(refcore._each, math.log),
-    log1p=partial(refcore._each, math.log1p),
-    ln_gamma=lambda x: refcore.ln_gamma_array(x),
-    ln_gamma1p=lambda x: refcore.ln_gamma1p_array(x),
-)
-
 _LEAST_NORMAL = 2.0**-1022
 
 
@@ -77,12 +60,13 @@ def _quotient(name, domain, inside, x, sides, param=None, at_one=None,
     On an array, every element where the float form would raise is
     handed to it, so the first of them raises the float form's error.
     """
-    if inside is True:  # a float in the domain; an array's test is an array
+    # a float or numpy scalar in the domain; an array's test is an array
+    if inside is True or (not isinstance(x, np.ndarray) and inside):
         if x == 1.0 and at_one is not None:
             return at_one
         if x < _LEAST_NORMAL and tiny is not None:
             return tiny
-        num, den = sides(_AT_POINT, x, param)
+        num, den = sides(refcore.AT_POINT, x, param)
         value = num / den if den else math.inf
         if math.isfinite(value):
             return value
@@ -90,15 +74,12 @@ def _quotient(name, domain, inside, x, sides, param=None, at_one=None,
         raise ValueError("%s(%s) is not a finite double"
                          % (name, ", ".join(map(repr, shown))))
     if not isinstance(x, np.ndarray):
-        if not inside:
-            raise ValueError("%s requires %s, got %r" % (name, domain, x))
-        # a numpy scalar in the domain
-        return _quotient(name, domain, True, x, sides, param, at_one, tiny)
+        raise ValueError("%s requires %s, got %r" % (name, domain, x))
     value = np.full(x.shape, np.nan)
     ok = inside & (np.abs(x) < math.inf)  # the kernels take finite x
     # an overflow or 0/0 leaves a non-finite value, handed on below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        num, den = sides(_ON_ARRAY, x[ok], param)
+        num, den = sides(refcore.ON_ARRAY, x[ok], param)
         value[ok] = num / den
     if at_one is not None:
         value[ok & (x == 1.0)] = at_one
@@ -376,7 +357,7 @@ def proof_function_array(name, xs):
 def closed_grid(n):
     """``n`` >= 2 evenly spaced points on [0, 1], both ends included: the
     grid of the audit's q1 monotonicity sweep."""
-    if not n >= 2:
+    if not sweep.grid_size(n, "n") >= 2:
         raise ValueError("closed_grid needs n >= 2, got %r" % (n,))
     return np.arange(n) / (n - 1)
 
@@ -384,7 +365,7 @@ def closed_grid(n):
 def interior_grid(n):
     """``n`` >= 2 evenly spaced points on [1e-6, 1 - 1e-6], the inset grid
     of the open unit interval used by the audit and the lemma check."""
-    if not n >= 2:
+    if not sweep.grid_size(n, "n") >= 2:
         raise ValueError("interior_grid needs n >= 2, got %r" % (n,))
     eps = 1e-6
     return eps + (1.0 - 2.0 * eps) * np.arange(n) / (n - 1)
@@ -432,7 +413,7 @@ def audit_proof(grid_n=10000):
     implementation.  Strictness is exact double comparison of consecutive
     grid values (the functions' derivatives dwarf grid noise here).
     """
-    if grid_n < 100:
+    if sweep.grid_size(grid_n, "grid_n") < 100:
         raise ValueError("grid_n must be >= 100, got %r" % (grid_n,))
     closed = closed_grid(grid_n)
     interior = interior_grid(grid_n)

@@ -1,4 +1,4 @@
-"""Reference evaluation of ln Gamma, psi and psi^(k), plus shared constants.
+"""Reference ln Gamma, psi and psi^(k), their namespaces and shared constants.
 
 Scheme: on (0.5, 2.5) ln Gamma sums its Taylor series about 2 with no
 shift (below).  Elsewhere each kernel shifts the argument upward by the
@@ -43,13 +43,19 @@ All functions are pure and stateless.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from types import SimpleNamespace
 
 #: Euler-Mascheroni constant, 17 significant digits.
 EULER_GAMMA = 0.57721566490153286
 
 PI_SQ_OVER_6 = math.pi * math.pi / 6.0
+
+# exp of this is finite and exp of the next double overflows
+LN_DBL_MAX = math.log(sys.float_info.max)
 
 _SHIFT_CUTOFF = 15.0
 
@@ -132,7 +138,7 @@ ZETA_MINUS_ONE = (
 # ln_gamma1p takes z from x itself on (-0.5, _ZERO_BAND) and on
 # (1 - _ZERO_BAND, 1.5), where the rounding of 1 + x would cost the most
 # relative accuracy; [0.1, 0.9] stays with ln_gamma(1 + x), whose calls
-# perfbench's tracer test counts (ROADMAP item 8)
+# perfbench's tracer test counts (ROADMAP item 10)
 _ZERO_BAND = 0.1
 
 # ln Gamma(2+z) = (1-gamma) z + sum_{k=2}^{24} (-1)^k (zeta(k)-1) z^k/k; the
@@ -285,7 +291,7 @@ def _finite_array(name, x, low=0.0):
 
 
 def _each(fn, x):
-    """A math function of every element of a 1-D array, so that each
+    """A scalar function of every element of a 1-D array, so that each
     rounds as it does on a float (a list's floats are faster to feed than
     the array's numpy scalars)."""
     import numpy as np
@@ -392,9 +398,38 @@ def polygamma_array(k, x):
     return value
 
 
+# The kernels of a formula written once for a float (AT_POINT) or a 1-D
+# array (ON_ARRAY), where each math function runs element by element and
+# so rounds as at a float.  Kernels are looked up here at each call, so a
+# wrapper installed on this module sees every call.  each(f, x) is f of x
+# or of each element; where(c, a, b) is a where c holds, else b.
+AT_POINT = SimpleNamespace(
+    log=math.log, log1p=math.log1p, each=lambda f, x: f(x),
+    where=lambda c, a, b: a if c else b, digamma=lambda x: digamma(x),
+    ln_gamma=lambda x: ln_gamma(x), ln_gamma1p=lambda x: ln_gamma1p(x),
+)
+
+
+def _where(c, a, b):
+    import numpy as np
+
+    return np.where(c, a, b)
+
+
+ON_ARRAY = SimpleNamespace(
+    log=partial(_each, math.log), log1p=partial(_each, math.log1p),
+    each=_each, where=_where, digamma=lambda x: digamma_array(x),
+    ln_gamma=lambda x: ln_gamma_array(x),
+    ln_gamma1p=lambda x: ln_gamma1p_array(x),
+)
+
+
 def gamma(x):
-    """Gamma(x) = exp(ln_gamma(x)), x > 0."""
-    return math.exp(ln_gamma(x))
+    """Gamma(x) = exp(ln_gamma(x)), x > 0, where it is a finite double."""
+    log_value = ln_gamma(x)
+    if not log_value <= LN_DBL_MAX:
+        raise ValueError("Gamma(%r) is not a finite double" % (x,))
+    return math.exp(log_value)
 
 
 @dataclass(frozen=True)

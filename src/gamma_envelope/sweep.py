@@ -10,6 +10,7 @@ inequality.
 """
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +20,14 @@ class Verdict(NamedTuple):
     ok: bool
     measured: float
     witness: float | None
+
+
+def grid_size(n, name):
+    """The count ``n`` as an int; a non-integer raises ValueError."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (name, n)) from None
 
 
 def lowest(xs, margins):

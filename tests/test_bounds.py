@@ -154,8 +154,9 @@ class TestPolygammaBounds:
                 assert bp.lower < v < bp.upper
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            bounds.polygamma_bounds(0, 1.0)
+        for k in (0, 1.5):  # not an integer >= 1
+            with pytest.raises(DomainError):
+                bounds.polygamma_bounds(k, 1.0)
         for bad in (0.0, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 bounds.polygamma_bounds(1, bad)
@@ -244,6 +245,15 @@ class TestFamilyCatalog:
     def test_unknown_family(self):
         with pytest.raises(KeyError):
             bounds.evaluate_family("nope", 0.5)
+
+    def test_safe_exp_saturates_exactly_past_ln_dbl_max(self):
+        top = refcore.LN_DBL_MAX
+        assert bounds._safe_exp(top) == math.exp(top) == 1.7976931348622732e308
+        above = math.nextafter(top, math.inf)
+        with pytest.raises(OverflowError):
+            math.exp(above)
+        assert bounds._safe_exp(above) == math.inf
+        assert bounds._safe_exp(-math.inf) == -math.inf
 
     @pytest.mark.parametrize("fid", sorted(bounds.FAMILIES))
     def test_containment(self, fid):

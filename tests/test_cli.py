@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 
@@ -328,6 +329,14 @@ class TestExitCodes:
     def test_unknown_function_exits_2(self, capsys):
         code, _, err = run(["monotone", "--function", "nope"], capsys)
         assert code == 2
+
+    def test_run_as_a_script(self, capsys, monkeypatch):
+        # the module's __main__ line exits with main's code
+        monkeypatch.setattr(sys, "argv", ["cli.py", "bounds", "--x", "0.5"])
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_path(cli.__file__, run_name="__main__")
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("family,x,lower,")
 
     def test_tau_ratio_beyond_double_range_exits_2(self, capsys):
         # at 5e-324 the denominator rounds to -0.0

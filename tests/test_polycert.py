@@ -20,6 +20,7 @@ from gamma_envelope.polycert import (
 class TestPolynomial:
     def test_normalizes_trailing_zeros(self):
         assert Polynomial([1, 2, 0, 0]).coefficients == [1, 2]
+        assert repr(Polynomial([1, 2, 0, 0])) == "Polynomial([1, 2])"
         assert Polynomial([0, 0]).coefficients == [0]
 
     def test_exact_evaluation(self):

@@ -19,6 +19,8 @@ class TestRatio:
             mp.loggamma(1.5) / (mp.log(1.25) - mp.log(1.5))
         )
         assert pa.ratio_R(0.5) == pytest.approx(expected, rel=1e-10)
+        # a numpy scalar is taken as the float it holds
+        assert pa.ratio_R(np.float64(0.5)) == pa.ratio_R(0.5)
 
     def test_limit_at_zero(self):
         assert pa.ratio_R(1e-8) == pytest.approx(

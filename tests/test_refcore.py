@@ -233,6 +233,12 @@ class TestConstants:
         c = refcore.constants()
         assert 0.577215664 < c.euler_gamma < 0.577215665
 
+    def test_import_check_catches_a_broken_digamma(self, monkeypatch):
+        refcore._check_gamma_literal()
+        monkeypatch.setattr(refcore, "digamma", lambda x: -0.6)
+        with pytest.raises(RuntimeError, match="disagrees"):
+            refcore._check_gamma_literal()
+
     def test_exact_relations(self):
         c = refcore.constants()
         assert c.alpha_sharp == 2.0 * (1.0 - c.euler_gamma)
