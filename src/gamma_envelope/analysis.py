@@ -169,8 +169,7 @@ def check_monotone(function_id, a, b, direction, grid_n=10000):
     _finite_interval(a, b)
     if not a < b:
         raise ValueError("need a < b")
-    if sweep.grid_size(grid_n, "grid_n") < 2:
-        raise ValueError("grid_n must be >= 2, got %r" % (grid_n,))
+    sweep.grid_size(grid_n, "grid_n", 2)
     if direction not in ("increasing", "decreasing"):
         raise ValueError("direction must be 'increasing' or 'decreasing'")
     f = resolve_function(function_id)
@@ -248,8 +247,7 @@ def search_lambda_thresholds(grid_n=2000, lambda_tol=1e-3):
     directions is non-monotone at once, and only the others are swept
     over the whole grid.  The answers equal full-grid sweeps exactly.
     """
-    if sweep.grid_size(grid_n, "grid_n") < 1000:
-        raise ValueError("grid_n must be >= 1000")
+    sweep.grid_size(grid_n, "grid_n", 1000)
     if not 0.0 < lambda_tol < math.inf:
         raise ValueError("lambda_tol must be positive and finite")
     classify = _lambda_classifier(_grid(0.0, 1.0, grid_n))
@@ -408,7 +406,7 @@ def find_crossover(family_a, family_b, side, a, b, scan_n=1000):
         logs = [_family_logs(f, xs) for f in (family_a, family_b)]
         return _side_difference(side, *logs)
 
-    xs = _grid(a, b, sweep.grid_size(scan_n, "scan_n"))
+    xs = _grid(a, b, sweep.grid_size(scan_n, "scan_n", 2))
     vals = diff(xs)
     return [
         sweep.root(lambda x: diff([x])[0], float(xs[i]), float(xs[i + 1]),
@@ -441,7 +439,7 @@ def compare_families(side, a, b, grid_n, families):
         raise ValueError(
             "families mix argument conventions: %s" % (sorted(conventions),)
         )
-    xs = _grid(a, b, sweep.grid_size(grid_n, "grid_n"))
+    xs = _grid(a, b, sweep.grid_size(grid_n, "grid_n", 2))
     values = [_side(_family_logs(f, xs), side) for f in families]
     winners = _winners(side, values)
     return ComparisonReport(
@@ -538,7 +536,7 @@ def remark_claims(grid_n=2000):
     """Evaluate every encoded comparison finding; returns
     [(claim_id, description, verdict)] with verdict in
     {pass, fail, flagged}."""
-    c = _ClaimGrids(sweep.grid_size(grid_n, "grid_n"))
+    c = _ClaimGrids(sweep.grid_size(grid_n, "grid_n", 2))
     out = [(cid, text, "pass" if holds(c) else "fail")
            for cid, text, holds in _CLAIMS]
     # The companion upper-bound finding in the source text compares a

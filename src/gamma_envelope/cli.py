@@ -130,7 +130,7 @@ def _cmd_lemma2(args):
     if args.format == "json":  # a document of the exact certificates
         header, rows = None, {
             "certificates": {
-                "h%d" % i: json.loads(cert.to_json())
+                "h%d" % i: cert.as_dict()
                 for i, cert in certs.items()
             },
             "h2_grid_check": {

@@ -9,7 +9,6 @@ monotonicity proof (see :data:`LEMMA_POLYNOMIALS`); their certification on
 (0, 1) is the machine half of the Descartes-rule argument.
 """
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -174,29 +173,25 @@ class SignCertificate:
     verdict: str  # "certified" | "refuted"
     spot_checks: list = field(default_factory=list)  # extra exact anchors
 
-    def to_json(self):
+    def as_dict(self):
+        """The certificate as plain JSON types, each rational a
+        ``"num/den"`` string."""
         def frac(q):
             q = Fraction(q)
             return "%d/%d" % (q.numerator, q.denominator)
 
-        return json.dumps(
-            {
-                "coefficients": self.polynomial.coefficients,
-                "interval": [frac(self.interval[0]), frac(self.interval[1])],
-                "claimed_sign": self.claimed_sign,
-                "descartes_bound": self.descartes_bound,
-                "endpoint_values": [
-                    [frac(x), frac(v)] for x, v in self.endpoint_values
-                ],
-                "sturm_root_count": self.sturm_root_count,
-                "verdict": self.verdict,
-                "spot_checks": [
-                    [frac(x), frac(v)] for x, v in self.spot_checks
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return {
+            "coefficients": list(self.polynomial.coefficients),
+            "interval": [frac(self.interval[0]), frac(self.interval[1])],
+            "claimed_sign": self.claimed_sign,
+            "descartes_bound": self.descartes_bound,
+            "endpoint_values": [
+                [frac(x), frac(v)] for x, v in self.endpoint_values
+            ],
+            "sturm_root_count": self.sturm_root_count,
+            "verdict": self.verdict,
+            "spot_checks": [[frac(x), frac(v)] for x, v in self.spot_checks],
+        }
 
 
 def certify_sign(p, a, b, claimed, spot_points=()):

@@ -7,9 +7,12 @@ functions q, q1, q1' whose signs and zeros are asserted along the way.
 This module evaluates every link of that chain verbatim (with the
 polygamma reference kernels), at one point or over a float array, and
 re-checks each asserted claim on a grid, returning structured pass/fail
-verdicts rather than raising.  Each link is written once and serves both
-forms; the audit's sweeps use the array form, in blocks of
-:data:`BLOCK` points.
+verdicts rather than raising.  Each link is one entry of one table,
+:data:`_VALUES`, written once for both forms: it takes its kernels from
+``refcore.AT_POINT`` at a float and ``refcore.ON_ARRAY`` on an array, so
+the lemma expressions and ln Gamma agree bit for bit between the forms.
+The audit's sweeps use the array form, in blocks of :data:`BLOCK`
+points.
 """
 
 import math
@@ -127,6 +130,28 @@ def _every(flags):
     return flags.all() if isinstance(flags, np.ndarray) else flags
 
 
+def _near_one(v, direct, series):
+    """``direct(v)``, with ``series(x)`` in its place where
+    |x - 1| < NEAR_ONE_BAND: at a float the one that applies, on an array
+    the direct formula with the series written over the band's entries."""
+    x = v.x
+    if v.k is not refcore.ON_ARRAY:
+        return series(x) if abs(x - 1.0) < NEAR_ONE_BAND else direct(v)
+    out = direct(v)
+    band = abs(x - 1.0) < NEAR_ONE_BAND
+    if band.any():
+        out[band] = series(x[band])
+    return out
+
+
+def _h2(v):
+    # lemma_expr(2, x) by its direct formula
+    x = v.x
+    return (x - 1.0) * (x * x + 2.0 * x - 1.0) - (x + 1.0) * (
+        x * x + 1.0
+    ) * v.k.log1p(refcore.log_base_arg(x))
+
+
 def _h2_near_one(x):
     # h2 ~ (x-1)^2/2 at x = 1 while its direct formula subtracts two
     # O(|x-1|) quantities; regroup so every term is O((x-1)^2):
@@ -147,16 +172,9 @@ def _h2_near_one(x):
     return (x + 1.0) * (-(u * u * u)) + (x + 1.0) * (x * x + 1.0) * s
 
 
-def _h2(x, log1p):
-    # lemma_expr(2, x) by its direct formula, outside the band about 1
-    return (x - 1.0) * (x * x + 2.0 * x - 1.0) - (x + 1.0) * (
-        x * x + 1.0
-    ) * log1p(refcore.log_base_arg(x))
-
-
-def _f_over_g_prime_near_one(x, h2):
-    # (x-1)psi(x+1) - ln Gamma(x+1) also vanishes like (x-1)^2;
-    # its Taylor coefficients about 1 are
+def _num_near_one(x):
+    # the numerator (x-1)psi(x+1) - ln Gamma(x+1) of f'/g' also vanishes
+    # like (x-1)^2; its Taylor coefficients about 1 are
     # (-1)^m (m-1)/m (zeta(m)-1), from psi^(m)(2).
     u = x - 1.0
     core = 0.0
@@ -165,7 +183,55 @@ def _f_over_g_prime_near_one(x, h2):
         up = up * u
         c = (m - 1) / m * refcore.ZETA_MINUS_ONE[m - 2]
         core = core + (c if m % 2 == 0 else -c) * up
-    return (x + 1.0) * (x * x + 1.0) * core / h2
+    return core
+
+
+# Every value of the proof chain, each a function of the memo ``v`` of
+# :class:`_Values`: x is ``v.x``, the kernels are ``v.k``
+# (``refcore.AT_POINT`` at a float, ``refcore.ON_ARRAY`` on an array) and
+# every other value is ``v[name]``.  lg, psi, psi1, psi2 and psi3 are
+# ln Gamma, psi, psi', psi'' and psi''' at x + 1 (lg taken from x itself,
+# by ln_gamma1p); h1..h5 are the lemma expressions at x; num is the
+# numerator of f'/g', which like h2 takes a series inside NEAR_ONE_BAND.
+# The last four are the displayed proof functions.
+_VALUES = {
+    "lg": lambda v: v.k.ln_gamma1p(v.x),
+    "psi": lambda v: v.k.digamma(v.x + 1.0),
+    "psi1": lambda v: v.k.polygamma(1, v.x + 1.0),
+    "psi2": lambda v: v.k.polygamma(2, v.x + 1.0),
+    "psi3": lambda v: v.k.polygamma(3, v.x + 1.0),
+    **{"h%d" % i: lambda v, p=p: p(v.x) for i, p in LEMMA_POLYNOMIALS.items()},
+    "h2": lambda v: _near_one(v, _h2, _h2_near_one),
+    "num": lambda v: _near_one(
+        v, lambda v: (v.x - 1.0) * v["psi"] - v["lg"], _num_near_one),
+    "f_over_g_prime": lambda v:
+        (v.x + 1.0) * (v.x * v.x + 1.0) * v["num"] / v["h2"],
+    "q": lambda v: v["lg"] - (v.x - 1.0) * v["psi"]
+        - (v.x + 1.0) * (v.x * v.x + 1.0) / v["h1"] * v["h2"] * v["psi1"],
+    "q1": lambda v: 2.0 * v["h3"] * v["psi1"]
+        + (v.x + 1.0) * (v.x * v.x + 1.0) * v["h1"] * v["psi2"],
+    "q1_prime": lambda v: 12.0 * v["h4"] * v["psi1"] + v["h1"] * (
+        3.0 * (3.0 * v.x * v.x + 2.0 * v.x + 1.0) * v["psi2"]
+        + (v.x + 1.0) * (v.x * v.x + 1.0) * v["psi3"]
+    ),
+}
+
+_PROOF_FUNCTIONS = ("f_over_g_prime", "q", "q1", "q1_prime")
+
+
+class _Values(dict):
+    """The values of :data:`_VALUES` at ``x``, a float or an array block,
+    with the kernels ``k``, each computed on first use and then shared by
+    every value that takes it."""
+
+    def __init__(self, x, k):
+        super().__init__()
+        self.x = x
+        self.k = k
+
+    def __missing__(self, key):
+        value = self[key] = _VALUES[key](self)
+        return value
 
 
 def _check_index(i):
@@ -184,81 +250,7 @@ def lemma_expr(i, x):
     if not 0.0 <= x <= 1.0:
         raise ValueError("lemma_expr requires 0 <= x <= 1, got %r" % (x,))
     _check_index(i)
-    if i != 2:
-        return float(LEMMA_POLYNOMIALS[i](x))
-    if abs(x - 1.0) < NEAR_ONE_BAND:
-        return _h2_near_one(x)
-    return _h2(x, math.log1p)
-
-
-def _h2_block(x):
-    # lemma_expr(2, .) on an array block, the band entries by the series
-    out = _h2(x, np.log1p)
-    band = abs(x - 1.0) < NEAR_ONE_BAND
-    if band.any():
-        out[band] = _h2_near_one(x[band])
-    return out
-
-
-# Each displayed proof function as one formula, shared by the point and
-# the array evaluation: (the values it takes after x, formula).  lg, psi,
-# psi1, psi2 and psi3 are ln Gamma, psi, psi', psi'' and psi''' at x + 1
-# (lg taken from x itself, by ln_gamma1p); h1..h4 are the lemma
-# expressions at x.  For f'/g' this is the direct formula; inside
-# NEAR_ONE_BAND the series above replaces it.
-_FORMULAS = {
-    "f_over_g_prime": (
-        ("lg", "psi", "h2"),
-        lambda x, lg, psi, h2:
-            (x + 1.0) * (x * x + 1.0) * ((x - 1.0) * psi - lg) / h2,
-    ),
-    "q": (
-        ("lg", "psi", "psi1", "h1", "h2"),
-        lambda x, lg, psi, psi1, h1, h2:
-            lg - (x - 1.0) * psi - (x + 1.0) * (x * x + 1.0) / h1 * h2 * psi1,
-    ),
-    "q1": (
-        ("psi1", "psi2", "h1", "h3"),
-        lambda x, psi1, psi2, h1, h3:
-            2.0 * h3 * psi1 + (x + 1.0) * (x * x + 1.0) * h1 * psi2,
-    ),
-    "q1_prime": (
-        ("psi1", "psi2", "psi3", "h1", "h4"),
-        lambda x, psi1, psi2, psi3, h1, h4:
-            12.0 * h4 * psi1 + h1 * (
-                3.0 * (3.0 * x * x + 2.0 * x + 1.0) * psi2
-                + (x + 1.0) * (x * x + 1.0) * psi3
-            ),
-    ),
-}
-
-# Those values at one point.  Kernels are looked up on refcore at each
-# call, so a wrapper installed there sees every call.
-_POINT_VALUES = {
-    "lg": lambda x: refcore.ln_gamma1p(x),
-    "psi": lambda x: refcore.digamma(x + 1.0),
-    "psi1": lambda x: refcore.polygamma(1, x + 1.0),
-    "psi2": lambda x: refcore.polygamma(2, x + 1.0),
-    "psi3": lambda x: refcore.polygamma(3, x + 1.0),
-    "h1": LEMMA_POLYNOMIALS[1],
-    "h2": lambda x: lemma_expr(2, x),
-    "h3": LEMMA_POLYNOMIALS[3],
-    "h4": LEMMA_POLYNOMIALS[4],
-}
-
-# The same values on an array block, h5 included.
-_BLOCK_VALUES = {
-    "lg": lambda x: refcore.ln_gamma1p_array(x),
-    "psi": lambda x: refcore.digamma_array(x + 1.0),
-    "psi1": lambda x: refcore.polygamma_array(1, x + 1.0),
-    "psi2": lambda x: refcore.polygamma_array(2, x + 1.0),
-    "psi3": lambda x: refcore.polygamma_array(3, x + 1.0),
-    "h1": LEMMA_POLYNOMIALS[1],
-    "h2": _h2_block,
-    "h3": LEMMA_POLYNOMIALS[3],
-    "h4": LEMMA_POLYNOMIALS[4],
-    "h5": LEMMA_POLYNOMIALS[5],
-}
+    return float(_Values(x, refcore.AT_POINT)["h%d" % i])
 
 
 def proof_function(name, x):
@@ -268,57 +260,25 @@ def proof_function(name, x):
     Endpoints 0 and 1 are allowed for ``q`` and ``q1`` (their formulas
     are finite there); ``f_over_g_prime`` needs the open interval.
     """
+    if name not in _PROOF_FUNCTIONS:
+        raise ValueError("unknown proof function %r" % (name,))
     if name == "f_over_g_prime":
         if not 0.0 < x < 1.0:
             raise ValueError("f_over_g_prime requires 0 < x < 1")
-        if abs(x - 1.0) < NEAR_ONE_BAND:
-            return _f_over_g_prime_near_one(x, lemma_expr(2, x))
     elif not 0.0 <= x <= 1.0:
         raise ValueError("%s requires 0 <= x <= 1" % (name,))
-    if name not in _FORMULAS:
-        raise ValueError("unknown proof function %r" % (name,))
-    needs, formula = _FORMULAS[name]
-    return formula(x, *[_POINT_VALUES[v](x) for v in needs])
+    return _Values(x, refcore.AT_POINT)[name]
 
 
-class _BlockValues(dict):
-    """The values of :data:`_BLOCK_VALUES` on one block ``x``, each
-    computed on first use and then shared by every formula that takes
-    it."""
-
-    def __init__(self, x):
-        super().__init__()
-        self.x = x
-
-    def __missing__(self, key):
-        value = self[key] = _BLOCK_VALUES[key](self.x)
-        return value
-
-
-def _block(arg, values):
-    # one proof function (by name) or lemma expression (by index) on the
-    # block of ``values``
-    if not isinstance(arg, str):
-        return values["h%d" % arg]
-    needs, formula = _FORMULAS[arg]
-    x = values.x
-    out = formula(x, *[values[v] for v in needs])
-    if arg == "f_over_g_prime":
-        band = abs(x - 1.0) < NEAR_ONE_BAND
-        if band.any():
-            out[band] = _f_over_g_prime_near_one(x[band], values["h2"][band])
-    return out
-
-
-def _evaluate(args, xs):
-    """{arg: values on ``xs``} for proof function names and lemma indices,
-    in blocks of :data:`BLOCK` points; within a block each kernel and
-    lemma value is computed once, however many of ``args`` take it."""
-    out = {arg: np.empty(len(xs)) for arg in args}
+def _evaluate(names, xs):
+    """{name: values on ``xs``} for names of :data:`_VALUES`, in blocks of
+    :data:`BLOCK` points; within a block each value is computed once,
+    however many of ``names`` take it."""
+    out = {name: np.empty(len(xs)) for name in names}
     for start in range(0, len(xs), BLOCK):
-        values = _BlockValues(xs[start:start + BLOCK])
-        for arg in args:
-            out[arg][start:start + BLOCK] = _block(arg, values)
+        values = _Values(xs[start:start + BLOCK], refcore.ON_ARRAY)
+        for name in names:
+            out[name][start:start + BLOCK] = values[name]
     return out
 
 
@@ -342,13 +302,13 @@ def lemma_expr_array(i, xs):
     in blocks of :data:`BLOCK` points."""
     xs = _unit_array("lemma_expr_array", xs, False)
     _check_index(i)
-    return _evaluate([i], xs)[i]
+    return _evaluate(["h%d" % i], xs)["h%d" % i]
 
 
 def proof_function_array(name, xs):
     """:func:`proof_function` of every element of a 1-D float array,
     evaluated in blocks of :data:`BLOCK` points."""
-    if name not in _FORMULAS:
+    if name not in _PROOF_FUNCTIONS:
         raise ValueError("unknown proof function %r" % (name,))
     xs = _unit_array(name, xs, name == "f_over_g_prime")
     return _evaluate([name], xs)[name]
@@ -357,23 +317,22 @@ def proof_function_array(name, xs):
 def closed_grid(n):
     """``n`` >= 2 evenly spaced points on [0, 1], both ends included: the
     grid of the audit's q1 monotonicity sweep."""
-    if not sweep.grid_size(n, "n") >= 2:
-        raise ValueError("closed_grid needs n >= 2, got %r" % (n,))
+    sweep.grid_size(n, "n", 2)
     return np.arange(n) / (n - 1)
 
 
 def interior_grid(n):
     """``n`` >= 2 evenly spaced points on [1e-6, 1 - 1e-6], the inset grid
     of the open unit interval used by the audit and the lemma check."""
-    if not sweep.grid_size(n, "n") >= 2:
-        raise ValueError("interior_grid needs n >= 2, got %r" % (n,))
+    sweep.grid_size(n, "n", 2)
     eps = 1e-6
     return eps + (1.0 - 2.0 * eps) * np.arange(n) / (n - 1)
 
 
 def _grid_claim(name, kind, sign, xs, vals, arg):
-    """One audited grid claim of the given kind from a sweep of the proof
-    function or lemma expression ``arg``."""
+    """One audited grid claim of the given kind from a sweep of the value
+    ``arg`` of :data:`_VALUES`; a unique zero is refined on the proof
+    function of that name."""
     if kind == "monotonicity":
         expected = "strictly %s" % ("increasing" if sign > 0 else "decreasing")
         ok, measured, witness = sweep.monotone(xs, vals, sign)
@@ -389,10 +348,8 @@ def _grid_claim(name, kind, sign, xs, vals, arg):
         ok, measured = len(changes) == 1, float(len(changes))
         if ok:
             i = changes[0]
-            f = proof_function if isinstance(arg, str) else lemma_expr
-            witness = sweep.root(
-                partial(f, arg), float(xs[i]), float(xs[i + 1]), vals[i], 1e-12
-            )
+            witness = sweep.root(partial(proof_function, arg), float(xs[i]),
+                                 float(xs[i + 1]), vals[i], 1e-12)
         else:
             witness = float(xs[changes[0]]) if len(changes) else None
     return ProofClaim(
@@ -413,11 +370,10 @@ def audit_proof(grid_n=10000):
     implementation.  Strictness is exact double comparison of consecutive
     grid values (the functions' derivatives dwarf grid noise here).
     """
-    if sweep.grid_size(grid_n, "grid_n") < 100:
-        raise ValueError("grid_n must be >= 100, got %r" % (grid_n,))
+    sweep.grid_size(grid_n, "grid_n", 100)
     closed = closed_grid(grid_n)
     interior = interior_grid(grid_n)
-    # Sweeps: (grid, [(proof function name or lemma index, [(claim, kind,
+    # Sweeps: (grid, [(proof function or lemma expression, [(claim, kind,
     # sign)])]).  The functions of one sweep are evaluated together and
     # share their kernel values; the cheap lemma polynomials get a sweep
     # each, so fewer value arrays are alive at once.
@@ -431,11 +387,11 @@ def audit_proof(grid_n=10000):
                    ("q_negative_interior", "sign", -1.0)]),
             ("f_over_g_prime", [("f_over_g_prime_strictly_increasing",
                                  "monotonicity", 1.0)]),
-            (2, [("lemma_h2_positive", "sign", 1.0)]),
+            ("h2", [("lemma_h2_positive", "sign", 1.0)]),
         ]),
     ] + [
-        (interior, [(i, [("lemma_h%d_negative" % i, "sign", -1.0)])])
-        for i in (1, 3, 4, 5)
+        (interior, [(h, [("lemma_%s_negative" % h, "sign", -1.0)])])
+        for h in ("h1", "h3", "h4", "h5")
     ]
     claims = []
     for xs, functions in sweeps:

@@ -407,6 +407,7 @@ AT_POINT = SimpleNamespace(
     log=math.log, log1p=math.log1p, each=lambda f, x: f(x),
     where=lambda c, a, b: a if c else b, digamma=lambda x: digamma(x),
     ln_gamma=lambda x: ln_gamma(x), ln_gamma1p=lambda x: ln_gamma1p(x),
+    polygamma=lambda k, x: polygamma(k, x),
 )
 
 
@@ -421,6 +422,7 @@ ON_ARRAY = SimpleNamespace(
     each=_each, where=_where, digamma=lambda x: digamma_array(x),
     ln_gamma=lambda x: ln_gamma_array(x),
     ln_gamma1p=lambda x: ln_gamma1p_array(x),
+    polygamma=lambda k, x: polygamma_array(k, x),
 )
 
 

@@ -22,12 +22,16 @@ class Verdict(NamedTuple):
     witness: float | None
 
 
-def grid_size(n, name):
-    """The count ``n`` as an int; a non-integer raises ValueError."""
+def grid_size(n, name, least=-math.inf):
+    """The count ``n`` as an int; a non-integer, or a count below
+    ``least``, raises ValueError naming ``name``."""
     try:
-        return operator.index(n)
+        n = operator.index(n)
     except TypeError:
         raise ValueError("%s must be an integer, got %r" % (name, n)) from None
+    if n < least:
+        raise ValueError("%s must be >= %d, got %r" % (name, least, n))
+    return n
 
 
 def lowest(xs, margins):

@@ -43,6 +43,10 @@ CONTRACTS = [
      "0 <= x <= 1"),
     ("proof_function_above_1", lambda: proofaudit.proof_function("q1", 1.5),
      "0 <= x <= 1"),
+    # the name is checked before the domain
+    ("proof_function_unknown_name_outside",
+     lambda: proofaudit.proof_function("nope", 5.0),
+     "unknown proof function 'nope'"),
     ("polygamma_inf", lambda: refcore.polygamma(1, math.inf), "finite"),
     ("polygamma_minus_inf", lambda: refcore.polygamma(2, -math.inf),
      "finite"),
@@ -89,6 +93,23 @@ CONTRACTS = [
      lambda: analysis.find_crossover("qi_guo", "batir_15", "lower", 0.0,
                                      1.0, scan_n=100.5),
      "scan_n must be an integer"),
+    # a grid of fewer than two points has no step: every claim over it
+    # would hold vacuously
+    ("remark_claims_grid_0", lambda: analysis.remark_claims(0),
+     "grid_n must be >= 2, got 0"),
+    ("remark_claims_grid_1", lambda: analysis.remark_claims(1),
+     "grid_n must be >= 2, got 1"),
+    ("compare_families_grid_0",
+     lambda: analysis.compare_families("lower", 0.0, 1.0, 0, ["qi_guo"]),
+     "grid_n must be >= 2, got 0"),
+    ("find_crossover_scan_0",
+     lambda: analysis.find_crossover("qi_guo", "batir_15", "lower", 0.0,
+                                     1.0, scan_n=0),
+     "scan_n must be >= 2, got 0"),
+    ("find_crossover_scan_1",
+     lambda: analysis.find_crossover("qi_guo", "batir_15", "lower", 0.0,
+                                     1.0, scan_n=1),
+     "scan_n must be >= 2, got 1"),
 ]
 
 
