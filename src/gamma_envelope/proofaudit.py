@@ -9,8 +9,9 @@ polygamma reference kernels), at one point or over a float array, and
 re-checks each asserted claim on a grid, returning structured pass/fail
 verdicts rather than raising.  Each link is one entry of one table,
 :data:`_VALUES`, written once for both forms: it takes its kernels from
-``refcore.AT_POINT`` at a float and ``refcore.ON_ARRAY`` on an array, so
-the lemma expressions and ln Gamma agree bit for bit between the forms.
+``refcore.AT_POINT`` at a float and ``refcore.ON_ARRAY`` on an array;
+every kernel it calls, at x + 1 in [1, 2], sums the same Taylor series on
+both, so every value of the chain agrees bit for bit between the forms.
 The audit's sweeps use the array form, in blocks of :data:`BLOCK`
 points.
 """

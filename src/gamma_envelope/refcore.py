@@ -1,7 +1,7 @@
 """Reference ln Gamma, psi and psi^(k), their namespaces and shared constants.
 
-Scheme: on (0.5, 2.5) ln Gamma sums its Taylor series about 2 with no
-shift (below).  Elsewhere each kernel shifts the argument upward by the
+Scheme: on (0, 2.5) every kernel sums a Taylor series about 2 with no
+shift (below).  From 2.5 up each kernel shifts the argument upward by the
 recurrence until it exceeds ``_SHIFT_CUTOFF`` = 15, then sums the
 Stirling-type asymptotic series.  Each asymptotic series keeps only the
 Bernoulli terms that can change a double at y >= 15: 7 of the ten for
@@ -12,32 +12,44 @@ or any later and smaller term, rounds back to the same double, so the
 kernels return what the ten-term series returns, bit for bit.  The
 truncation error of every kernel is below 1e-13 relative, which leaves the
 double-precision rounding of the recurrence as the dominant error source;
-the shift is accurate in absolute terms only.
+the shift is accurate in absolute terms only (ln Gamma to 1.4e-14
+relative just past 2.5).
 
-On (0.5, 2.5) ln Gamma(y) is the Taylor series of ln Gamma(2+z) (DLMF
-5.7.3, https://dlmf.nist.gov/5.7; 23 coefficients from ``ZETA_MINUS_ONE``)
-at z = y - 2 from 1.5 up, and at z = y - 1, minus log1p(z), below.  Both z
-are exact and |z| <= 0.5, and against mpmath the result is within 8e-16
-relative, through the zeros at 1 and 2.  Since x + 1 rounds,
-:func:`ln_gamma1p` takes z from x itself next to the zeros of
-ln Gamma(1+x) at x = 0 and 1: z = x on (-0.5, 0.1), within 3.5e-16
-relative, and z = x - 1 on (0.9, 1.5), within 2.6e-16.  Elsewhere it
-returns ``ln_gamma(1.0 + x)``, which the rounding of 1 + x leaves within
-1.2e-15 relative on [0.1, 0.9].
+The Taylor band sums ln Gamma(2+z) (DLMF 5.7.3, https://dlmf.nist.gov/5.7;
+23 coefficients) or psi^(k)(2+z) = sum_m c_m z^m, with c_m =
+(-1)^(k+m+1) (k+m)!/m! (zeta(k+m+1) - 1) and c_0 = 1 - gamma for psi (DLMF
+5.7.4, 5.15.1), all built at import from ``ZETA_MINUS_ONE``.  psi^(k) keeps
+30, 30, 32 and 35 terms (k = 0..3): the terms left out sum, at |z| = 0.5,
+to less than 2^-54 of the smallest |psi^(k)(2+z)| on |z| <= 0.5, so to
+less than half an ulp of the series.  The band splits three ways, so that
+z is exact and |z| <= 0.5: z = x - 2 on [1.5, 2.5); z = x - 1 on
+[0.5, 1.5), plus the recurrence term at x (ln Gamma: on (0.5, 1.5), minus
+log1p(z)); z = x below, plus the terms at x and 1 + x (ln Gamma: minus
+log1p(x) and log x).  Against mpmath (40 digits, 6000 seeded points on
+(1e-300, 2.5)) ln Gamma is within 5.7e-16 relative, through its zeros at 1
+and 2, and psi', psi'' and psi''' within 5.3e-16.  psi is within
+2.7e-16 max(1, |psi|), so within 2.2e-15 relative except next to its zero
+at 1.4616, where the relative error grows as 1/|psi| (1.5e-13 at 1.46134).
+Since x + 1 rounds, :func:`ln_gamma1p` takes z from x itself next to the
+zeros of ln Gamma(1+x) at x = 0 and 1: z = x on (-0.5, 0.1), within
+3.5e-16 relative, and z = x - 1 on (0.9, 1.5), within 2.6e-16.  Elsewhere
+it returns ``ln_gamma(1.0 + x)``, which the rounding of 1 + x leaves
+within 1.2e-15 relative on [0.1, 0.9].
 
 Each series is written once, as plain arithmetic on a float or an array,
 and serves a scalar kernel and its array twin (``ln_gamma_array``,
 ``ln_gamma1p_array``, ``digamma_array``, ``polygamma_array``); the two
 differ only in their input check and their shift loop, which take the
 same steps in the same order.  ``ln_gamma1p_array`` mirrors
-``ln_gamma1p``: its own bands, else ``ln_gamma_array(1 + x)``.  The
-Taylor branch takes only +, -, * and ``math.log1p``, so ``ln_gamma_array``
-equals ``ln_gamma`` bit for bit on (0.5, 2.5), and ``ln_gamma1p_array``
-equals ``ln_gamma1p`` on (-0.5, 1.5).  Elsewhere a twin differs from its
-scalar kernel only where numpy's ``log`` or ``**`` rounds a term
-differently from the ``math`` function or float ``**``: by a few ulps of
-the shift sum, on about 0.05% of arguments outside (0.5, 2.5) (ln Gamma)
-and on 0.1% (psi, psi') to 5% (psi'', psi''') of arguments in (1, 2).
+``ln_gamma1p``: its own bands, else ``ln_gamma_array(1 + x)``.  The band
+takes only +, -, *, / and ``math.log`` or ``math.log1p`` element by
+element, and every power is a product, so on (0, 2.5) each twin equals its
+scalar kernel bit for bit (``ln_gamma1p_array`` equals ``ln_gamma1p`` on
+(-1, 1.5)), and the psi', psi'' and psi''' twins equal theirs everywhere.
+Past 2.5 the ln Gamma and psi twins differ from their scalar kernels only
+where numpy's ``log`` rounds differently from ``math.log``: by a few ulps
+of the shift sum, on 0.04% (ln Gamma) and 0.02% (psi) of arguments in
+[2.5, 16).
 
 All functions are pure and stateless.
 """
@@ -58,6 +70,9 @@ PI_SQ_OVER_6 = math.pi * math.pi / 6.0
 LN_DBL_MAX = math.log(sys.float_info.max)
 
 _SHIFT_CUTOFF = 15.0
+
+# below this no kernel shifts: each sums a Taylor series about 2
+_TAYLOR_END = 2.5
 
 _HALF_LN_TWO_PI = 0.9189385332046727417803297364
 
@@ -97,6 +112,11 @@ def _polygamma_constants(k):
 
 _POLYGAMMA_CONSTANTS = {k: _polygamma_constants(k) for k in (1, 2, 3)}
 
+# y**n for n = 1..5 as products, which round alike on a float and on an
+# array (float ** and numpy's ** do not always)
+_POWERS = (None, lambda y: y, lambda y: y * y, lambda y: y * y * y,
+           lambda y: (y * y) * (y * y), lambda y: (y * y) * (y * y) * y)
+
 # The leading slice of each table that the series sum.  At y = _SHIFT_CUTOFF
 # the first term left out is 0.22, 0.10, 0.70, 0.31 and 0.12 times 2^-54 of
 # the exact partial sum before it (ln Gamma, psi, psi', psi'', psi''').
@@ -106,7 +126,7 @@ _POLYGAMMA_TAILS = {
     k: _POLYGAMMA_CONSTANTS[k][4][:n] for k, n in ((1, 6), (2, 7), (3, 8))
 }
 
-# zeta(m) - 1 for m = 2..24, correctly rounded: the Taylor coefficients'
+# zeta(m) - 1 for m = 2..38, correctly rounded: the Taylor coefficients'
 # arithmetic core for expansions about x = 1 and 2
 # (psi^(m)(2) = (-1)^(m+1) m! (zeta(m+1) - 1)).
 ZETA_MINUS_ONE = (
@@ -133,6 +153,20 @@ ZETA_MINUS_ONE = (
     2.38450502727733e-07,
     1.1921992596531106e-07,
     5.960818905125948e-08,
+    2.980350351465228e-08,
+    1.4901554828365043e-08,
+    7.45071178983543e-09,
+    3.725334024788457e-09,
+    1.862659723513049e-09,
+    9.313274324196682e-10,
+    4.656629065033784e-10,
+    2.3283118336765053e-10,
+    1.164155017270052e-10,
+    5.820772087902701e-11,
+    2.9103850444971e-11,
+    1.4551921891041985e-11,
+    7.275959835057482e-12,
+    3.637979547378651e-12,
 )
 
 # ln_gamma1p takes z from x itself on (-0.5, _ZERO_BAND) and on
@@ -143,9 +177,29 @@ _ZERO_BAND = 0.1
 
 # ln Gamma(2+z) = (1-gamma) z + sum_{k=2}^{24} (-1)^k (zeta(k)-1) z^k/k; the
 # terms left out sum to at most 4.7e-17 at |z| <= 0.5 (at z = -0.5, 3.9e-16
-# of ln Gamma(1.5))
+# of ln Gamma(1.5)).  Highest power first, for Horner's rule.
 _LNGAMMA2P_COEFFS = tuple(reversed([1.0 - EULER_GAMMA] + [
-    (-1) ** k * c / k for k, c in enumerate(ZETA_MINUS_ONE, 2)]))
+    (-1) ** k * c / k for k, c in enumerate(ZETA_MINUS_ONE[:23], 2)]))
+
+
+def _psi2p_coeffs(k, n):
+    # the first n coefficients c_m of psi^(k)(2+z) = sum_m c_m z^m,
+    # c_m = (-1)^(k+m+1) (k+m)!/m! (zeta(k+m+1) - 1), and c_0 = 1 - gamma
+    # for psi (DLMF 5.7.4, 5.15.1), highest power first
+    head = [1.0 - EULER_GAMMA] if k == 0 else []
+    return tuple(reversed(head + [
+        (-1) ** (k + m + 1) * math.perm(k + m, k) * ZETA_MINUS_ONE[k + m - 1]
+        for m in range(len(head), n)]))
+
+
+# the terms kept for psi^(k), k = 0..3: the terms left out sum, at
+# |z| = 0.5, to less than 2^-54 of the smallest |psi^(k)(2+z)| on
+# |z| <= 0.5, so to less than half an ulp of the series
+_PSI2P_TERMS = (30, 30, 32, 35)
+_PSI2P_COEFFS = tuple(_psi2p_coeffs(k, n) for k, n in enumerate(_PSI2P_TERMS))
+
+# psi^(k)(x) = psi^(k)(x+1) + rec / x^(k+1); rec for k = 0..3
+_RECURRENCE = (-1.0,) + tuple(_POLYGAMMA_CONSTANTS[k][1] for k in (1, 2, 3))
 
 
 def backend():
@@ -166,12 +220,18 @@ def _ln_gamma_series(y, log):
     return (y - 0.5) * log(y) - y + _HALF_LN_TWO_PI + tail
 
 
-def _ln_gamma2p_series(z):
-    # ln Gamma(2+z) for |z| <= 0.5 by Horner's rule; float or array
+def _taylor2p(coeffs, z):
+    # a series about 2 at z, |z| <= 0.5, by Horner's rule, its coefficients
+    # highest power first; z a float or an array
     s = 0.0
-    for c in _LNGAMMA2P_COEFFS:  # highest power first
+    for c in coeffs:
         s = s * z + c
-    return s * z
+    return s
+
+
+def _ln_gamma2p_series(z):
+    # ln Gamma(2+z) for |z| <= 0.5; float or array
+    return _taylor2p(_LNGAMMA2P_COEFFS, z) * z
 
 
 def _ln_gamma1p_taylor(x):
@@ -180,6 +240,20 @@ def _ln_gamma1p_taylor(x):
     if x < 0.5:
         return _ln_gamma2p_series(x) - math.log1p(x)
     return _ln_gamma2p_series(x - 1.0)
+
+
+def _psi_taylor(k, x):
+    # psi^(k)(x) for 0 < x < 2.5 with no shift: the series at z = x - 2
+    # from 1.5 up; at z = x - 1 plus the recurrence term at x from 0.5 up;
+    # at z = x plus the terms at x and 1 + x below.  z is exact and
+    # |z| <= 0.5.  ZeroDivisionError where x**(k+1) underflows to 0.
+    coeffs = _PSI2P_COEFFS[k]
+    if x >= 1.5:
+        return _taylor2p(coeffs, x - 2.0)
+    rec, power = _RECURRENCE[k], _POWERS[k + 1]
+    if x >= 0.5:
+        return _taylor2p(coeffs, x - 1.0) + rec / power(x)
+    return _taylor2p(coeffs, x) + (rec / power(x) + rec / power(1.0 + x))
 
 
 def _digamma_series(y, log):
@@ -199,8 +273,8 @@ def _polygamma_series(k, y):
     sign, _, fact_km1, half_fact_k, _ = _POLYGAMMA_CONSTANTS[k]
     inv = 1.0 / y
     inv2 = inv * inv
-    value = fact_km1 * inv**k + half_fact_k * inv ** (k + 1)
-    p = inv ** (2 + k)
+    value = fact_km1 * _POWERS[k](inv) + half_fact_k * _POWERS[k + 1](inv)
+    p = _POWERS[k + 2](inv)
     for c in _POLYGAMMA_TAILS[k]:
         value += c * p
         p = p * inv2
@@ -212,8 +286,10 @@ def ln_gamma(x):
     x = float(x)
     if not 0.0 < x < math.inf:
         raise ValueError("ln_gamma requires finite x > 0, got %r" % (x,))
-    if 0.5 < x < 2.5:
-        return _ln_gamma1p_taylor(x - 1.0)  # x - 1 is exact here
+    if x < _TAYLOR_END:
+        if x > 0.5:
+            return _ln_gamma1p_taylor(x - 1.0)  # x - 1 is exact here
+        return _ln_gamma1p_taylor(x) - math.log(x)
     log = math.log
     cutoff = _SHIFT_CUTOFF
     shift = 0.0
@@ -240,6 +316,8 @@ def digamma(x):
     x = float(x)
     if not 0.0 < x < math.inf:
         raise ValueError("digamma requires finite x > 0, got %r" % (x,))
+    if x < _TAYLOR_END:
+        return _psi_taylor(0, x)
     cutoff = _SHIFT_CUTOFF
     shift = 0.0
     y = x
@@ -260,19 +338,20 @@ def polygamma(k, x):
         raise ValueError("polygamma supports k in {1, 2, 3}, got %r" % (k,))
     if not 0.0 < x < math.inf:
         raise ValueError("polygamma requires finite x > 0, got %r" % (x,))
-    rec = _POLYGAMMA_CONSTANTS[k][1]
-    power = k + 1
-    cutoff = _SHIFT_CUTOFF
-    # recurrence: psi^(k)(x) = psi^(k)(x+1) + (-1)^(k+1) k! / x^(k+1)
-    shift = 0.0
-    y = x
-    try:
+    if x < _TAYLOR_END:
+        try:
+            value = _psi_taylor(k, x)
+        except ZeroDivisionError:  # x**(k+1) underflowed to 0
+            raise _out_of_range(k, x) from None
+    else:
+        rec, power = _RECURRENCE[k], _POWERS[k + 1]
+        cutoff = _SHIFT_CUTOFF
+        shift = 0.0
+        y = x
         while y < cutoff:
-            shift += rec / y**power
+            shift += rec / power(y)
             y += 1.0
-    except ZeroDivisionError:  # y**power underflowed to 0
-        raise _out_of_range(k, x) from None
-    value = _polygamma_series(k, y) + shift
+        value = _polygamma_series(k, y) + shift
     if not math.isfinite(value):
         raise _out_of_range(k, x)
     return value
@@ -329,19 +408,35 @@ def _taylor_array(x):
     return s
 
 
-def _ln_gamma_elements(y):
-    # ln_gamma's branches, element by element, on a checked array: the
-    # Taylor series at y - 1 (exact) on (0.5, 2.5), the shift elsewhere
+def _by_band(x, near, far):
+    """``near`` of the elements of a checked array below the Taylor band's
+    end 2.5 and ``far`` of the rest (a 0-d array stays one)."""
     import numpy as np
 
-    out = np.empty_like(y)  # 0-d stays an array
-    taylor = (0.5 < y) & (y < 2.5)
-    far, shift = _shift_up(y[~taylor], np.log)
-    # past y ~ 2.56e305 the series overflows to inf, as the scalar's does
-    with np.errstate(over="ignore"):
-        out[~taylor] = _ln_gamma_series(far, np.log) - shift
-    out[taylor] = _taylor_array(y[taylor] - 1.0)
+    out = np.empty_like(x)
+    band = x < _TAYLOR_END
+    out[band] = near(x[band])
+    out[~band] = far(x[~band])
     return out
+
+
+def _ln_gamma_elements(y):
+    # ln_gamma's branches, element by element, on a checked array
+    import numpy as np
+
+    def near(y):  # the series at y - 1 (exact) above 0.5, at y minus log y
+        low = y <= 0.5
+        s = _taylor_array(np.where(low, y, y - 1.0))
+        s[low] -= _each(math.log, y[low])
+        return s
+
+    def far(y):
+        y, shift = _shift_up(y, np.log)
+        # past y ~ 2.56e305 the series overflows to inf, as the scalar's does
+        with np.errstate(over="ignore"):
+            return _ln_gamma_series(y, np.log) - shift
+
+    return _by_band(y, near, far)
 
 
 def ln_gamma_array(x):
@@ -364,13 +459,34 @@ def ln_gamma1p_array(x):
     return out
 
 
+def _psi_taylor_array(k, x):
+    """:func:`_psi_taylor` of every element of an array in (0, 2.5), with
+    the same operations in the same order; an infinity where x**(k+1)
+    underflows or a term overflows."""
+    import numpy as np
+
+    low = x < 0.5
+    mid = ~low & (x < 1.5)
+    s = _taylor2p(_PSI2P_COEFFS[k],
+                  np.where(low, x, x - np.where(mid, 1.0, 2.0)))
+    rec, power = _RECURRENCE[k], _POWERS[k + 1]
+    with np.errstate(over="ignore", divide="ignore"):
+        s[mid] += rec / power(x[mid])
+        x = x[low]
+        s[low] += rec / power(x) + rec / power(1.0 + x)
+    return s
+
+
 def digamma_array(x):
     """:func:`digamma` of every element of a float array."""
     import numpy as np
 
-    y, shift = _shift_up(_finite_array("digamma_array", x),
-                         lambda y: 1.0 / y)
-    return _digamma_series(y, np.log) - shift
+    def far(y):
+        y, shift = _shift_up(y, lambda y: 1.0 / y)
+        return _digamma_series(y, np.log) - shift
+
+    return _by_band(_finite_array("digamma_array", x),
+                    partial(_psi_taylor_array, 0), far)
 
 
 def polygamma_array(k, x):
@@ -380,18 +496,20 @@ def polygamma_array(k, x):
         raise ValueError("polygamma supports k in {1, 2, 3}, got %r" % (k,))
     import numpy as np
 
-    rec = _POLYGAMMA_CONSTANTS[k][1]
+    rec, power = _RECURRENCE[k], _POWERS[k + 1]
 
     def term(y):
-        # y ** (k + 1) overflows only in elements long past the cutoff
-        # (y > 1e77), whose term _shift_up multiplies by 0; it underflows,
-        # and the term overflows, only where psi^(k) leaves double range
-        with np.errstate(over="ignore", divide="ignore"):
-            return rec / y ** (k + 1)
+        # y**(k+1) overflows only in elements long past the cutoff
+        # (y > 1e77), whose term _shift_up multiplies by 0
+        with np.errstate(over="ignore"):
+            return rec / power(y)
+
+    def far(y):
+        y, shift = _shift_up(y, term)
+        return _polygamma_series(k, y) + shift
 
     x = _finite_array("polygamma_array", x)
-    y, shift = _shift_up(x, term)
-    value = _polygamma_series(k, y) + shift
+    value = _by_band(x, partial(_psi_taylor_array, k), far)
     bad = ~np.isfinite(value)
     if bad.any():
         raise _out_of_range(k, float(x[bad].flat[0]))

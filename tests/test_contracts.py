@@ -2,6 +2,7 @@
 ValueError with a message naming what is wrong, before any work is done."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,18 @@ CONTRACTS = [
     ("polygamma_minus_inf", lambda: refcore.polygamma(2, -math.inf),
      "finite"),
     ("polygamma_nan", lambda: refcore.polygamma(3, math.nan), "finite"),
+    # psi^(k)(x) ~ k!/x^(k+1) leaves double range: the scalar and the twin
+    # raise alike
+    ("polygamma_k1_out_of_range", lambda: refcore.polygamma(1, 1e-160),
+     "not a finite double"),
+    ("polygamma_array_k1_out_of_range",
+     lambda: refcore.polygamma_array(1, [0.5, 1e-160]),
+     r"psi\^\(1\)\(1e-160\) is not a finite double"),
+    ("polygamma_k3_out_of_range", lambda: refcore.polygamma(3, 1e-77),
+     "not a finite double"),
+    ("polygamma_array_k3_out_of_range",
+     lambda: refcore.polygamma_array(3, [0.5, 1e-77]),
+     r"psi\^\(3\)\(1e-77\) is not a finite double"),
     ("certify_sign_a_equals_b",
      lambda: polycert.certify_sign(_P, 1, 1, "negative"), "a < b"),
     ("certify_sign_a_above_b",
@@ -119,6 +132,15 @@ CONTRACTS = [
 def test_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-310])
+def test_digamma_overflows_to_minus_inf_without_a_warning(x):
+    # 1/x overflows: psi is -inf, from the scalar and from the twin
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert refcore.digamma(x) == -math.inf
+        assert refcore.digamma_array(np.array([x, 0.5]))[0] == -math.inf
 
 
 def test_numpy_integer_counts_pass():

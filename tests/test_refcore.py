@@ -6,6 +6,7 @@ mpmath (50 digits) is the independent oracle.
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -184,7 +185,7 @@ class TestPolygamma:
             refcore.polygamma(0, 1.0)
 
     # psi^(k)(x) ~ k!/x^(k+1) leaves double range below about
-    # 1e-154, 1e-103 and 1e-77 (k = 1, 2, 3); the shift's x^(k+1)
+    # 1e-154, 1e-103 and 1e-77 (k = 1, 2, 3); the Taylor band's x^(k+1)
     # underflows to 0 from 1e-162, 1e-108 and 1e-81
     @settings(max_examples=300, deadline=None)
     @given(k=st.sampled_from([1, 2, 3]),
@@ -285,9 +286,9 @@ class TestConstants:
 
 class TestZetaTable:
     def test_entries_correctly_rounded(self):
-        # zeta(m) - 1 at 50 digits, rounded once to double, for m = 2..24
+        # zeta(m) - 1 at 50 digits, rounded once to double, for m = 2..38
         with mp.workdps(50):
-            expected = tuple(float(mp.zeta(m) - 1) for m in range(2, 25))
+            expected = tuple(float(mp.zeta(m) - 1) for m in range(2, 39))
         assert refcore.ZETA_MINUS_ONE == expected
 
 
@@ -302,8 +303,8 @@ def _ulps_around(c, n=4):
 
 
 class TestTaylorBand:
-    """ln Gamma on (0.5, 2.5) and ln_gamma1p on (-0.5, 1.5): the Taylor
-    series about 2, with no recurrence shift."""
+    """ln Gamma on (0, 2.5) and ln_gamma1p on (-1, 1.5): the Taylor series
+    about 2, with no recurrence shift."""
 
     @pytest.mark.parametrize("kernel, low, high, oracle", [
         (refcore.ln_gamma, 0.5, 2.5, mp.loggamma),
@@ -346,6 +347,145 @@ class TestTaylorBand:
         assert twin[1:] == [math.inf, math.inf]
 
 
+# (id, scalar kernel, array twin, oracle, order k of psi^(k); None for
+# ln Gamma)
+_FIVE = [
+    ("ln_gamma", refcore.ln_gamma, refcore.ln_gamma_array, mp.loggamma,
+     None),
+    ("digamma", refcore.digamma, refcore.digamma_array, mp.digamma, 0),
+] + [
+    ("polygamma%d" % k, partial(refcore.polygamma, k),
+     partial(refcore.polygamma_array, k), partial(mp.polygamma, k), k)
+    for k in (1, 2, 3)
+]
+
+
+def _psi2p_exact(k, m):
+    """c_m of psi^(k)(2+z) = sum_m c_m z^m, from mpmath."""
+    if k == 0 and m == 0:
+        return 1 - mp.euler
+    return ((-1) ** (k + m + 1) * mp.factorial(k + m) / mp.factorial(m)
+            * (mp.zeta(k + m + 1) - 1))
+
+
+@pytest.mark.parametrize("name, scalar, twin, oracle, k", _FIVE,
+                         ids=[f[0] for f in _FIVE])
+class TestFiveKernelBand:
+    """Every kernel on (0, 2.5): a Taylor series about 2 at z = x - 2,
+    x - 1 or x, with no recurrence shift."""
+
+    def test_seams_against_mpmath(self, name, scalar, twin, oracle, k):
+        # the seams 0.5, 1.5 and 2.5, their neighbours, and 1 and 2
+        xs = [x for c in (0.5, 1.5, 2.5) for x in _ulps_around(c, 2)]
+        xs += [1.0, 2.0]
+        with mp.workdps(30):
+            for x in xs:
+                ref = oracle(x)
+                value = scalar(x)
+                if ref == 0:  # ln Gamma at 1 and 2
+                    assert value == 0.0, x
+                    continue
+                # psi: 3.1e-15 at 1.5 - 1 ulp, next to its zero at 1.4616;
+                # past 2.5 the shift keeps its absolute error
+                assert _rel_err(value, ref) <= (4e-15 if x < 2.5 else 2e-14), x
+        # past 2.5 only the psi^(k) twins take the scalar's every operation
+        xs = [x for x in xs if x < 2.5 or k]
+        assert twin(np.array(xs)).tolist() == list(map(scalar, xs))
+
+    def test_named_values(self, name, scalar, twin, oracle, k):
+        values = {
+            "ln_gamma": [(1.0, 0), (2.0, 0), (0.5, mp.log(mp.sqrt(mp.pi)))],
+            "digamma": [(1.0, -mp.euler), (2.0, 1 - mp.euler),
+                        (0.5, -mp.euler - 2 * mp.log(2))],
+            "polygamma1": [(1.0, mp.pi ** 2 / 6), (2.0, mp.pi ** 2 / 6 - 1)],
+            "polygamma2": [(1.0, -2 * mp.zeta(3))],
+            "polygamma3": [(1.0, mp.pi ** 4 / 15)],
+        }[name]
+        with mp.workdps(30):
+            for x, ref in values:
+                value = scalar(x)
+                assert (value == 0.0 if ref == 0
+                        else _rel_err(value, ref) <= 4e-16), x
+
+    def test_accuracy_against_mpmath(self, name, scalar, twin, oracle, k):
+        rng = random.Random(20261019)
+        low = -300.0 / (k + 1) if k else -300.0  # psi^(k) stays finite
+        xs = [10.0 ** rng.uniform(low, math.log10(2.5)) for _ in range(200)]
+        xs += [rng.uniform(0.0, 2.5) for _ in range(300)]
+        with mp.workdps(40):
+            for x in xs:
+                ref = oracle(x)
+                value = scalar(x)
+                if name == "digamma":
+                    # absolute next to its zero at 1.4616, relative elsewhere
+                    err = abs(value - ref) / max(1, abs(ref))
+                    assert err <= 5e-16, x
+                    if not 1.4 < x < 1.5:
+                        assert _rel_err(value, ref) <= 4e-15, x
+                else:
+                    assert _rel_err(value, ref) <= 1e-15, x
+
+    def test_twin_equals_scalar(self, name, scalar, twin, oracle, k):
+        # 10^5 seeded points: uniform on (0, 2.5), log-uniform down to where
+        # psi^(k) leaves double range, and at the seams
+        rng = np.random.default_rng(20261019)
+        low = -300.0 / (k + 1) if k else -300.0
+        xs = np.concatenate([
+            rng.uniform(0.0, 2.5, 70000),
+            10.0 ** rng.uniform(low, math.log10(2.5), 30000),
+            [x for c in (0.5, 1.0, 1.5, 2.0) for x in _ulps_around(c)],
+        ])
+        xs = xs[(xs > 0.0) & (xs < 2.5)]
+        assert len(xs) >= 100000
+        assert twin(xs).tolist() == list(map(scalar, xs.tolist()))
+
+    def test_coefficients_against_mpmath(self, name, scalar, twin, oracle,
+                                         k):
+        # each float coefficient is within one rounding of a product of an
+        # exact integer and a correctly rounded zeta(m) - 1
+        if k is None:
+            coeffs = refcore._LNGAMMA2P_COEFFS[::-1]  # z^1 first
+            exact = [1 - mp.euler] + [(-1) ** m * (mp.zeta(m) - 1) / m
+                                      for m in range(2, 25)]
+        else:
+            coeffs = refcore._PSI2P_COEFFS[k][::-1]
+            exact = [_psi2p_exact(k, m) for m in range(len(coeffs))]
+        assert len(coeffs) == len(exact)
+        for c, e in zip(coeffs, exact):
+            assert abs(c - e) <= 2.0 ** -52 * abs(e)
+
+    def test_term_count(self, name, scalar, twin, oracle, k):
+        # the rule of the module docstring: the terms left out sum, at
+        # |z| = 0.5, to less than 2^-54 of the smallest |psi^(k)(2+z)| on
+        # |z| <= 0.5 (at z = -0.5 for psi, 0.5 for the others: |psi^(k)|
+        # is monotone on [1.5, 2.5]), and one term fewer breaks it.  ln Gamma
+        # keeps its 23 coefficients, whose tail is at most 4.7e-17.
+        if k is None:
+            assert sum((mp.zeta(m) - 1) / m * mp.mpf(0.5) ** m
+                       for m in range(25, 120)) < 4.7e-17
+            return
+        n = refcore._PSI2P_TERMS[k]
+        assert len(refcore._PSI2P_COEFFS[k]) == n
+        floor = min(abs(mp.polygamma(k, 1.5)), abs(mp.polygamma(k, 2.5)))
+        terms = [abs(_psi2p_exact(k, m)) * mp.mpf(0.5) ** m
+                 for m in range(n - 1, 120)]
+        assert sum(terms[1:]) < floor / 2**54
+        assert sum(terms) >= floor / 2**54
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_polygamma_twin_equals_scalar_past_the_band(k):
+    # the shift and the series take the same products on a float and an
+    # array, so psi', psi'' and psi''' twins equal their scalars everywhere
+    rng = np.random.default_rng(19 + k)
+    xs = np.concatenate([rng.uniform(2.5, 16.0, 50000),
+                         10.0 ** rng.uniform(math.log10(2.5), 300.0, 50000),
+                         _ulps_around(2.5), _ulps_around(15.0)])
+    xs = xs[xs >= 2.5]
+    values = refcore.polygamma_array(k, xs).tolist()
+    assert values == [refcore.polygamma(k, x) for x in xs.tolist()]
+
+
 def _array_kernels():
     # (id, twin, scalar kernel, oracle, lower end of the domain).  The
     # ln Gamma twin is ln_gamma1p_array, ln Gamma(1+x) on x > -1: every
@@ -386,21 +526,23 @@ class TestArrayKernels:
             assert abs(v - ref) <= 1e-12 * (1.0 + abs(ref)), x
 
     def test_close_to_scalar(self, name, array, scalar, oracle, low):
-        # same scheme and operation order: they differ only where numpy's
-        # log or ** rounds differently, by a few ulps of the shift sum.
-        # ln Gamma(1+x) takes no shift on (-0.5, 1.5), where the twin and
-        # the scalar kernel are equal; it is sampled on (-0.75, 3).
+        # same scheme and operation order: past the Taylor band (0, 2.5)
+        # the ln Gamma and psi twins differ only where numpy's log rounds
+        # differently, by a few ulps of the shift sum.  ln Gamma(1+x) takes
+        # no shift on (-1, 1.5), where the twin and the scalar kernel are
+        # equal; it is sampled on (-0.75, 3).  The others are sampled on
+        # the shift's range [2.5, 16).
         rng = np.random.default_rng(5)
         if name == "ln_gamma":
             xs = low + rng.uniform(0.25, 4.0, 8000)
         else:
-            xs = low + rng.uniform(1.0, 2.0, 4000)
+            xs = low + rng.uniform(2.5, 16.0, 4000)
         values = array(xs)
         ref = np.array([scalar(float(x)) for x in xs])
         assert np.all(np.abs(values - ref) <= 1e-14 * (1.0 + np.abs(ref)))
         assert np.mean(values == ref) >= 0.9
         if name == "ln_gamma":
-            band = (-0.5 < xs) & (xs < 1.5)
+            band = xs < 1.5
             assert np.array_equal(values[band], ref[band])
 
     def test_keeps_shape(self, name, array, scalar, oracle, low):
@@ -473,6 +615,12 @@ class TestTrimmedTails:
             assert abs(t) < abs(partial) / 2**54
 
 
+# y**n as the kernels take it, a product (numpy's ** and float ** round
+# some y differently)
+_POWER = {1: lambda y: y, 2: lambda y: y * y, 3: lambda y: y * y * y,
+          4: lambda y: (y * y) * (y * y), 5: lambda y: (y * y) * (y * y) * y}
+
+
 def _ten_term_series(name, k, y, log):
     """The kernels' asymptotic series summed over all ten Bernoulli terms,
     in the kernels' operation order; float or array."""
@@ -491,8 +639,8 @@ def _ten_term_series(name, k, y, log):
             p = p * inv2
         return log(y) - 0.5 * inv - tail
     sign, _, fact_km1, half_fact_k, coeffs = refcore._POLYGAMMA_CONSTANTS[k]
-    value = fact_km1 * inv**k + half_fact_k * inv ** (k + 1)
-    p = inv ** (2 + k)
+    value = fact_km1 * _POWER[k](inv) + half_fact_k * _POWER[k + 1](inv)
+    p = _POWER[k + 2](inv)
     for c in coeffs:
         value += c * p
         p = p * inv2
@@ -511,7 +659,7 @@ def _ten_term_kernel(name, k, x, log):
         rec = refcore._POLYGAMMA_CONSTANTS[k][1]
 
         def term(y):
-            return rec / y ** (k + 1)
+            return rec / _POWER[k + 1](y)
     cutoff = refcore._SHIFT_CUTOFF
     if isinstance(x, float):
         y, shift = x, 0.0
@@ -534,28 +682,23 @@ def _ten_term_kernel(name, k, x, log):
 
 @pytest.mark.parametrize("name, k", _SERIES, ids=_SERIES_IDS)
 def test_trimmed_kernels_equal_ten_term_series(name, k):
-    # 10^5 seeded points on the audit range (1, 2), log-uniform across the
-    # double range and densely around the cutoff.  psi^(k)(x) ~ k!/x^(k+1)
-    # leaves double range near x = 1e-308^(1/(k+1)), where both kernels
-    # raise ValueError, so its log-uniform band starts at
-    # 1e-300^(1/(k+1)).
+    # 10^5 seeded points past the Taylor band: on [2.5, 4), where the shift
+    # is longest, log-uniform up to 1e300 and densely around the cutoff.
+    # On (0, 2.5) every kernel sums its Taylor series about 2 instead, so
+    # the band is left out (TestFiveKernelBand checks it against mpmath).
     rng = np.random.default_rng(20261018)
-    low = -300.0 / (k + 1) if k else -300.0
     xs = np.concatenate([
-        rng.uniform(1.0, 2.0, 30000),
-        10.0 ** rng.uniform(low, 300.0, 40000),
+        rng.uniform(2.5, 4.0, 30000),
+        10.0 ** rng.uniform(math.log10(2.5), 300.0, 40000),
         rng.uniform(14.0, 17.0, 30000),
     ])
+    xs = xs[xs >= 2.5]
     twin_xs = xs
     if name == "ln_gamma":
         # the twin is ln_gamma1p_array, whose x shifts as 1 + x does in
-        # the reference; on (0.5, 2.5) ln Gamma sums its Taylor series
-        # about 2 instead, so those points are left out (TestTaylorBand
-        # checks them against mpmath)
-        twin_xs = xs[(xs <= -0.5) | (xs >= 1.5)]
-        array = refcore.ln_gamma1p_array(twin_xs)
-        twin_xs = 1.0 + twin_xs
-        xs = xs[(xs <= 0.5) | (xs >= 2.5)]
+        # the reference
+        array = refcore.ln_gamma1p_array(xs)
+        twin_xs = 1.0 + xs
         scalar = list(map(refcore.ln_gamma, xs.tolist()))
     elif k:
         array = refcore.polygamma_array(k, xs)
