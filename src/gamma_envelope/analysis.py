@@ -102,10 +102,10 @@ def h_cm(x):
 
 
 def _proof_function_each(name, x):
-    # one scalar proof_function call per point: perfbench's tracer test
-    # counts these calls for check_monotone('q', ..., grid_n=10), so moving
-    # them to proof_function_array waits for the benchmark change of
-    # ROADMAP item 10
+    # one scalar proof_function call per point: proof_function takes the
+    # array itself, but perfbench's tracer test counts 10 point calls for
+    # check_monotone('q', ..., grid_n=10), so passing it the array waits
+    # for the benchmark change of ROADMAP item 10
     if not isinstance(x, np.ndarray):
         return proof_function(name, x)
     return np.array([proof_function(name, v) for v in x.tolist()])

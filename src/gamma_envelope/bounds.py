@@ -89,11 +89,10 @@ def theorem_bounds(x, alpha=None, beta=None):
     """
     if not 0.0 < x < 1.0:
         raise DomainError("theorem_bounds requires 0 < x < 1, got %r" % (x,))
-    c = refcore.constants()
-    a = c.alpha_sharp if alpha is None else float(alpha)
-    b = c.beta_sharp if beta is None else float(beta)
+    a = _C.alpha_sharp if alpha is None else float(alpha)
+    b = _C.beta_sharp if beta is None else float(beta)
     warning = None
-    if a < c.alpha_sharp or b > c.beta_sharp:
+    if a < _C.alpha_sharp or b > _C.beta_sharp:
         warning = "exponents outside the sharp region; containment not guaranteed"
     lb = math.log1p(refcore.log_base_arg(x))
     return _pair(
@@ -115,35 +114,66 @@ def extended_bounds(x):
     collapse to x! and the pair is flagged as an equality point.
     """
     _require_finite(x, "extended_bounds")
-    return FAMILIES["qi_guo_extended"].evaluate(x)
+    return evaluate_family("qi_guo_extended", x)
+
+
+def _polygamma_sides(k, x):
+    # (k-1)!/x^k and k!/x^(k+1), powers as products, which round alike on
+    # a float and an array; the tail is 0 only where x^(k+1) overflows
+    power = x
+    for _ in range(k - 1):
+        power = power * x
+    head = float(math.factorial(k - 1)) / power
+    tail = float(math.factorial(k)) / (power * x)
+    return head + 0.5 * tail, head + tail, tail
 
 
 def polygamma_bounds(k, x):
-    """Elementary sandwich for (-1)^(k+1) psi^(k)(x), k >= 1, x > 0.
+    """Elementary sandwich for (-1)^(k+1) psi^(k)(x), k >= 1, x > 0, at a
+    float or every element of a 1-D array, whose pair holds arrays equal
+    to the float form's element by element.
 
-    Returned directly (not in log-space), so x**(k+1) must be in range.
-    """
+    Returned directly (not in log-space), so x**(k+1) must be in range; on
+    an array the first element out of it raises the float form's error."""
+    if getattr(x, "ndim", 0):
+        return _polygamma_bounds_array(k, x)
     _require_finite(x, "polygamma_bounds")
     if k < 1:
         raise DomainError("polygamma_bounds requires k >= 1, got %r" % (k,))
     if not x > 0.0:
         raise DomainError("polygamma_bounds requires x > 0, got %r" % (x,))
     try:
-        head = math.factorial(k - 1) / x**k
-        tail = math.factorial(k) / x ** (k + 1)
-    except (OverflowError, ZeroDivisionError):  # a power over/underflows
-        head = tail = math.inf
-    except TypeError:  # from math.factorial
+        lower, upper, tail = _polygamma_sides(k, x)
+    except (OverflowError, ZeroDivisionError):  # k! or a power leaves range
+        tail = 0.0
+    except TypeError:  # from range or math.factorial
         raise DomainError("polygamma_bounds requires an integer k, got %r"
                           % (k,)) from None
-    lower = head + 0.5 * tail
-    upper = head + tail
-    if upper == math.inf:
+    if not (tail > 0.0 and upper < math.inf):
         raise DomainError("polygamma_bounds(%d, %r): out of range" % (k, x))
-    return BoundPair(
-        lower, upper, "abs_polygamma_k", "polygamma", x,
-        math.log(lower), math.log(upper),
-    )
+    return BoundPair(lower, upper, "abs_polygamma_k", "polygamma", x,
+                     math.log(lower), math.log(upper))
+
+
+def _polygamma_bounds_array(k, x):
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DomainError("polygamma_bounds requires a float or a 1-D "
+                          "array, got %d dimensions" % (x.ndim,))
+    try:
+        with np.errstate(all="ignore"):
+            lower, upper, tail = _polygamma_sides(k, x)
+    except (OverflowError, TypeError, ValueError):
+        # k is rejected at every x: the float form raises its error
+        polygamma_bounds(k, float(x[0]) if len(x) else 1.0)
+    outside = x[~((x > 0.0) & (tail > 0.0) & (upper < math.inf))]
+    if len(outside):  # the float form raises its error there
+        polygamma_bounds(k, float(outside[0]))
+    log = refcore.ON_ARRAY.log  # math.log of each element, as at a float
+    return BoundPair(lower, upper, "abs_polygamma_k", "polygamma", x,
+                     log(lower), log(upper))
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +297,6 @@ class FamilyEntry:
     domain_error: str = field(repr=False)  # its DomainError, %r for x
     one_sided: bool = False
     equality: object = field(default=None, repr=False)  # x -> x! exactly
-
-    def evaluate(self, x):
-        """:func:`evaluate_family` of this family."""
-        return evaluate_family(self.id, x)
 
 
 FAMILIES = {

@@ -103,28 +103,17 @@ def _cmd_lemma2(args):
     from gamma_envelope import polycert, proofaudit, sweep
 
     certs = polycert.certify_lemma_polynomials()
-    rows = []
-    ok = True
-    for i, cert in certs.items():
-        rows.append([
-            "h%d" % i,
-            "polynomial",
-            cert.claimed_sign,
-            cert.descartes_bound,
-            cert.sturm_root_count,
-            cert.verdict,
-        ])
-        ok = ok and cert.verdict == "certified"
+    rows = [["h%d" % i, "polynomial", cert.claimed_sign, cert.descartes_bound,
+             cert.sturm_root_count, cert.verdict]
+            for i, cert in certs.items()]
     # the transcendental member is checked numerically on a grid
     xs = proofaudit.interior_grid(max(args.grid, args.grid_floor))
-    h2 = sweep.lowest(xs, proofaudit.lemma_expr_array(2, xs))
-    h2_min = h2.measured
-    h2_ok = h2.ok and abs(proofaudit.lemma_expr(2, 0.0) - 1.0) <= 1e-12
-    rows.append([
-        "h2", "transcendental", "positive", "", "",
-        "consistent" if h2_ok else "violated",
-    ])
-    ok = ok and h2_ok
+    h2 = sweep.lowest(xs, proofaudit.lemma_expr(2, xs))
+    h2_at_0 = proofaudit.lemma_expr(2, 0.0)
+    h2_ok = h2.ok and abs(h2_at_0 - 1.0) <= 1e-12
+    rows.append(["h2", "transcendental", "positive", "", "",
+                 "consistent" if h2_ok else "violated"])
+    ok = h2_ok and all(c.verdict == "certified" for c in certs.values())
     header = ["name", "kind", "claimed_sign", "descartes_bound",
               "sturm_root_count", "verdict"]
     if args.format == "json":  # a document of the exact certificates
@@ -134,8 +123,8 @@ def _cmd_lemma2(args):
                 for i, cert in certs.items()
             },
             "h2_grid_check": {
-                "min_value": h2_min,
-                "value_at_0": proofaudit.lemma_expr(2, 0.0),
+                "min_value": h2.measured,
+                "value_at_0": h2_at_0,
                 "verdict": "consistent" if h2_ok else "violated",
             },
         }
@@ -160,13 +149,11 @@ def _cmd_conjecture(args):
     from gamma_envelope import analysis
 
     rows = []
-    ok = True
     if args.which == "cm":
         a, b = args.interval if args.interval else (0.1, 50.0)
         rep = analysis.cm_probe("h_cm", a, b, args.max_order, args.step)
         rows.append(["cm_h", "(%g,%g)" % (a, b), len(rep.violations),
                      rep.verdict])
-        ok = rep.verdict == "consistent"
     elif args.which == "ratio-global":
         a, b = args.interval if args.interval else (0.0, 50.0)
         rep = analysis.check_monotone(
@@ -174,7 +161,6 @@ def _cmd_conjecture(args):
         )
         rows.append(["ratio_global_increasing", "(%g,%g)" % (a, b),
                      len(rep.strict_violations), rep.verdict])
-        ok = rep.verdict == "consistent"
     else:  # tau
         a, b = args.interval if args.interval else (1e-3, 50.0)
         for tau in (0.5, 1.0, 2.0, 6.0):
@@ -184,9 +170,8 @@ def _cmd_conjecture(args):
             rows.append(["tau_ratio_increasing_tau=%g" % tau,
                          "(%g,%g)" % (a, b),
                          len(rep.strict_violations), rep.verdict])
-            ok = ok and rep.verdict == "consistent"
     header = ["probe", "interval", "violations", "verdict"]
-    return header, rows, ok
+    return header, rows, all(row[-1] == "consistent" for row in rows)
 
 
 def _cmd_openproblem_lambda(args):
@@ -210,19 +195,14 @@ def _cmd_polygamma_check(args):
 
     xs = np.logspace(math.log10(0.01), math.log10(100.0), args.grid)
     rows = []
-    ok = True
     for k in (1, 2, 3):
-        margins = []
-        for x in xs:
-            bp = bounds.polygamma_bounds(k, float(x))
-            val = abs(refcore.polygamma(k, float(x)))
-            margins.append(min(val - bp.lower, bp.upper - val))
-        check = sweep.lowest(xs, margins)
+        bp = bounds.polygamma_bounds(k, xs)
+        val = abs(refcore.polygamma_array(k, xs))
+        check = sweep.lowest(xs, np.minimum(val - bp.lower, bp.upper - val))
         rows.append([k, float(xs[0]), float(xs[-1]), len(xs), check.measured,
                      "pass" if check.ok else "fail"])
-        ok = ok and check.ok
     header = ["k", "x_min", "x_max", "points", "min_margin", "verdict"]
-    return header, rows, ok
+    return header, rows, all(row[-1] == "pass" for row in rows)
 
 
 def _grid_size(text):

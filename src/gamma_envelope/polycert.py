@@ -67,6 +67,12 @@ class Polynomial:
         ) if self.degree > 0 else Fraction(1)
 
 
+def _variations(values):
+    """Sign changes along ``values``, zeros skipped."""
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def sign_changes(p):
     """Sign changes in the coefficient sequence, zeros skipped.
 
@@ -75,8 +81,7 @@ def sign_changes(p):
     """
     if p.is_zero():
         raise ValueError("sign_changes is undefined for the zero polynomial")
-    signs = [1 if c > 0 else -1 for c in p.coefficients if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return _variations(p.coefficients)
 
 
 def _poly_rem(a, b):
@@ -106,15 +111,6 @@ def _sturm_chain(p):
     while chain[-1] != [0]:
         chain.append([-c for c in _poly_rem(chain[-2], chain[-1])])
     return chain[:-1]
-
-
-def _chain_sign_changes(chain, x):
-    signs = []
-    for coeffs in chain:
-        v = _horner(coeffs, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _interval(p, a, b):
@@ -155,9 +151,11 @@ def sturm_root_count(p, a, b):
     a, b = _interval(p, a, b)
     inner = _divide_out_root(_divide_out_root(p.coefficients, a), b)
     chain = _sturm_chain(Polynomial(inner))
-    # Sturm: V(a) - V(b) counts distinct roots in (a, b]; inner(b) != 0 so
-    # the half-open interval equals the open one.
-    return _chain_sign_changes(chain, a) - _chain_sign_changes(chain, b)
+    # Sturm: V(a) - V(b), V the sign changes along the chain's values,
+    # counts distinct roots in (a, b]; inner(b) != 0 so the half-open
+    # interval equals the open one.
+    return (_variations(_horner(c, a) for c in chain)
+            - _variations(_horner(c, b) for c in chain))
 
 
 @dataclass

@@ -240,14 +240,37 @@ def _check_index(i):
         raise ValueError("lemma_expr index must be 1..5, got %r" % (i,))
 
 
+def _on_unit(name, xs, closed, point):
+    """``xs`` as a float array once every element lies in the unit
+    interval, closed or open; the first element outside it is handed to
+    ``point``, the float form, which raises its error."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError("%s requires a float or a 1-D array, got %d "
+                         "dimensions" % (name, xs.ndim))
+    if closed:
+        inside = (0.0 <= xs) & (xs <= 1.0)
+    else:
+        inside = (0.0 < xs) & (xs < 1.0)
+    outside = xs[~inside]  # a NaN is never inside
+    if len(outside):
+        point(float(outside[0]))
+    return xs
+
+
 def lemma_expr(i, x):
-    """Value of the i-th fixed-sign expression of the algebraic lemma.
+    """Value of the i-th fixed-sign expression of the algebraic lemma, at
+    a float or every element of a 1-D array.
 
     Indices 1, 3, 4, 5 are the integer polynomials (shared with polycert);
     index 2 is the transcendental combination
     (x-1)(x^2+2x-1) - (x+1)(x^2+1) ln((x^2+1)/(x+1)), evaluated through
     a cancellation-free series inside a band around its double zero at 1.
     """
+    if isinstance(x, np.ndarray):
+        xs = _on_unit("lemma_expr", x, True, partial(lemma_expr, i))
+        _check_index(i)
+        return _evaluate(["h%d" % i], xs)["h%d" % i]
     if not 0.0 <= x <= 1.0:
         raise ValueError("lemma_expr requires 0 <= x <= 1, got %r" % (x,))
     _check_index(i)
@@ -255,7 +278,8 @@ def lemma_expr(i, x):
 
 
 def proof_function(name, x):
-    """Evaluate one of the displayed proof functions verbatim.
+    """Evaluate one of the displayed proof functions verbatim, at a float
+    or every element of a 1-D array.
 
     Known names: ``f_over_g_prime``, ``q``, ``q1``, ``q1_prime``.
     Endpoints 0 and 1 are allowed for ``q`` and ``q1`` (their formulas
@@ -263,6 +287,10 @@ def proof_function(name, x):
     """
     if name not in _PROOF_FUNCTIONS:
         raise ValueError("unknown proof function %r" % (name,))
+    if isinstance(x, np.ndarray):
+        xs = _on_unit(name, x, name != "f_over_g_prime",
+                      partial(proof_function, name))
+        return _evaluate([name], xs)[name]
     if name == "f_over_g_prime":
         if not 0.0 < x < 1.0:
             raise ValueError("f_over_g_prime requires 0 < x < 1")
@@ -281,38 +309,6 @@ def _evaluate(names, xs):
         for name in names:
             out[name][start:start + BLOCK] = values[name]
     return out
-
-
-def _unit_array(name, xs, open_interval):
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError("%s requires a 1-D array, got %d dimensions"
-                         % (name, xs.ndim))
-    if open_interval:
-        inside = (0.0 < xs) & (xs < 1.0)
-    else:
-        inside = (0.0 <= xs) & (xs <= 1.0)
-    if not inside.all():  # a NaN is never inside
-        raise ValueError("%s requires every x in %s" % (
-            name, "(0, 1)" if open_interval else "[0, 1]"))
-    return xs
-
-
-def lemma_expr_array(i, xs):
-    """:func:`lemma_expr` of every element of a 1-D float array, evaluated
-    in blocks of :data:`BLOCK` points."""
-    xs = _unit_array("lemma_expr_array", xs, False)
-    _check_index(i)
-    return _evaluate(["h%d" % i], xs)["h%d" % i]
-
-
-def proof_function_array(name, xs):
-    """:func:`proof_function` of every element of a 1-D float array,
-    evaluated in blocks of :data:`BLOCK` points."""
-    if name not in _PROOF_FUNCTIONS:
-        raise ValueError("unknown proof function %r" % (name,))
-    xs = _unit_array(name, xs, name == "f_over_g_prime")
-    return _evaluate([name], xs)[name]
 
 
 def closed_grid(n):

@@ -57,7 +57,6 @@ All functions are pure and stateless.
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
 
@@ -76,28 +75,28 @@ _TAYLOR_END = 2.5
 
 _HALF_LN_TWO_PI = 0.9189385332046727417803297364
 
-# B_2n, n = 1..10, exact; every series coefficient below derives from it.
-_BERNOULLI = tuple(Fraction(*b) for b in (
+# B_2n, n = 1..10, exact, as (numerator, denominator); every series
+# coefficient below derives from it.  An int over an int is correctly
+# rounded, so each coefficient is the double nearest its exact rational.
+_BERNOULLI = (
     (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66),
     (-691, 2730), (7, 6), (-3617, 510), (43867, 798), (-174611, 330),
-))
+)
 
 # B_2n / (2n (2n-1)) for the ln-gamma tail
-_LNGAMMA_COEFFS = tuple(
-    float(b / (2 * n * (2 * n - 1))) for n, b in enumerate(_BERNOULLI, 1)
-)
+_LNGAMMA_COEFFS = tuple(num / (den * 2 * n * (2 * n - 1))
+                        for n, (num, den) in enumerate(_BERNOULLI, 1))
 
 # B_2n / (2n) for the digamma tail
-_DIGAMMA_COEFFS = tuple(
-    float(b / (2 * n)) for n, b in enumerate(_BERNOULLI, 1)
-)
+_DIGAMMA_COEFFS = tuple(num / (den * 2 * n)
+                        for n, (num, den) in enumerate(_BERNOULLI, 1))
 
 
 def _polygamma_constants(k):
     # (-1)^(k+1) psi^(k)(y) = (k-1)!/y^k + k!/(2 y^(k+1))
     #                         + sum B_2n (2n+k-1)!/(2n)! y^(-2n-k);
-    # each series coefficient is the float product float(B_2n) * r with
-    # the integer r = (2n+k-1)!/(2n)!.
+    # each series coefficient is the float product B_2n * r, B_2n
+    # rounded to a double, with the integer r = (2n+k-1)!/(2n)!.
     fact_k = float(math.factorial(k))
     sign = 1.0 if k % 2 else -1.0  # (-1)^(k+1)
     return (
@@ -105,8 +104,8 @@ def _polygamma_constants(k):
         sign * fact_k,  # recurrence term numerator
         float(math.factorial(k - 1)),
         fact_k * 0.5,
-        tuple(float(b) * math.perm(2 * n + k - 1, k - 1)
-              for n, b in enumerate(_BERNOULLI, 1)),
+        tuple(num / den * math.perm(2 * n + k - 1, k - 1)
+              for n, (num, den) in enumerate(_BERNOULLI, 1)),
     )
 
 

@@ -153,6 +153,50 @@ class TestPolygammaBounds:
                 v = (-1.0) ** (k + 1) * refcore.polygamma(k, float(x))
                 assert bp.lower < v < bp.upper
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_array_equals_float(self, k):
+        # every power is a product, so each field of the array form equals
+        # the float form's, element by element; seeded points run from
+        # below to past the range (1e-200 to 1e300), where the float form
+        # raises, and an array raises at its first such element
+        rng = np.random.default_rng(20 + k)
+        grids = [np.logspace(math.log10(0.01), math.log10(100.0), n)
+                 for n in (200, 2000, 20000)]
+        for xs in grids + [10.0 ** rng.uniform(-200.0, 300.0, 20000)]:
+            pairs = []
+            for x in xs.tolist():
+                try:
+                    pairs.append(bounds.polygamma_bounds(k, x))
+                except DomainError as exc:
+                    pairs.append(str(exc))
+            kept = [p for p in pairs if not isinstance(p, str)]
+            fine = np.array([p.x for p in kept])
+            bp = bounds.polygamma_bounds(k, fine)
+            for field in ("lower", "upper", "log_lower", "log_upper"):
+                assert getattr(bp, field).tolist() == [
+                    getattr(p, field) for p in kept]
+            assert bp.x.tolist() == fine.tolist()
+            errors = [p for p in pairs if isinstance(p, str)]
+            if errors:
+                with pytest.raises(DomainError) as exc:
+                    bounds.polygamma_bounds(k, xs)
+                assert str(exc.value) == errors[0]
+
+    def test_array_domain(self):
+        # a rejected k, or x that is not finite and positive, raises at the
+        # first element as the float form does there
+        xs = np.array([2.0, 0.0, math.nan])
+        for k, x in ((1, 0.0), (0, 2.0), (1.5, 2.0)):
+            with pytest.raises(DomainError) as at_point:
+                bounds.polygamma_bounds(k, x)
+            with pytest.raises(DomainError) as on_array:
+                bounds.polygamma_bounds(k, xs if k == 1 else xs[:1])
+            assert str(on_array.value) == str(at_point.value)
+        assert bounds.polygamma_bounds(1, np.array([])).lower.shape == (0,)
+        for k in (0, 1.5, 200):  # k is checked with no element to check
+            with pytest.raises(DomainError, match="k >= 1|integer k|range"):
+                bounds.polygamma_bounds(k, np.array([]))
+
     def test_domain(self):
         for k in (0, 1.5):  # not an integer >= 1
             with pytest.raises(DomainError):
@@ -257,7 +301,6 @@ class TestFamilyCatalog:
 
     @pytest.mark.parametrize("fid", sorted(bounds.FAMILIES))
     def test_containment(self, fid):
-        entry = bounds.FAMILIES[fid]
         if fid == "qi_guo_extended":
             xs = np.linspace(1e-4, 50.0, 2000)
             xs = xs[np.abs(xs - np.round(xs)) > 1e-9]
@@ -277,7 +320,7 @@ class TestFamilyCatalog:
         else:
             xs = np.linspace(1e-4, 50.0, 2000)
         for x in xs:
-            bp = entry.evaluate(float(x))
+            bp = bounds.evaluate_family(fid, float(x))
             lg = true_log_gamma(bp)
             assert bp.log_lower < lg < bp.log_upper, (fid, x)
 

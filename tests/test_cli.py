@@ -403,8 +403,9 @@ class TestExitCodes:
         assert (code, out, err) == (2, "", "error: %s\n" % message)
 
     # Misuses of bounds, audit and openproblem-lambda, and a report written
-    # into a missing directory: each exits 2 with one stderr line and no
-    # report.  A domain error names the family, not a Python function.
+    # into a missing directory by any of bounds, audit, lemma2 and
+    # polygamma-check: each exits 2 with one stderr line and no report.  A
+    # domain error names the family, not a Python function.
     USAGE_MISUSES = [
         ("bounds --family ivady", "--x is required for the bounds command"),
         ("bounds --x -1", "qi_guo requires 0 < x < 1, got -1.0"),
@@ -424,6 +425,10 @@ class TestExitCodes:
          "[Errno 2] No such file or directory: 'missing/r.csv'"),
         ("audit --grid 200 --format json --out missing/r.json",
          "[Errno 2] No such file or directory: 'missing/r.json'"),
+        ("lemma2 --out missing/r.csv",
+         "[Errno 2] No such file or directory: 'missing/r.csv'"),
+        ("polygamma-check --out missing/r.csv",
+         "[Errno 2] No such file or directory: 'missing/r.csv'"),
     ]
 
     @pytest.mark.parametrize("argv, message", USAGE_MISUSES,
@@ -434,6 +439,17 @@ class TestExitCodes:
         code, out, err = run(argv.split(), capsys)
         assert (code, out, err) == (2, "", "error: %s\n" % message)
         assert list(tmp_path.iterdir()) == []
+
+    # argparse rejects each before any work: a grid below two points or
+    # not a number, an option the command does not take, an unknown format
+    @pytest.mark.parametrize("args", [
+        "--grid 1", "--grid abc", "--interval 0 1", "--format xml",
+    ])
+    @pytest.mark.parametrize("command", ["lemma2", "polygamma-check"])
+    def test_sweep_argument_misuse_exits_2(self, command, args, capsys):
+        code, out, err = run([command] + args.split(), capsys)
+        assert (code, out) == (2, "")
+        assert "error: " in err and args.split()[0] in err
 
     def test_wrong_constant_injection_exits_1(self, capsys, monkeypatch):
         # deliberately corrupt the Euler-Mascheroni literal: the audited
@@ -498,8 +514,8 @@ class TestDeterminism:
 
 
 # Runs CLI argvs in a fresh interpreter and prints their exit codes and
-# the package modules loaded afterwards.  With "no-numpy", any import of
-# numpy raises ImportError.
+# the package modules, and fractions, loaded afterwards.  With "no-numpy",
+# any import of numpy raises ImportError.
 _FRESH_CHILD = r"""
 import contextlib, io, json, sys
 if sys.argv[1] == "no-numpy":
@@ -509,7 +525,8 @@ import gamma_envelope.cli as cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]
 print(json.dumps({"codes": codes, "modules": sorted(
-    m for m in sys.modules if m.partition(".")[0] == "gamma_envelope")}))
+    m for m in sys.modules
+    if m.partition(".")[0] in ("gamma_envelope", "fractions"))}))
 """
 
 
@@ -527,6 +544,7 @@ def _fresh_process(argvs, numpy=True):
 
 class TestImportFootprint:
     def test_bounds_runs_without_numpy(self):
+        # nor fractions: every coefficient table is built from ints
         argvs = [["bounds", "--family", f, "--x", "0.75"]
                  for f in sorted(bounds.FAMILIES)]
         codes, modules = _fresh_process(argvs, numpy=False)

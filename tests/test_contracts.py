@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gamma_envelope import analysis, polycert, proofaudit, refcore
+from gamma_envelope import analysis, bounds, polycert, proofaudit, refcore
 
 _P = polycert.Polynomial([-1, 0, 1])
 
@@ -64,6 +64,25 @@ CONTRACTS = [
     ("polygamma_array_k3_out_of_range",
      lambda: refcore.polygamma_array(3, [0.5, 1e-77]),
      r"psi\^\(3\)\(1e-77\) is not a finite double"),
+    # on an array, the first element outside the domain raises the float
+    # form's error; a 2-D array is neither form
+    ("proof_function_array_above_1",
+     lambda: proofaudit.proof_function("q", np.array([0.5, 1.5])),
+     r"^q requires 0 <= x <= 1$"),
+    ("lemma_expr_array_below_0",
+     lambda: proofaudit.lemma_expr(2, np.array([0.5, -0.1])),
+     r"^lemma_expr requires 0 <= x <= 1, got -0\.1$"),
+    ("polygamma_bounds_array_out_of_range",
+     lambda: bounds.polygamma_bounds(1, np.array([1.0, 1e300])),
+     r"^polygamma_bounds\(1, 1e\+300\): out of range$"),
+    ("proof_function_2d",
+     lambda: proofaudit.proof_function("q", np.array([[0.5]])),
+     "q requires a float or a 1-D array, got 2 dimensions"),
+    ("lemma_expr_2d", lambda: proofaudit.lemma_expr(2, np.array([[0.5]])),
+     "lemma_expr requires a float or a 1-D array, got 2 dimensions"),
+    ("polygamma_bounds_2d",
+     lambda: bounds.polygamma_bounds(1, np.array([[1.0]])),
+     "polygamma_bounds requires a float or a 1-D array, got 2 dimensions"),
     ("certify_sign_a_equals_b",
      lambda: polycert.certify_sign(_P, 1, 1, "negative"), "a < b"),
     ("certify_sign_a_above_b",

@@ -1,6 +1,7 @@
 """Proof-chain evaluation and audit verdicts."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -265,13 +266,13 @@ class TestArrayPath:
         # test short)
         for xs in (_points(name), pa.interior_grid(100000)[::10]):
             ref = [pa.proof_function(name, x) for x in xs.tolist()]
-            assert pa.proof_function_array(name, xs).tolist() == ref
+            assert pa.proof_function(name, xs).tolist() == ref
 
     @pytest.mark.parametrize("i", [1, 3, 4, 5])
     def test_lemma_polynomials_bit_identical(self, i):
         xs = _points(i)
         ref = [pa.lemma_expr(i, float(x)) for x in xs]
-        assert pa.lemma_expr_array(i, xs).tolist() == ref
+        assert pa.lemma_expr(i, xs).tolist() == ref
 
     def test_lemma_h2_matches_scalar(self):
         # both forms take math.log1p (np.log1p differs in the last bit on
@@ -279,7 +280,7 @@ class TestArrayPath:
         for xs in (_points(2), pa.interior_grid(100000)):
             assert (np.abs(xs - 1.0) < pa.NEAR_ONE_BAND).sum() > 40
             ref = [pa.lemma_expr(2, x) for x in xs.tolist()]
-            assert pa.lemma_expr_array(2, xs).tolist() == ref
+            assert pa.lemma_expr(2, xs).tolist() == ref
 
     @pytest.mark.parametrize("name", ["f_over_g_prime", 2])
     def test_band_series_independent_of_block_mates(self, name):
@@ -288,51 +289,56 @@ class TestArrayPath:
         xs = np.linspace(1.0 - pa.NEAR_ONE_BAND, 1.0 - 1e-9, 300)
         if name == 2:
             xs = np.append(xs, 1.0)  # the sum never stops at x = 1
-            evaluate = pa.lemma_expr_array
+            evaluate = pa.lemma_expr
         else:
-            evaluate = pa.proof_function_array
+            evaluate = pa.proof_function
         together = evaluate(name, xs)
         alone = [evaluate(name, xs[j:j + 1])[0] for j in range(len(xs))]
         assert together.tolist() == alone
 
     def test_blocks_do_not_change_values(self):
         xs = pa.interior_grid(pa.BLOCK + 7)
-        whole = pa.proof_function_array("q1", xs)
-        tail = pa.proof_function_array("q1", xs[pa.BLOCK - 3:])
+        whole = pa.proof_function("q1", xs)
+        tail = pa.proof_function("q1", xs[pa.BLOCK - 3:])
         assert whole[pa.BLOCK - 3:].tolist() == tail.tolist()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5,
                                      1.5])
     def test_domain_errors(self, bad):
-        xs = np.array([0.5, bad])
+        # the first element outside the domain raises the float's error
+        xs = np.array([0.5, bad, 2.0])
         for name in PROOF_FUNCTIONS:
-            with pytest.raises(ValueError):
-                pa.proof_function_array(name, xs)
+            with pytest.raises(ValueError) as at_point:
+                pa.proof_function(name, bad)
+            with pytest.raises(ValueError, match=re.escape(
+                    str(at_point.value))):
+                pa.proof_function(name, xs)
         for i in range(1, 6):
-            with pytest.raises(ValueError):
-                pa.lemma_expr_array(i, xs)
+            with pytest.raises(ValueError, match=re.escape(
+                    "lemma_expr requires 0 <= x <= 1, got %r" % (bad,))):
+                pa.lemma_expr(i, xs)
 
     def test_f_over_g_prime_needs_open_interval(self):
         for end in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                pa.proof_function_array("f_over_g_prime", np.array([end]))
+            with pytest.raises(ValueError, match="0 < x < 1"):
+                pa.proof_function("f_over_g_prime", np.array([end]))
 
     def test_unknown_name_and_index(self):
         with pytest.raises(ValueError):
-            pa.proof_function_array("nope", np.array([0.5]))
+            pa.proof_function("nope", np.array([0.5]))
         with pytest.raises(ValueError):
-            pa.lemma_expr_array(6, np.array([0.5]))
+            pa.lemma_expr(6, np.array([0.5]))
 
-    @pytest.mark.parametrize("xs", [0.5, [[0.5]]])
+    @pytest.mark.parametrize("xs", [np.array([[0.5]])])
     def test_not_one_dimensional(self, xs):
-        with pytest.raises(ValueError):
-            pa.proof_function_array("q", xs)
-        with pytest.raises(ValueError):
-            pa.lemma_expr_array(2, xs)
+        with pytest.raises(ValueError, match="1-D array"):
+            pa.proof_function("q", xs)
+        with pytest.raises(ValueError, match="1-D array"):
+            pa.lemma_expr(2, xs)
 
     def test_empty(self):
         empty = np.array([])
         for name in PROOF_FUNCTIONS:
-            assert pa.proof_function_array(name, empty).shape == (0,)
+            assert pa.proof_function(name, empty).shape == (0,)
         for i in range(1, 6):
-            assert pa.lemma_expr_array(i, empty).shape == (0,)
+            assert pa.lemma_expr(i, empty).shape == (0,)

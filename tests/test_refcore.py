@@ -272,8 +272,8 @@ class TestConstants:
         # psi^(k) series: float(B_2n) times (2n+k-1)!/(2n)!, per order
         for k, (_, _, _, _, coeffs) in refcore._POLYGAMMA_CONSTANTS.items():
             assert coeffs == tuple(
-                float(b) * (math.factorial(2 * n + k - 1)
-                            // math.factorial(2 * n))
+                float(Fraction(*b)) * (math.factorial(2 * n + k - 1)
+                                       // math.factorial(2 * n))
                 for n, b in enumerate(refcore._BERNOULLI, 1)
             )
 
@@ -574,7 +574,7 @@ def _exact_series(name, k):
     term, exact tail terms) of one kernel's series at y = _SHIFT_CUTOFF,
     from the exact Bernoulli table."""
     y = Fraction(refcore._SHIFT_CUTOFF)
-    bern = list(enumerate(refcore._BERNOULLI, 1))
+    bern = [(n, Fraction(*b)) for n, b in enumerate(refcore._BERNOULLI, 1)]
     if name == "ln_gamma":
         return (refcore._LNGAMMA_TAIL, refcore._LNGAMMA_COEFFS, 0,
                 [b / (2 * n * (2 * n - 1)) * y ** (1 - 2 * n)
