@@ -18,7 +18,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from gamma_envelope import bounds, refcore, sweep
 from gamma_envelope.proofaudit import (
-    _lambda_den, _lambda_sides, _quotient, proof_function, ratio_R,
+    _lambda_den, _lambda_sides, _positive, _quotient, proof_function,
+    ratio_R,
 )
 
 # Relative inset used to keep grids away from open-interval boundaries.
@@ -40,8 +41,9 @@ def lambda_ratio(lam, x):
     :func:`ratio_R` bit for bit."""
     if not lam > 0.0:
         raise ValueError("lambda_ratio requires lam > 0, got %r" % (lam,))
-    return _quotient("lambda_ratio", "0 < x < 1", (0.0 < x) & (x < 1.0), x,
-                     _lambda_sides, lam, None, lam * refcore.EULER_GAMMA)
+    return _quotient("lambda_ratio", "0 < x < 1",
+                     lambda x: (0.0 < x) & (x < 1.0), x, _lambda_sides, lam,
+                     None, lam * refcore.EULER_GAMMA)
 
 
 def _lambda_sweep(xs):
@@ -71,7 +73,7 @@ def tau_ratio(tau, x):
     there it raises ValueError."""
     if not tau > 0.0:
         raise ValueError("tau_ratio requires tau > 0, got %r" % (tau,))
-    return _quotient("tau_ratio", "x > 0", x > 0.0, x, _tau_sides, tau,
+    return _quotient("tau_ratio", "x > 0", _positive, x, _tau_sides, tau,
                      -(1.0 + tau) * refcore.EULER_GAMMA)
 
 
@@ -83,7 +85,8 @@ def F_unitball(x):
     """ln Gamma(x+1) / (x ln(2x)) on (1/2, inf); increasing, concave, < 1.
     At a float or every element of a 1-D array; raises ValueError past
     x ~ 2.56e305, where ln Gamma(x+1) overflows."""
-    return _quotient("F_unitball", "x > 1/2", x > 0.5, x, _unitball_sides)
+    return _quotient("F_unitball", "x > 1/2", lambda x: x > 0.5, x,
+                     _unitball_sides)
 
 
 def _h_cm_sides(k, x, _):
@@ -98,7 +101,7 @@ def h_cm(x):
     float or every element of a 1-D array; raises ValueError at subnormal
     x, where the quotient overflows.
     """
-    return _quotient("h_cm", "x > 0", x > 0.0, x, _h_cm_sides, None, 2.0)
+    return _quotient("h_cm", "x > 0", _positive, x, _h_cm_sides, None, 2.0)
 
 
 def _proof_function_each(name, x):

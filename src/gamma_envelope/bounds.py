@@ -2,12 +2,12 @@
 
 Each family is evaluated in log-space (exponent times log of the base,
 products as sums of logs) so that large arguments do not overflow and the
-relative error stays uniform.  A :class:`BoundPair` carries both the log
-values, always finite (a family whose log side leaves double range raises
-:class:`DomainError` instead), and the exponentiated floats; the floats
-saturate to ``inf`` when a bound is valid but beyond double range (e.g.
-upper bounds behaving like exp(1/2x) near zero), so all comparisons
-should use the log fields.
+relative error stays uniform.  A :class:`BoundPair` carries the two log
+sides, always finite (a family whose log side leaves double range raises
+:class:`DomainError` instead); its floats ``lower`` and ``upper`` are
+derived on read, and saturate to ``inf`` when a bound is valid but beyond
+double range (e.g. upper bounds behaving like exp(1/2x) near zero), so all
+comparisons should use the log sides.
 
 Conventions: a family brackets either Gamma(x+1) or Gamma(x); the
 ``argument_convention`` field on every pair says which.  One-sided
@@ -16,7 +16,7 @@ families carry a ``-inf`` sentinel on the missing side plus the
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from gamma_envelope import refcore
 
@@ -32,28 +32,40 @@ class DomainError(ValueError):
     """Argument outside a family's validity domain."""
 
 
-@dataclass(slots=True)
-class BoundPair:
-    """A certified (lower, upper) interval for Gamma at one point."""
-
-    lower: float
-    upper: float
-    argument_convention: str
-    family: str
-    x: float
-    log_lower: float
-    log_upper: float
-    is_equality_point: bool = False
-    one_sided: bool = False
-    warning: str | None = None
-
-
 def _safe_exp(v):
     if v == -math.inf:
         return -math.inf
     if v > refcore.LN_DBL_MAX:  # exp overflows
         return math.inf
     return math.exp(v)
+
+
+class BoundPair:
+    """A certified interval for Gamma at one point, held as its log sides;
+    ``lower`` and ``upper`` are their exponentials, computed on read."""
+
+    __slots__ = ("log_lower", "log_upper", "argument_convention", "family",
+                 "x", "is_equality_point", "one_sided", "warning")
+
+    def __init__(self, log_lower, log_upper, argument_convention, family, x,
+                 is_equality_point=False, one_sided=False, warning=None):
+        self.log_lower, self.log_upper = log_lower, log_upper
+        self.argument_convention, self.family, self.x = (
+            argument_convention, family, x)
+        self.is_equality_point, self.one_sided, self.warning = (
+            is_equality_point, one_sided, warning)
+
+    @property
+    def lower(self):
+        return _safe_exp(self.log_lower)
+
+    @property
+    def upper(self):
+        return _safe_exp(self.log_upper)
+
+    def __repr__(self):
+        return "BoundPair(%s)" % ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__)
 
 
 def _pair(log_lower, log_upper, conv, family, x, is_equality_point=False,
@@ -68,16 +80,8 @@ def _pair(log_lower, log_upper, conv, family, x, is_equality_point=False,
             "%s(%r): log bounds (%r, %r) are outside double range"
             % (family, x, log_lower, log_upper)
         )
-    if log_lower < 709.0 and log_upper < 709.0:  # both exps in range
-        lower, upper = math.exp(log_lower), math.exp(log_upper)
-        if log_lower == -math.inf:
-            lower = -math.inf
-    else:  # a valid bound beyond double range
-        lower, upper = _safe_exp(log_lower), _safe_exp(log_upper)
-    return BoundPair(
-        lower, upper, conv, family, x, log_lower, log_upper,
-        is_equality_point, one_sided, warning,
-    )
+    return BoundPair(log_lower, log_upper, conv, family, x,
+                     is_equality_point, one_sided, warning)
 
 
 def theorem_bounds(x, alpha=None, beta=None):
@@ -128,15 +132,25 @@ def _polygamma_sides(k, x):
     return head + 0.5 * tail, head + tail, tail
 
 
+class Sandwich(NamedTuple):
+    """The elementary bounds on (-1)^(k+1) psi^(k)(x): floats or arrays."""
+
+    lower: object
+    upper: object
+
+
 def polygamma_bounds(k, x):
-    """Elementary sandwich for (-1)^(k+1) psi^(k)(x), k >= 1, x > 0, at a
-    float or every element of a 1-D array, whose pair holds arrays equal
-    to the float form's element by element.
+    """Elementary sandwich (lower, upper) for (-1)^(k+1) psi^(k)(x),
+    k >= 1, x > 0, at a float or every element of a 1-D numpy array, whose
+    sides equal the float form's element by element.
 
     Returned directly (not in log-space), so x**(k+1) must be in range; on
     an array the first element out of it raises the float form's error."""
     if getattr(x, "ndim", 0):
         return _polygamma_bounds_array(k, x)
+    if isinstance(x, (list, tuple)):
+        raise DomainError("polygamma_bounds requires a float or a 1-D numpy "
+                          "array, got %s" % (type(x).__name__,))
     _require_finite(x, "polygamma_bounds")
     if k < 1:
         raise DomainError("polygamma_bounds requires k >= 1, got %r" % (k,))
@@ -151,8 +165,7 @@ def polygamma_bounds(k, x):
                           % (k,)) from None
     if not (tail > 0.0 and upper < math.inf):
         raise DomainError("polygamma_bounds(%d, %r): out of range" % (k, x))
-    return BoundPair(lower, upper, "abs_polygamma_k", "polygamma", x,
-                     math.log(lower), math.log(upper))
+    return Sandwich(lower, upper)
 
 
 def _polygamma_bounds_array(k, x):
@@ -171,9 +184,7 @@ def _polygamma_bounds_array(k, x):
     outside = x[~((x > 0.0) & (tail > 0.0) & (upper < math.inf))]
     if len(outside):  # the float form raises its error there
         polygamma_bounds(k, float(outside[0]))
-    log = refcore.ON_ARRAY.log  # math.log of each element, as at a float
-    return BoundPair(lower, upper, "abs_polygamma_k", "polygamma", x,
-                     log(lower), log(upper))
+    return Sandwich(lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +297,16 @@ def _positive(x):
     return x > 0.0
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
+class FamilyEntry(NamedTuple):
     id: str
     domain: str
     convention: str
     citation: str
-    sides: object = field(repr=False)  # (x, kernels) -> both log sides
-    inside: object = field(repr=False)  # x -> in the domain, per element
-    domain_error: str = field(repr=False)  # its DomainError, %r for x
+    sides: object  # (x, kernels) -> both log sides
+    inside: object  # x -> in the domain, per element
+    domain_error: str  # its DomainError, %r for x
     one_sided: bool = False
-    equality: object = field(default=None, repr=False)  # x -> x! exactly
+    equality: object = None  # x -> x! exactly
 
 
 FAMILIES = {
@@ -401,14 +411,6 @@ FAMILIES = {
 }
 
 
-# the entry fields a point evaluation reads, unpacked from one tuple per
-# query instead of five attribute loads
-_POINT_FIELDS = {
-    e.id: (e.inside, e.sides, e.convention, e.equality, e.one_sided)
-    for e in FAMILIES.values()
-}
-
-
 def _entry(family_id):
     try:
         return FAMILIES[family_id]
@@ -419,15 +421,16 @@ def _entry(family_id):
 def evaluate_family(family_id, x):
     """Evaluate one catalog family at x; raises DomainError outside its
     validity domain or where a log bound leaves double range."""
-    try:
-        inside, sides, conv, equality, one_sided = _POINT_FIELDS[family_id]
+    try:  # one unpacking instead of five attribute loads
+        _, _, conv, _, sides, inside, domain_error, one_sided, equality = (
+            FAMILIES[family_id])
     except KeyError:
         _entry(family_id)  # raises the unknown family's KeyError
     x = float(x)
     if not math.isfinite(x):
         _require_finite(x, family_id)
     if not inside(x):
-        raise DomainError(FAMILIES[family_id].domain_error % (x,))
+        raise DomainError(domain_error % (x,))
     log_lower, log_upper = sides(x, refcore.AT_POINT)
     return _pair(log_lower, log_upper, conv, family_id, x,
                  equality is not None and equality(x), one_sided)

@@ -196,9 +196,9 @@ def _cmd_polygamma_check(args):
     xs = np.logspace(math.log10(0.01), math.log10(100.0), args.grid)
     rows = []
     for k in (1, 2, 3):
-        bp = bounds.polygamma_bounds(k, xs)
+        lower, upper = bounds.polygamma_bounds(k, xs)
         val = abs(refcore.polygamma_array(k, xs))
-        check = sweep.lowest(xs, np.minimum(val - bp.lower, bp.upper - val))
+        check = sweep.lowest(xs, np.minimum(val - lower, upper - val))
         rows.append([k, float(xs[0]), float(xs[-1]), len(xs), check.measured,
                      "pass" if check.ok else "fail"])
     header = ["k", "x_min", "x_max", "points", "min_margin", "verdict"]

@@ -51,21 +51,36 @@ class ProofClaim:
 _LEAST_NORMAL = 2.0**-1022
 
 
+def _positive(x):
+    return x > 0.0
+
+
+def _float_or_array(name, x):
+    # a list or tuple is neither form: it would reach the float path's
+    # comparisons and raise a TypeError there
+    if isinstance(x, (list, tuple)):
+        raise ValueError("%s requires a float or a 1-D numpy array, got %s"
+                         % (name, type(x).__name__))
+
+
 def _quotient(name, domain, inside, x, sides, param=None, at_one=None,
               tiny=None):
     """One ratio function num / den, ``sides(kernels, x, param)`` giving
     (num, den), at a float x or at every element of a 1-D array.
 
-    ``inside`` is x's domain test (a bool per element on an array) and
-    ``domain`` its text for the error.  ``at_one`` is the defined value at
-    x == 1, ``tiny`` the limit below the least normal double, where the
-    quotient of the two rounded sides no longer holds it (None: the
-    quotient).  A value that is not a finite double raises ValueError.
-    On an array, every element where the float form would raise is
-    handed to it, so the first of them raises the float form's error.
+    ``inside`` is x's domain test, a function (on an array, giving a bool
+    per element), and ``domain`` its text for the error.  ``at_one`` is
+    the defined value at x == 1, ``tiny`` the limit below the least
+    normal double, where the quotient of the two rounded sides no longer
+    holds it (None: the quotient).  A value that is not a finite double
+    raises ValueError.  On an array, every element where the float form
+    would raise is handed to it, so the first of them raises the float
+    form's error.
     """
-    # a float or numpy scalar in the domain; an array's test is an array
-    if inside is True or (not isinstance(x, np.ndarray) and inside):
+    if not isinstance(x, np.ndarray):  # a float or numpy scalar
+        _float_or_array(name, x)
+        if not inside(x):
+            raise ValueError("%s requires %s, got %r" % (name, domain, x))
         if x == 1.0 and at_one is not None:
             return at_one
         if x < _LEAST_NORMAL and tiny is not None:
@@ -77,10 +92,8 @@ def _quotient(name, domain, inside, x, sides, param=None, at_one=None,
         shown = (x,) if param is None else (param, x)
         raise ValueError("%s(%s) is not a finite double"
                          % (name, ", ".join(map(repr, shown))))
-    if not isinstance(x, np.ndarray):
-        raise ValueError("%s requires %s, got %r" % (name, domain, x))
     value = np.full(x.shape, np.nan)
-    ok = inside & (np.abs(x) < math.inf)  # the kernels take finite x
+    ok = inside(x) & (np.abs(x) < math.inf)  # the kernels take finite x
     # an overflow or 0/0 leaves a non-finite value, handed on below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         num, den = sides(refcore.ON_ARRAY, x[ok], param)
@@ -90,8 +103,8 @@ def _quotient(name, domain, inside, x, sides, param=None, at_one=None,
     if tiny is not None:
         value[ok & (x < _LEAST_NORMAL)] = tiny
     for i in np.flatnonzero(~np.isfinite(value)):
-        value[i] = _quotient(name, domain, bool(inside[i]), float(x[i]),
-                             sides, param, at_one, tiny)
+        value[i] = _quotient(name, domain, inside, float(x[i]), sides, param,
+                             at_one, tiny)
     return value
 
 
@@ -122,7 +135,7 @@ def ratio_R(x):
     :func:`gamma_envelope.analysis.lambda_ratio` at lambda = 1.  Raises
     ValueError where the value is not a finite double (x past ~2.56e305,
     where ln Gamma(x+1) overflows)."""
-    return _quotient("ratio_R", "x > 0", x > 0.0, x, _ratio_R_sides, None,
+    return _quotient("ratio_R", "x > 0", _positive, x, _ratio_R_sides, None,
                      _RATIO_R_AT_ONE, _RATIO_R_TINY)
 
 
@@ -271,6 +284,7 @@ def lemma_expr(i, x):
         xs = _on_unit("lemma_expr", x, True, partial(lemma_expr, i))
         _check_index(i)
         return _evaluate(["h%d" % i], xs)["h%d" % i]
+    _float_or_array("lemma_expr", x)
     if not 0.0 <= x <= 1.0:
         raise ValueError("lemma_expr requires 0 <= x <= 1, got %r" % (x,))
     _check_index(i)
@@ -291,6 +305,7 @@ def proof_function(name, x):
         xs = _on_unit(name, x, name != "f_over_g_prime",
                       partial(proof_function, name))
         return _evaluate([name], xs)[name]
+    _float_or_array(name, x)
     if name == "f_over_g_prime":
         if not 0.0 < x < 1.0:
             raise ValueError("f_over_g_prime requires 0 < x < 1")

@@ -56,9 +56,9 @@ All functions are pure and stateless.
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
+from typing import NamedTuple
 
 #: Euler-Mascheroni constant, 17 significant digits.
 EULER_GAMMA = 0.57721566490153286
@@ -551,8 +551,7 @@ def gamma(x):
     return math.exp(log_value)
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(NamedTuple):
     """The numeric anchors every bound family derives from."""
 
     euler_gamma: float
@@ -574,7 +573,8 @@ _CONSTANTS = Constants(
 
 
 def constants():
-    """The one :class:`Constants`, built at import."""
+    """The one :class:`Constants`, an immutable named tuple built at
+    import."""
     return _CONSTANTS
 
 

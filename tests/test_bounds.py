@@ -131,6 +131,7 @@ class TestPolygammaBounds:
     def test_trigamma_at_one(self):
         bp = bounds.polygamma_bounds(1, 1.0)
         assert (bp.lower, bp.upper) == (1.5, 2.0)
+        assert tuple(bp) == (1.5, 2.0)  # the sandwich is exactly two sides
         assert bp.lower < math.pi**2 / 6.0 < bp.upper
 
     def test_trigamma_at_two(self):
@@ -155,7 +156,7 @@ class TestPolygammaBounds:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_array_equals_float(self, k):
-        # every power is a product, so each field of the array form equals
+        # every power is a product, so both sides of the array form equal
         # the float form's, element by element; seeded points run from
         # below to past the range (1e-200 to 1e300), where the float form
         # raises, and an array raises at its first such element
@@ -163,19 +164,18 @@ class TestPolygammaBounds:
         grids = [np.logspace(math.log10(0.01), math.log10(100.0), n)
                  for n in (200, 2000, 20000)]
         for xs in grids + [10.0 ** rng.uniform(-200.0, 300.0, 20000)]:
-            pairs = []
+            pairs, fine = [], []
             for x in xs.tolist():
                 try:
                     pairs.append(bounds.polygamma_bounds(k, x))
+                    fine.append(x)
                 except DomainError as exc:
                     pairs.append(str(exc))
             kept = [p for p in pairs if not isinstance(p, str)]
-            fine = np.array([p.x for p in kept])
-            bp = bounds.polygamma_bounds(k, fine)
-            for field in ("lower", "upper", "log_lower", "log_upper"):
+            bp = bounds.polygamma_bounds(k, np.array(fine))
+            for field in ("lower", "upper"):
                 assert getattr(bp, field).tolist() == [
                     getattr(p, field) for p in kept]
-            assert bp.x.tolist() == fine.tolist()
             errors = [p for p in pairs if isinstance(p, str)]
             if errors:
                 with pytest.raises(DomainError) as exc:
@@ -203,6 +203,9 @@ class TestPolygammaBounds:
                 bounds.polygamma_bounds(k, 1.0)
         for bad in (0.0, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
+                bounds.polygamma_bounds(1, bad)
+        for bad in ([1.0, 2.0], (1.0,)):  # neither a float nor an array
+            with pytest.raises(DomainError, match="1-D numpy array"):
                 bounds.polygamma_bounds(1, bad)
         # x**k or x**(k+1) under- or overflows
         for k, bad in ((3, 1e-120), (1, 1e-200), (1, 1e300), (3, 1e300)):
@@ -263,6 +266,7 @@ class TestFamilyCatalog:
     @settings(max_examples=150, deadline=None)
     @given(x=st.floats())
     @example(x=5e-324)  # the smallest subnormal
+    @example(x=170.5)  # a log side in [709, ln DBL_MAX]
     @example(x=2.56e305)  # about where lnGamma(x+1) overflows
     @example(x=1.7976931348623157e308)  # the largest double
     def test_input_contract(self, fid, x):
@@ -285,6 +289,8 @@ class TestFamilyCatalog:
         assert (bp.family, bp.x, bp.argument_convention, bp.one_sided) == (
             fid, x, entry.convention, entry.one_sided
         )
+        with pytest.raises(AttributeError):  # derived from the log sides
+            bp.lower = bp.upper
 
     def test_unknown_family(self):
         with pytest.raises(KeyError):

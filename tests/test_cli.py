@@ -526,7 +526,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]
 print(json.dumps({"codes": codes, "modules": sorted(
     m for m in sys.modules
-    if m.partition(".")[0] in ("gamma_envelope", "fractions"))}))
+    if m.partition(".")[0] in ("gamma_envelope", "fractions", "dataclasses"))
+}))
 """
 
 
@@ -544,7 +545,9 @@ def _fresh_process(argvs, numpy=True):
 
 class TestImportFootprint:
     def test_bounds_runs_without_numpy(self):
-        # nor fractions: every coefficient table is built from ints
+        # nor fractions (every coefficient table is built from ints) nor
+        # dataclasses (the constants, pairs and entries are plain classes
+        # and named tuples)
         argvs = [["bounds", "--family", f, "--x", "0.75"]
                  for f in sorted(bounds.FAMILIES)]
         codes, modules = _fresh_process(argvs, numpy=False)

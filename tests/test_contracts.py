@@ -83,6 +83,24 @@ CONTRACTS = [
     ("polygamma_bounds_2d",
      lambda: bounds.polygamma_bounds(1, np.array([[1.0]])),
      "polygamma_bounds requires a float or a 1-D array, got 2 dimensions"),
+    # a list or tuple is neither form: rejected by name, not a TypeError
+    ("proof_function_list", lambda: proofaudit.proof_function("q", [0.5]),
+     r"^q requires a float or a 1-D numpy array, got list$"),
+    ("lemma_expr_list", lambda: proofaudit.lemma_expr(2, [0.5]),
+     r"^lemma_expr requires a float or a 1-D numpy array, got list$"),
+    ("ratio_R_list", lambda: proofaudit.ratio_R([0.5]),
+     r"^ratio_R requires a float or a 1-D numpy array, got list$"),
+    ("lambda_ratio_tuple", lambda: analysis.lambda_ratio(1.0, (0.5,)),
+     r"^lambda_ratio requires a float or a 1-D numpy array, got tuple$"),
+    ("tau_ratio_list", lambda: analysis.tau_ratio(2.0, [0.5]),
+     r"^tau_ratio requires a float or a 1-D numpy array, got list$"),
+    ("F_unitball_list", lambda: analysis.F_unitball([0.75]),
+     r"^F_unitball requires a float or a 1-D numpy array, got list$"),
+    ("h_cm_list", lambda: analysis.h_cm([0.5]),
+     r"^h_cm requires a float or a 1-D numpy array, got list$"),
+    ("polygamma_bounds_list",
+     lambda: bounds.polygamma_bounds(1, [1.0, 2.0]),
+     r"^polygamma_bounds requires a float or a 1-D numpy array, got list$"),
     ("certify_sign_a_equals_b",
      lambda: polycert.certify_sign(_P, 1, 1, "negative"), "a < b"),
     ("certify_sign_a_above_b",
