@@ -92,6 +92,9 @@ def _quotient(name, domain, inside, x, sides, param=None, at_one=None,
         shown = (x,) if param is None else (param, x)
         raise ValueError("%s(%s) is not a finite double"
                          % (name, ", ".join(map(repr, shown))))
+    if x.ndim != 1:  # a 0-d or 2-D array would come back in its shape
+        raise ValueError("%s requires a float or a 1-D numpy array, got %d "
+                         "dimensions" % (name, x.ndim))
     value = np.full(x.shape, np.nan)
     ok = inside(x) & (np.abs(x) < math.inf)  # the kernels take finite x
     # an overflow or 0/0 leaves a non-finite value, handed on below

@@ -36,22 +36,25 @@ zeros of ln Gamma(1+x) at x = 0 and 1: z = x on (-0.5, 0.1), within
 it returns ``ln_gamma(1.0 + x)``, which the rounding of 1 + x leaves
 within 1.2e-15 relative on [0.1, 0.9].
 
-Each series is written once, as plain arithmetic on a float or an array,
-and serves a scalar kernel and its array twin (``ln_gamma_array``,
-``ln_gamma1p_array``, ``digamma_array``, ``polygamma_array``); the two
-differ only in their input check and their shift loop, which take the
-same steps in the same order.  ``ln_gamma1p_array`` mirrors
-``ln_gamma1p``: its own bands, else ``ln_gamma_array(1 + x)``.  The band
-takes only +, -, *, / and ``math.log`` or ``math.log1p`` element by
-element, and every power is a product, so on (0, 2.5) each twin equals its
-scalar kernel bit for bit (``ln_gamma1p_array`` equals ``ln_gamma1p`` on
-(-1, 1.5)), and the psi', psi'' and psi''' twins equal theirs everywhere.
-Past 2.5 the ln Gamma and psi twins differ from their scalar kernels only
-where numpy's ``log`` rounds differently from ``math.log``: by a few ulps
-of the shift sum, on 0.04% (ln Gamma) and 0.02% (psi) of arguments in
-[2.5, 16).
+Each series is straight-line code generated from its coefficient table
+at its first call: each Taylor series one nested Horner expression, each
+Stirling tail one written-out forward sum, with no loop at a call.  The
+code is plain arithmetic on a float or an array, and a scalar kernel and
+its array twin (``ln_gamma_array``, ``ln_gamma1p_array``,
+``digamma_array``, ``polygamma_array``) call the same code; the two differ
+only in their input check and their shift loop, which take the same steps
+in the same order.  ``ln_gamma1p_array`` mirrors ``ln_gamma1p``: its own
+bands, else ``ln_gamma_array(1 + x)``.  The band takes only +, -, *, /
+and ``math.log`` or ``math.log1p`` element by element, and every power is
+a product, so on (0, 2.5) each twin equals its scalar kernel bit for bit
+(``ln_gamma1p_array`` equals ``ln_gamma1p`` on (-1, 1.5)), and the psi',
+psi'' and psi''' twins equal theirs everywhere.  Past 2.5 the ln Gamma and
+psi twins differ from their scalar kernels only where numpy's ``log``
+rounds differently from ``math.log``: by a few ulps of the shift sum, on
+0.04% (ln Gamma) and 0.02% (psi) of arguments in [2.5, 16).
 
-All functions are pure and stateless.
+All functions are pure; the one state is each series' code, generated at
+its first call and the same in every process.
 """
 
 import math
@@ -201,6 +204,55 @@ _PSI2P_COEFFS = tuple(_psi2p_coeffs(k, n) for k, n in enumerate(_PSI2P_TERMS))
 _RECURRENCE = (-1.0,) + tuple(_POLYGAMMA_CONSTANTS[k][1] for k in (1, 2, 3))
 
 
+def _horner(coeffs):
+    """z -> the polynomial with these coefficients, highest power first, by
+    Horner's rule written out as one expression, ((c0 * z + c1) * z + c2)
+    ..., so that no loop runs at a call.  It takes the steps of the loop
+    ``s = 0.0; for each c: s = s * z + c`` in the same order (its first
+    step, 0.0 * z + c0, is c0 for finite z); z a float or an array.  The
+    repr of a double reads back as that double, so the compiled literals
+    are the table's entries."""
+    return eval("lambda z: " + "(" * len(coeffs)
+                + ") * z + ".join(map(repr, coeffs)) + ")", {})
+
+
+def _forward(coeffs):
+    """(acc, p, r) -> acc + c0 p + c1 p r + c2 p r^2 + ... summed forward as
+    one written-out expression, acc + c0 * p + c1 * (p := p * r) + ...:
+    each sum's left side is evaluated first, so it takes the steps of the
+    loop ``for each c: acc = acc + c * p; p = p * r`` in the same order;
+    float or array."""
+    return eval("lambda acc, p, r: acc + %r * p" % coeffs[0] + "".join(
+        map(" + {!r} * (p := p * r)".format, coeffs[1:])), {})
+
+
+def _on_first_call(make, tables):
+    """``[make(t) for t in tables]``, each made at its first call: until
+    then its slot holds a stand-in that makes it, puts it in the slot and
+    hands the call on, so a process compiles only the series it sums
+    (compiling all ten at import would take about 1.2 ms)."""
+    series = []
+
+    def stand_in(i):
+        def first_call(*args):
+            series[i] = make(tables[i])
+            return series[i](*args)
+        return first_call
+
+    series.extend(map(stand_in, range(len(tables))))
+    return series
+
+
+# Every series as straight-line code generated from its table, indexed by
+# the order k of psi^(k), k = 0..3, with ln Gamma last, at _LN_GAMMA: the
+# Taylor series about 2 (_taylor[_LN_GAMMA](z) * z is ln Gamma(2+z)) and
+# the Stirling tails.  Scalar kernels and array twins call the same code.
+_LN_GAMMA = 4
+_taylor = _on_first_call(_horner, _PSI2P_COEFFS + (_LNGAMMA2P_COEFFS,))
+_tail = _on_first_call(_forward, (_DIGAMMA_TAIL,) + tuple(
+    _POLYGAMMA_TAILS[k] for k in (1, 2, 3)) + (_LNGAMMA_TAIL,))
+
+
 def backend():
     """Name of the kernel backend; the kernels are pure Python."""
     return "python"
@@ -210,35 +262,17 @@ def _ln_gamma_series(y, log):
     # Stirling series for ln Gamma(y), y at or past the cutoff; plain
     # arithmetic on a float or an array, ``log`` the matching logarithm
     inv = 1.0 / y
-    inv2 = inv * inv
-    tail = 0.0
-    p = inv
-    for c in _LNGAMMA_TAIL:
-        tail += c * p
-        p = p * inv2
+    tail = _tail[_LN_GAMMA](0.0, inv, inv * inv)
     return (y - 0.5) * log(y) - y + _HALF_LN_TWO_PI + tail
-
-
-def _taylor2p(coeffs, z):
-    # a series about 2 at z, |z| <= 0.5, by Horner's rule, its coefficients
-    # highest power first; z a float or an array
-    s = 0.0
-    for c in coeffs:
-        s = s * z + c
-    return s
-
-
-def _ln_gamma2p_series(z):
-    # ln Gamma(2+z) for |z| <= 0.5; float or array
-    return _taylor2p(_LNGAMMA2P_COEFFS, z) * z
 
 
 def _ln_gamma1p_taylor(x):
     # ln Gamma(1+x) for -0.5 < x < 1.5 with no shift: the series at
     # z = x - 1 from 0.5 up, at z = x minus log1p(x) below; |z| <= 0.5
     if x < 0.5:
-        return _ln_gamma2p_series(x) - math.log1p(x)
-    return _ln_gamma2p_series(x - 1.0)
+        return _taylor[_LN_GAMMA](x) * x - math.log1p(x)
+    z = x - 1.0
+    return _taylor[_LN_GAMMA](z) * z
 
 
 def _psi_taylor(k, x):
@@ -246,38 +280,28 @@ def _psi_taylor(k, x):
     # from 1.5 up; at z = x - 1 plus the recurrence term at x from 0.5 up;
     # at z = x plus the terms at x and 1 + x below.  z is exact and
     # |z| <= 0.5.  ZeroDivisionError where x**(k+1) underflows to 0.
-    coeffs = _PSI2P_COEFFS[k]
+    series = _taylor[k]
     if x >= 1.5:
-        return _taylor2p(coeffs, x - 2.0)
+        return series(x - 2.0)
     rec, power = _RECURRENCE[k], _POWERS[k + 1]
     if x >= 0.5:
-        return _taylor2p(coeffs, x - 1.0) + rec / power(x)
-    return _taylor2p(coeffs, x) + (rec / power(x) + rec / power(1.0 + x))
+        return series(x - 1.0) + rec / power(x)
+    return series(x) + (rec / power(x) + rec / power(1.0 + x))
 
 
 def _digamma_series(y, log):
     # asymptotic series for psi(y), y at or past the cutoff
     inv = 1.0 / y
     inv2 = inv * inv
-    tail = 0.0
-    p = inv2
-    for c in _DIGAMMA_TAIL:
-        tail += c * p
-        p = p * inv2
-    return log(y) - 0.5 * inv - tail
+    return log(y) - 0.5 * inv - _tail[0](0.0, inv2, inv2)
 
 
 def _polygamma_series(k, y):
     # asymptotic series for psi^(k)(y), y at or past the cutoff
     sign, _, fact_km1, half_fact_k, _ = _POLYGAMMA_CONSTANTS[k]
     inv = 1.0 / y
-    inv2 = inv * inv
     value = fact_km1 * _POWERS[k](inv) + half_fact_k * _POWERS[k + 1](inv)
-    p = _POWERS[k + 2](inv)
-    for c in _POLYGAMMA_TAILS[k]:
-        value += c * p
-        p = p * inv2
-    return sign * value
+    return sign * _tail[k](value, _POWERS[k + 2](inv), inv * inv)
 
 
 def ln_gamma(x):
@@ -399,7 +423,8 @@ def _taylor_array(x):
     import numpy as np
 
     lower = x < 0.5
-    s = _ln_gamma2p_series(np.where(lower, x, x - 1.0))
+    z = np.where(lower, x, x - 1.0)
+    s = _taylor[_LN_GAMMA](z) * z
     # math.log1p, as the scalar kernel: np.log1p rounds some x differently;
     # fed element by element, with no list of every x held at once
     x = x[lower]
@@ -466,8 +491,7 @@ def _psi_taylor_array(k, x):
 
     low = x < 0.5
     mid = ~low & (x < 1.5)
-    s = _taylor2p(_PSI2P_COEFFS[k],
-                  np.where(low, x, x - np.where(mid, 1.0, 2.0)))
+    s = _taylor[k](np.where(low, x, x - np.where(mid, 1.0, 2.0)))
     rec, power = _RECURRENCE[k], _POWERS[k + 1]
     with np.errstate(over="ignore", divide="ignore"):
         s[mid] += rec / power(x[mid])

@@ -101,6 +101,27 @@ CONTRACTS = [
     ("polygamma_bounds_list",
      lambda: bounds.polygamma_bounds(1, [1.0, 2.0]),
      r"^polygamma_bounds requires a float or a 1-D numpy array, got list$"),
+    # an array of another rank would come back in its shape: rejected too
+    ("ratio_R_0d", lambda: proofaudit.ratio_R(np.array(0.5)),
+     r"^ratio_R requires a float or a 1-D numpy array, got 0 dimensions$"),
+    ("ratio_R_2d", lambda: proofaudit.ratio_R(np.array([[0.5]])),
+     r"^ratio_R requires a float or a 1-D numpy array, got 2 dimensions$"),
+    ("lambda_ratio_0d", lambda: analysis.lambda_ratio(2.0, np.array(0.5)),
+     r"^lambda_ratio requires a float or a 1-D numpy array, got 0 dimensions$"),
+    ("lambda_ratio_2d", lambda: analysis.lambda_ratio(2.0, np.array([[0.5]])),
+     r"^lambda_ratio requires a float or a 1-D numpy array, got 2 dimensions$"),
+    ("tau_ratio_0d", lambda: analysis.tau_ratio(2.0, np.array(0.5)),
+     r"^tau_ratio requires a float or a 1-D numpy array, got 0 dimensions$"),
+    ("tau_ratio_2d", lambda: analysis.tau_ratio(2.0, np.array([[0.5]])),
+     r"^tau_ratio requires a float or a 1-D numpy array, got 2 dimensions$"),
+    ("F_unitball_0d", lambda: analysis.F_unitball(np.array(0.75)),
+     r"^F_unitball requires a float or a 1-D numpy array, got 0 dimensions$"),
+    ("F_unitball_2d", lambda: analysis.F_unitball(np.array([[0.75]])),
+     r"^F_unitball requires a float or a 1-D numpy array, got 2 dimensions$"),
+    ("h_cm_0d", lambda: analysis.h_cm(np.array(0.5)),
+     r"^h_cm requires a float or a 1-D numpy array, got 0 dimensions$"),
+    ("h_cm_2d", lambda: analysis.h_cm(np.array([[0.5]])),
+     r"^h_cm requires a float or a 1-D numpy array, got 2 dimensions$"),
     ("certify_sign_a_equals_b",
      lambda: polycert.certify_sign(_P, 1, 1, "negative"), "a < b"),
     ("certify_sign_a_above_b",

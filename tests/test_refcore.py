@@ -710,3 +710,82 @@ def test_trimmed_kernels_equal_ten_term_series(name, k):
     assert np.array_equal(array, ref_array)
     ref_scalar = [_ten_term_kernel(name, k, x, math.log) for x in xs.tolist()]
     assert scalar == ref_scalar
+
+
+# The generated straight-line series against plain loops over the same
+# tables, which take the same steps in the same order: equal bit for bit.
+
+
+def _loop_horner(coeffs, z):
+    s = 0.0
+    for c in coeffs:
+        s = s * z + c
+    return s
+
+
+def _loop_forward(coeffs, acc, p, r):
+    for c in coeffs:
+        acc = acc + c * p
+        p = p * r
+    return acc
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+_TAYLOR_TABLES = [("ln_gamma", None)] + [("psi", k) for k in range(4)]
+
+
+@pytest.mark.parametrize("name, k", _TAYLOR_TABLES,
+                         ids=["ln_gamma", "psi0", "psi1", "psi2", "psi3"])
+def test_generated_taylor_series_equals_a_loop(name, k):
+    if name == "ln_gamma":
+        coeffs, i = refcore._LNGAMMA2P_COEFFS, refcore._LN_GAMMA
+    else:
+        coeffs, i = refcore._PSI2P_COEFFS[k], k
+    rng = np.random.default_rng(20261020)
+    zs = np.concatenate([rng.uniform(-0.5, 0.5, 100000),
+                         [-0.5, 0.5, -0.0, 0.0]])
+    ref = [_loop_horner(coeffs, z) for z in zs.tolist()]
+    refcore._taylor[i](0.0)  # the first call puts the series in its slot
+    series = refcore._taylor[i]
+    assert series.__name__ == "<lambda>"
+    assert _same_bits([series(z) for z in zs.tolist()], ref)
+    assert _same_bits(series(zs), ref)
+    assert _same_bits(series(zs), _loop_horner(coeffs, zs))
+
+
+def _tail_args(name, k, y):
+    """(acc, p, r) as the kernel's series hands them to its tail at y,
+    float or array."""
+    inv = 1.0 / y
+    r = inv * inv
+    if name == "ln_gamma":
+        return 0.0, inv, r
+    if name == "digamma":
+        return 0.0, r, r
+    _, _, fact_km1, half_fact_k, _ = refcore._POLYGAMMA_CONSTANTS[k]
+    return (fact_km1 * _POWER[k](inv) + half_fact_k * _POWER[k + 1](inv),
+            _POWER[k + 2](inv), r)
+
+
+@pytest.mark.parametrize("name, k", _SERIES, ids=_SERIES_IDS)
+def test_generated_tail_equals_a_loop(name, k):
+    coeffs, _, _, _ = _exact_series(name, k)
+    i = {"ln_gamma": refcore._LN_GAMMA, "digamma": 0}.get(name, k)
+    refcore._tail[i](0.0, 1.0, 1.0)  # the first call puts it in its slot
+    tail = refcore._tail[i]
+    assert tail.__name__ == "<lambda>"
+    rng = np.random.default_rng(20261021)
+    ys = np.concatenate([rng.uniform(15.0, 100.0, 20000),
+                         10.0 ** rng.uniform(math.log10(15.0), 300.0, 80000),
+                         [15.0, 1e300]])
+    ref = [_loop_forward(coeffs, *_tail_args(name, k, y)) for y in ys.tolist()]
+    assert _same_bits([tail(*_tail_args(name, k, y)) for y in ys.tolist()],
+                      ref)
+    args = _tail_args(name, k, ys)
+    assert _same_bits(tail(*args), ref)
+    assert _same_bits(tail(*args), _loop_forward(coeffs, *args))
