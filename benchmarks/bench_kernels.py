@@ -10,10 +10,10 @@ The first three rows draw x uniformly from [1e-3, 1e4], so almost every
 argument lies past 2.5, where the kernels shift and sum their Stirling
 series.  Three more rows, ``band:ln_gamma``, ``band:digamma`` and
 ``band:polygamma``, time the same kernels on n arguments drawn uniformly
-from (1, 2), where each sums its Taylor series about 2 (the audit's
-range).  They come from a second seeded stream, so the first three rows'
-arguments are as before, and their names do not start with a kernel's, so
-perfbench reads only the first three.
+from (1, 2), where each sums its economized Taylor series about 2 (the
+audit's range).  They come from a second seeded stream, so the first three
+rows' arguments are as before, and their names do not start with a
+kernel's, so perfbench reads only the first three.
 """
 
 import argparse

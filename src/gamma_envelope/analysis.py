@@ -10,6 +10,7 @@ numeric counterexample and is reported loudly.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,12 +36,20 @@ def _grid(a, b, n):
 # ratio-family functions
 
 
+def _require_positive(name, param, value):
+    # a real number > 0: a float, an int or a numpy scalar, not a list or
+    # an array; the plain types are checked first, since the check of an
+    # abstract base class takes ~0.4 us
+    if not ((isinstance(value, (float, int))
+             or isinstance(value, numbers.Real)) and value > 0.0):
+        raise ValueError("%s requires %s > 0, got %r" % (name, param, value))
+
+
 def lambda_ratio(lam, x):
     """ln Gamma(x+1) / (ln(x^2+lam) - ln(x+lam)) for lam > 0, 0 < x < 1,
     at a float or every element of a 1-D array; at lam = 1 this equals
     :func:`ratio_R` bit for bit."""
-    if not lam > 0.0:
-        raise ValueError("lambda_ratio requires lam > 0, got %r" % (lam,))
+    _require_positive("lambda_ratio", "lam", lam)
     return _quotient("lambda_ratio", "0 < x < 1",
                      lambda x: (0.0 < x) & (x < 1.0), x, _lambda_sides, lam,
                      None, lam * refcore.EULER_GAMMA)
@@ -71,8 +80,7 @@ def tau_ratio(tau, x):
     element of a 1-D array.  At subnormal x the denominator rounds to -0.0
     or the quotient overflows, and past x ~ 2.56e305 ln Gamma(x) does:
     there it raises ValueError."""
-    if not tau > 0.0:
-        raise ValueError("tau_ratio requires tau > 0, got %r" % (tau,))
+    _require_positive("tau_ratio", "tau", tau)
     return _quotient("tau_ratio", "x > 0", _positive, x, _tau_sides, tau,
                      -(1.0 + tau) * refcore.EULER_GAMMA)
 

@@ -146,21 +146,26 @@ def polygamma_bounds(k, x):
 
     Returned directly (not in log-space), so x**(k+1) must be in range; on
     an array the first element out of it raises the float form's error."""
-    if getattr(x, "ndim", 0):
-        return _polygamma_bounds_array(k, x)
-    if isinstance(x, (list, tuple)):
+    if hasattr(x, "ndim"):  # a numpy array or scalar: numpy is loaded
+        import numpy as np
+
+        if isinstance(x, np.ndarray):
+            return _polygamma_bounds_array(k, x)
+    elif isinstance(x, (list, tuple)):
         raise DomainError("polygamma_bounds requires a float or a 1-D numpy "
                           "array, got %s" % (type(x).__name__,))
     _require_finite(x, "polygamma_bounds")
-    if k < 1:
-        raise DomainError("polygamma_bounds requires k >= 1, got %r" % (k,))
-    if not x > 0.0:
-        raise DomainError("polygamma_bounds requires x > 0, got %r" % (x,))
     try:
+        if k < 1:
+            raise DomainError("polygamma_bounds requires k >= 1, got %r"
+                              % (k,))
+        if not x > 0.0:
+            raise DomainError("polygamma_bounds requires x > 0, got %r"
+                              % (x,))
         lower, upper, tail = _polygamma_sides(k, x)
     except (OverflowError, ZeroDivisionError):  # k! or a power leaves range
         tail = 0.0
-    except TypeError:  # from range or math.factorial
+    except TypeError:  # from k < 1, range or math.factorial
         raise DomainError("polygamma_bounds requires an integer k, got %r"
                           % (k,)) from None
     if not (tail > 0.0 and upper < math.inf):
@@ -173,7 +178,7 @@ def _polygamma_bounds_array(k, x):
 
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
-        raise DomainError("polygamma_bounds requires a float or a 1-D "
+        raise DomainError("polygamma_bounds requires a float or a 1-D numpy "
                           "array, got %d dimensions" % (x.ndim,))
     try:
         with np.errstate(all="ignore"):
@@ -426,7 +431,11 @@ def evaluate_family(family_id, x):
             FAMILIES[family_id])
     except KeyError:
         _entry(family_id)  # raises the unknown family's KeyError
-    x = float(x)
+    try:
+        x = float(x)
+    except TypeError:  # a list or tuple, or an array of 1 or more dimensions
+        raise DomainError("%s requires a float x, got %s"
+                          % (family_id, type(x).__name__)) from None
     if not math.isfinite(x):
         _require_finite(x, family_id)
     if not inside(x):

@@ -262,7 +262,7 @@ def _on_unit(name, xs, closed, point):
     ``point``, the float form, which raises its error."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
-        raise ValueError("%s requires a float or a 1-D array, got %d "
+        raise ValueError("%s requires a float or a 1-D numpy array, got %d "
                          "dimensions" % (name, xs.ndim))
     if closed:
         inside = (0.0 <= xs) & (xs <= 1.0)

@@ -1,45 +1,50 @@
 """Reference ln Gamma, psi and psi^(k), their namespaces and shared constants.
 
-Scheme: on (0, 2.5) every kernel sums a Taylor series about 2 with no
-shift (below).  From 2.5 up each kernel shifts the argument upward by the
-recurrence until it exceeds ``_SHIFT_CUTOFF`` = 15, then sums the
-Stirling-type asymptotic series.  Each asymptotic series keeps only the
-Bernoulli terms that can change a double at y >= 15: 7 of the ten for
-ln Gamma, 8 for psi, 6 for psi', 7 for psi'' and 8 for psi'''.  The first
-term left out is below 2^-54 of the partial sum before it, so less than
-half an ulp of that sum, and the ratio only falls as y grows: adding it,
-or any later and smaller term, rounds back to the same double, so the
-kernels return what the ten-term series returns, bit for bit.  The
-truncation error of every kernel is below 1e-13 relative, which leaves the
-double-precision rounding of the recurrence as the dominant error source;
-the shift is accurate in absolute terms only (ln Gamma to 1.4e-14
-relative just past 2.5).
+Scheme: on (0, 2.5) every kernel sums one polynomial, its Taylor series
+about 2 economized, with no shift (below).  From 2.5 up each kernel shifts
+the argument upward by the recurrence until it exceeds ``_SHIFT_CUTOFF`` =
+15, then sums the Stirling-type asymptotic series.  Each asymptotic series
+keeps only the Bernoulli terms that can change a double at y >= 15: 7 of
+the ten for ln Gamma, 8 for psi, 6 for psi', 7 for psi'' and 8 for
+psi'''.  The first term left out is below 2^-54 of the partial sum before
+it, so less than half an ulp of that sum, and the ratio only falls as y
+grows: adding it, or any later and smaller term, rounds back to the same
+double, so the kernels return what the ten-term series returns, bit for
+bit.  The truncation error of every kernel is below 1e-13 relative, which
+leaves the double-precision rounding of the recurrence as the dominant
+error source; the shift is accurate in absolute terms only (ln Gamma to
+1.4e-14 relative just past 2.5).
 
-The Taylor band sums ln Gamma(2+z) (DLMF 5.7.3, https://dlmf.nist.gov/5.7;
-23 coefficients) or psi^(k)(2+z) = sum_m c_m z^m, with c_m =
-(-1)^(k+m+1) (k+m)!/m! (zeta(k+m+1) - 1) and c_0 = 1 - gamma for psi (DLMF
-5.7.4, 5.15.1), all built at import from ``ZETA_MINUS_ONE``.  psi^(k) keeps
-30, 30, 32 and 35 terms (k = 0..3): the terms left out sum, at |z| = 0.5,
-to less than 2^-54 of the smallest |psi^(k)(2+z)| on |z| <= 0.5, so to
-less than half an ulp of the series.  The band splits three ways, so that
-z is exact and |z| <= 0.5: z = x - 2 on [1.5, 2.5); z = x - 1 on
-[0.5, 1.5), plus the recurrence term at x (ln Gamma: on (0.5, 1.5), minus
-log1p(z)); z = x below, plus the terms at x and 1 + x (ln Gamma: minus
-log1p(x) and log x).  Against mpmath (40 digits, 6000 seeded points on
-(1e-300, 2.5)) ln Gamma is within 5.7e-16 relative, through its zeros at 1
-and 2, and psi', psi'' and psi''' within 5.3e-16.  psi is within
-2.7e-16 max(1, |psi|), so within 2.2e-15 relative except next to its zero
-at 1.4616, where the relative error grows as 1/|psi| (1.5e-13 at 1.46134).
-Since x + 1 rounds, :func:`ln_gamma1p` takes z from x itself next to the
-zeros of ln Gamma(1+x) at x = 0 and 1: z = x on (-0.5, 0.1), within
-3.5e-16 relative, and z = x - 1 on (0.9, 1.5), within 2.6e-16.  Elsewhere
-it returns ``ln_gamma(1.0 + x)``, which the rounding of 1 + x leaves
-within 1.2e-15 relative on [0.1, 0.9].
+The band sums ln Gamma(2+z)/z or psi^(k)(2+z), k = 0..3, as a polynomial
+in z of 18, 20, 20, 22 and 23 terms: the Chebyshev economization on
+|z| <= 0.5 of the Taylor series about 2 (DLMF 5.7.3, 5.7.4, 5.15.1;
+https://dlmf.nist.gov/5.7), which needs 24, 30, 30, 32 and 35 terms to
+meet the same rule.  The rule: the Chebyshev coefficients left out, in
+absolute value, plus the Taylor tail past degree 60 sum to less than
+2^-54 of the smallest |f| on |z| <= 0.5 (1.4e-17 to 3.9e-17 of it), so
+to less than half an ulp of the series.  The tables are literals derived
+with mpmath at 60 digits: the Taylor series to degree 60, re-expanded in
+Chebyshev polynomials of 2z, cut at the least number of terms that meets
+the rule, re-expanded in powers of z, each coefficient rounded once to a
+double; the tests derive them again.  The band splits three ways, so that z is exact
+and |z| <= 0.5: z = x - 2 on [1.5, 2.5); z = x - 1 on [0.5, 1.5), plus the
+recurrence term at x (ln Gamma: on (0.5, 1.5), minus log1p(z)); z = x
+below, plus the terms at x and 1 + x (ln Gamma: minus log1p(x) and
+log x).  Against mpmath (40 digits, 20000 seeded points per kernel on
+(1e-300, 2.5), half log-uniform) ln Gamma is within 5.5e-16 relative,
+through its zeros at 1 and 2, and psi', psi'' and psi''' within 4.6e-16.
+psi is within 3.3e-16 max(1, |psi|), so within 2.2e-15 relative except
+next to its zero at 1.4616, where the relative error grows as 1/|psi|
+(1.4e-13 at 1.46134).  Since x + 1 rounds, :func:`ln_gamma1p` takes z
+from x itself next to the zeros of ln Gamma(1+x) at x = 0 and 1: z = x on
+(-0.5, 0.1), within 3.5e-16 relative, and z = x - 1 on (0.9, 1.5), within
+2.6e-16.  Elsewhere it returns ``ln_gamma(1.0 + x)``, which the rounding
+of 1 + x leaves within 1.2e-15 relative on [0.1, 0.9].
 
 Each series is straight-line code generated from its coefficient table
-at its first call: each Taylor series one nested Horner expression, each
-Stirling tail one written-out forward sum, with no loop at a call.  The
-code is plain arithmetic on a float or an array, and a scalar kernel and
+at its first call: each band polynomial one nested Horner expression,
+each Stirling tail one written-out forward sum, with no loop at a call.
+The code is plain arithmetic on a float or an array, and a scalar kernel and
 its array twin (``ln_gamma_array``, ``ln_gamma1p_array``,
 ``digamma_array``, ``polygamma_array``) call the same code; the two differ
 only in their input check and their shift loop, which take the same steps
@@ -73,7 +78,7 @@ LN_DBL_MAX = math.log(sys.float_info.max)
 
 _SHIFT_CUTOFF = 15.0
 
-# below this no kernel shifts: each sums a Taylor series about 2
+# below this no kernel shifts: each sums its band polynomial
 _TAYLOR_END = 2.5
 
 _HALF_LN_TWO_PI = 0.9189385332046727417803297364
@@ -128,8 +133,8 @@ _POLYGAMMA_TAILS = {
     k: _POLYGAMMA_CONSTANTS[k][4][:n] for k, n in ((1, 6), (2, 7), (3, 8))
 }
 
-# zeta(m) - 1 for m = 2..38, correctly rounded: the Taylor coefficients'
-# arithmetic core for expansions about x = 1 and 2
+# zeta(m) - 1 for m = 2..14, correctly rounded: the arithmetic core of
+# proofaudit's Taylor series about x = 1
 # (psi^(m)(2) = (-1)^(m+1) m! (zeta(m+1) - 1)).
 ZETA_MINUS_ONE = (
     0.6449340668482264,
@@ -145,30 +150,6 @@ ZETA_MINUS_ONE = (
     0.0002460865533080483,
     0.00012271334757848915,
     6.124813505870483e-05,
-    3.058823630702049e-05,
-    1.528225940865187e-05,
-    7.637197637899763e-06,
-    3.81729326499984e-06,
-    1.908212716553939e-06,
-    9.539620338727962e-07,
-    4.769329867878064e-07,
-    2.38450502727733e-07,
-    1.1921992596531106e-07,
-    5.960818905125948e-08,
-    2.980350351465228e-08,
-    1.4901554828365043e-08,
-    7.45071178983543e-09,
-    3.725334024788457e-09,
-    1.862659723513049e-09,
-    9.313274324196682e-10,
-    4.656629065033784e-10,
-    2.3283118336765053e-10,
-    1.164155017270052e-10,
-    5.820772087902701e-11,
-    2.9103850444971e-11,
-    1.4551921891041985e-11,
-    7.275959835057482e-12,
-    3.637979547378651e-12,
 )
 
 # ln_gamma1p takes z from x itself on (-0.5, _ZERO_BAND) and on
@@ -177,28 +158,60 @@ ZETA_MINUS_ONE = (
 # perfbench's tracer test counts (ROADMAP item 10)
 _ZERO_BAND = 0.1
 
-# ln Gamma(2+z) = (1-gamma) z + sum_{k=2}^{24} (-1)^k (zeta(k)-1) z^k/k; the
-# terms left out sum to at most 4.7e-17 at |z| <= 0.5 (at z = -0.5, 3.9e-16
-# of ln Gamma(1.5)).  Highest power first, for Horner's rule.
-_LNGAMMA2P_COEFFS = tuple(reversed([1.0 - EULER_GAMMA] + [
-    (-1) ** k * c / k for k, c in enumerate(ZETA_MINUS_ONE[:23], 2)]))
+# The band series on |z| <= 1/2, each a polynomial in z, highest power
+# first: ln Gamma(2+z)/z and psi^(k)(2+z), k = 0..3, each the Chebyshev
+# economization of its Taylor series about 2 (module docstring), derived
+# with mpmath at 60 digits; tests/test_refcore.py derives them again and
+# compares with ==.
+_LNGAMMA2P_COEFFS = (
+    2.7880013392491846e-07, -5.812501250599261e-07, 9.199898075671394e-07,
+    -1.9741884532905586e-06, 4.3847319318293745e-06, -9.456338120610123e-06,
+    2.0505584372896933e-05, -4.492371708374659e-05, 9.945767440096764e-05,
+    -0.00022315497868931946, 0.0005096695153484373, -0.0011927539009204018,
+    0.002890510331036772, -0.007385551028937974, 0.020580808427780335,
+    -0.0673523010531956, 0.32246703342411326, 0.42278433509846713,
+)
 
-
-def _psi2p_coeffs(k, n):
-    # the first n coefficients c_m of psi^(k)(2+z) = sum_m c_m z^m,
-    # c_m = (-1)^(k+m+1) (k+m)!/m! (zeta(k+m+1) - 1), and c_0 = 1 - gamma
-    # for psi (DLMF 5.7.4, 5.15.1), highest power first
-    head = [1.0 - EULER_GAMMA] if k == 0 else []
-    return tuple(reversed(head + [
-        (-1) ** (k + m + 1) * math.perm(k + m, k) * ZETA_MINUS_ONE[k + m - 1]
-        for m in range(len(head), n)]))
-
-
-# the terms kept for psi^(k), k = 0..3: the terms left out sum, at
-# |z| = 0.5, to less than 2^-54 of the smallest |psi^(k)(2+z)| on
-# |z| <= 0.5, so to less than half an ulp of the series
-_PSI2P_TERMS = (30, 30, 32, 35)
-_PSI2P_COEFFS = tuple(_psi2p_coeffs(k, n) for k, n in enumerate(_PSI2P_TERMS))
+_PSI2P_COEFFS = (
+    (
+        1.3353198676963285e-06, -2.628575731010178e-06, 3.588999760794955e-06,
+        -7.230932253375558e-06, 1.5356393399483115e-05, -3.071133869681147e-05,
+        6.123355636501606e-05, -0.00012269107207273986, 0.00024608835245399605,
+        -0.0004941910840399837, 0.0009945749891440375, -0.0020083926585784968,
+        0.0040773562043552175, -0.008349277388407227, 0.01734306198428647,
+        -0.03692775514324263, 0.08232323371114009, -0.20205690315959526,
+        0.6449340668482264, 0.42278433509846713,
+    ),
+    (
+        -1.381254391333848e-05, 2.5831552130128303e-05, -3.177525125567741e-05,
+        6.0523741624372546e-05, -0.00012303283000796998,
+        0.00023056174848157392, -0.00042807030801720876, 0.0007959850813870609,
+        -0.0014725805559501748, 0.002706978910305702, -0.004941884468717751,
+        0.0089511743371195, -0.016067142681396657, 0.02854149345584702,
+        -0.05009566428969042, 0.08671530992086628, -0.1477110205735012,
+        0.24696970113342506, -0.4041138063191885, 0.6449340668482264,
+    ),
+    (
+        4.670875421599469e-05, -8.395987583412551e-05, 8.896594327738673e-05,
+        -0.00016273598180040707, 0.0003303970547067221, -0.000590358415888005,
+        0.0010373552958236637, -0.0018315537988580252, 0.003209414984358025,
+        -0.0055672456536075355, 0.00955469548583897, -0.016198145664109216,
+        0.027069521704801015, -0.04447697524666868, 0.07160940917115773,
+        -0.11246999823305485, 0.17124896031432713, -0.2504783214581286,
+        0.34686123968897636, -0.4431330617204363, 0.49393940226682914,
+        -0.4041138063191886,
+    ),
+    (
+        0.000335576928845283, -0.0005814697767695287, 0.0005404391194264546,
+        -0.0009523602957205992, 0.0019394139241477061, -0.0033176513123588484,
+        0.005537361735665867, -0.009329894972117276, 0.01557599815992372,
+        -0.025662869792726823, 0.041720414444218555, -0.06680452564405553,
+        0.10510181051979334, -0.16198163010588112, 0.24362568729867742,
+        -0.3558157945391442, 0.5012658644327362, -0.6748199895725683,
+        0.8562448015681441, -1.0019132858306528, 1.0405837190669494,
+        -0.8862661234408785, 0.49393940226682914,
+    ),
+)
 
 # psi^(k)(x) = psi^(k)(x+1) + rec / x^(k+1); rec for k = 0..3
 _RECURRENCE = (-1.0,) + tuple(_POLYGAMMA_CONSTANTS[k][1] for k in (1, 2, 3))
@@ -245,7 +258,7 @@ def _on_first_call(make, tables):
 
 # Every series as straight-line code generated from its table, indexed by
 # the order k of psi^(k), k = 0..3, with ln Gamma last, at _LN_GAMMA: the
-# Taylor series about 2 (_taylor[_LN_GAMMA](z) * z is ln Gamma(2+z)) and
+# band polynomials (_taylor[_LN_GAMMA](z) * z is ln Gamma(2+z)) and
 # the Stirling tails.  Scalar kernels and array twins call the same code.
 _LN_GAMMA = 4
 _taylor = _on_first_call(_horner, _PSI2P_COEFFS + (_LNGAMMA2P_COEFFS,))
@@ -433,7 +446,7 @@ def _taylor_array(x):
 
 
 def _by_band(x, near, far):
-    """``near`` of the elements of a checked array below the Taylor band's
+    """``near`` of the elements of a checked array below the band's
     end 2.5 and ``far`` of the rest (a 0-d array stays one)."""
     import numpy as np
 
@@ -469,8 +482,8 @@ def ln_gamma_array(x):
 
 
 def ln_gamma1p_array(x):
-    """:func:`ln_gamma1p` of every element of a float array: the Taylor
-    series at x itself on ln_gamma1p's own bands, else
+    """:func:`ln_gamma1p` of every element of a float array: the band
+    polynomial at x itself on ln_gamma1p's own bands, else
     ``ln_gamma_array(1 + x)``."""
     import numpy as np
 

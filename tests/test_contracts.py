@@ -77,12 +77,18 @@ CONTRACTS = [
      r"^polygamma_bounds\(1, 1e\+300\): out of range$"),
     ("proof_function_2d",
      lambda: proofaudit.proof_function("q", np.array([[0.5]])),
-     "q requires a float or a 1-D array, got 2 dimensions"),
+     r"^q requires a float or a 1-D numpy array, got 2 dimensions$"),
     ("lemma_expr_2d", lambda: proofaudit.lemma_expr(2, np.array([[0.5]])),
-     "lemma_expr requires a float or a 1-D array, got 2 dimensions"),
+     r"^lemma_expr requires a float or a 1-D numpy array, got 2 "
+     r"dimensions$"),
     ("polygamma_bounds_2d",
      lambda: bounds.polygamma_bounds(1, np.array([[1.0]])),
-     "polygamma_bounds requires a float or a 1-D array, got 2 dimensions"),
+     r"^polygamma_bounds requires a float or a 1-D numpy array, got 2 "
+     r"dimensions$"),
+    ("polygamma_bounds_0d",
+     lambda: bounds.polygamma_bounds(1, np.array(0.5)),
+     r"^polygamma_bounds requires a float or a 1-D numpy array, got 0 "
+     r"dimensions$"),
     # a list or tuple is neither form: rejected by name, not a TypeError
     ("proof_function_list", lambda: proofaudit.proof_function("q", [0.5]),
      r"^q requires a float or a 1-D numpy array, got list$"),
@@ -101,6 +107,25 @@ CONTRACTS = [
     ("polygamma_bounds_list",
      lambda: bounds.polygamma_bounds(1, [1.0, 2.0]),
      r"^polygamma_bounds requires a float or a 1-D numpy array, got list$"),
+    # a list or an array where a number belongs: rejected by the
+    # parameter's name, not a TypeError
+    ("evaluate_family_list", lambda: bounds.evaluate_family("qi_guo", [0.5]),
+     r"^qi_guo requires a float x, got list$"),
+    ("evaluate_family_array",
+     lambda: bounds.evaluate_family("qi_guo", np.array([0.5])),
+     r"^qi_guo requires a float x, got ndarray$"),
+    ("polygamma_bounds_k_list", lambda: bounds.polygamma_bounds([1], 1.0),
+     r"^polygamma_bounds requires an integer k, got \[1\]$"),
+    ("polygamma_bounds_k_list_on_array",
+     lambda: bounds.polygamma_bounds([1], np.array([1.0])),
+     r"^polygamma_bounds requires an integer k, got \[1\]$"),
+    ("lambda_ratio_lam_list", lambda: analysis.lambda_ratio([1.0], 0.5),
+     r"^lambda_ratio requires lam > 0, got \[1\.0\]$"),
+    ("lambda_ratio_lam_array",
+     lambda: analysis.lambda_ratio(np.array([1.0]), 0.5),
+     r"^lambda_ratio requires lam > 0, got array\(\[1\.\]\)$"),
+    ("tau_ratio_tau_list", lambda: analysis.tau_ratio([2.0], 0.5),
+     r"^tau_ratio requires tau > 0, got \[2\.0\]$"),
     # an array of another rank would come back in its shape: rejected too
     ("ratio_R_0d", lambda: proofaudit.ratio_R(np.array(0.5)),
      r"^ratio_R requires a float or a 1-D numpy array, got 0 dimensions$"),
@@ -210,3 +235,16 @@ def test_numpy_integer_counts_pass():
     assert report.grid_n == 5
     probe = analysis.cm_probe("h_cm", 0.1, 1.0, np.int64(2), 0.01)
     assert probe.max_order == 2
+
+
+def test_numpy_scalars_take_the_float_path():
+    # a numpy scalar is a float to every point entry; only a 0-d array is
+    # rejected
+    x = np.float64(0.5)
+    assert bounds.polygamma_bounds(1, x) == bounds.polygamma_bounds(1, 0.5)
+    assert type(bounds.polygamma_bounds(np.int64(2), 0.5).lower) is float
+    assert (bounds.evaluate_family("qi_guo", x).log_upper
+            == bounds.evaluate_family("qi_guo", 0.5).log_upper)
+    assert analysis.lambda_ratio(np.float64(2.0), 0.5) == (
+        analysis.lambda_ratio(2.0, 0.5))
+    assert analysis.tau_ratio(np.int64(2), 0.5) == analysis.tau_ratio(2.0, 0.5)

@@ -331,9 +331,9 @@ class TestArrayPath:
 
     @pytest.mark.parametrize("xs", [np.array([[0.5]])])
     def test_not_one_dimensional(self, xs):
-        with pytest.raises(ValueError, match="1-D array"):
+        with pytest.raises(ValueError, match="1-D numpy array"):
             pa.proof_function("q", xs)
-        with pytest.raises(ValueError, match="1-D array"):
+        with pytest.raises(ValueError, match="1-D numpy array"):
             pa.lemma_expr(2, xs)
 
     def test_empty(self):
