@@ -38,10 +38,8 @@ def _grid(a, b, n):
 
 def _require_positive(name, param, value):
     # a real number > 0: a float, an int or a numpy scalar, not a list or
-    # an array; the plain types are checked first, since the check of an
-    # abstract base class takes ~0.4 us
-    if not ((isinstance(value, (float, int))
-             or isinstance(value, numbers.Real)) and value > 0.0):
+    # an array
+    if not (isinstance(value, numbers.Real) and value > 0.0):
         raise ValueError("%s requires %s > 0, got %r" % (name, param, value))
 
 

@@ -431,11 +431,13 @@ def evaluate_family(family_id, x):
             FAMILIES[family_id])
     except KeyError:
         _entry(family_id)  # raises the unknown family's KeyError
-    try:
+    if type(x) is not float:  # costs the float path what float(x) did
+        # a list, a tuple or an array of 1 or more dimensions; float() of a
+        # 1-element array succeeds before numpy 2.4, so it is not relied on
+        if isinstance(x, (list, tuple)) or getattr(x, "ndim", 0):
+            raise DomainError("%s requires a float x, got %s"
+                              % (family_id, type(x).__name__))
         x = float(x)
-    except TypeError:  # a list or tuple, or an array of 1 or more dimensions
-        raise DomainError("%s requires a float x, got %s"
-                          % (family_id, type(x).__name__)) from None
     if not math.isfinite(x):
         _require_finite(x, family_id)
     if not inside(x):

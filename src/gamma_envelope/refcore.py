@@ -26,20 +26,21 @@ to less than half an ulp of the series.  The tables are literals derived
 with mpmath at 60 digits: the Taylor series to degree 60, re-expanded in
 Chebyshev polynomials of 2z, cut at the least number of terms that meets
 the rule, re-expanded in powers of z, each coefficient rounded once to a
-double; the tests derive them again.  The band splits three ways, so that z is exact
-and |z| <= 0.5: z = x - 2 on [1.5, 2.5); z = x - 1 on [0.5, 1.5), plus the
-recurrence term at x (ln Gamma: on (0.5, 1.5), minus log1p(z)); z = x
-below, plus the terms at x and 1 + x (ln Gamma: minus log1p(x) and
-log x).  Against mpmath (40 digits, 20000 seeded points per kernel on
-(1e-300, 2.5), half log-uniform) ln Gamma is within 5.5e-16 relative,
-through its zeros at 1 and 2, and psi', psi'' and psi''' within 4.6e-16.
-psi is within 3.3e-16 max(1, |psi|), so within 2.2e-15 relative except
-next to its zero at 1.4616, where the relative error grows as 1/|psi|
-(1.4e-13 at 1.46134).  Since x + 1 rounds, :func:`ln_gamma1p` takes z
-from x itself next to the zeros of ln Gamma(1+x) at x = 0 and 1: z = x on
-(-0.5, 0.1), within 3.5e-16 relative, and z = x - 1 on (0.9, 1.5), within
-2.6e-16.  Elsewhere it returns ``ln_gamma(1.0 + x)``, which the rounding
-of 1 + x leaves within 1.2e-15 relative on [0.1, 0.9].
+double; the tests derive them again.  The band splits three ways, so
+that z is exact and |z| <= 0.5: z = x - 2 on [1.5, 2.5); z = x - 1 on
+[0.5, 1.5), plus the recurrence term at x (ln Gamma: on (0.5, 1.5),
+minus log1p(z)); z = x below, plus the terms at x and 1 + x (ln Gamma:
+minus log1p(x) and log x).  Against mpmath (40 digits, 20000 seeded
+points per kernel on (1e-300, 2.5), half log-uniform) ln Gamma is within
+5.5e-16 relative, through its zeros at 1 and 2, and psi', psi'' and
+psi''' within 4.6e-16.  psi is within 3.3e-16 max(1, |psi|), so
+within 2.2e-15 relative except next to its zero at 1.4616, where the relative
+error grows as 1/|psi| (1.4e-13 at 1.46134).  Since x + 1 rounds,
+:func:`ln_gamma1p` takes z from x itself next to the zeros of ln
+Gamma(1+x) at x = 0 and 1: z = x on (-0.5, 0.1), within 3.5e-16
+relative, and z = x - 1 on (0.9, 1.5), within 2.6e-16.  Elsewhere it
+returns ``ln_gamma(1.0 + x)``, which the rounding of 1 + x leaves within
+1.2e-15 relative on [0.1, 0.9].
 
 Each series is straight-line code generated from its coefficient table
 at its first call: each band polynomial one nested Horner expression,

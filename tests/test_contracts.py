@@ -11,6 +11,16 @@ from gamma_envelope import analysis, bounds, polycert, proofaudit, refcore
 
 _P = polycert.Polynomial([-1, 0, 1])
 
+
+class _ConvertibleArray:
+    """A 1-element array as numpy before 2.4 treats it: float() of it
+    returns its element instead of raising TypeError."""
+
+    ndim = 1
+
+    def __float__(self):
+        return 0.5
+
 # (id, call, message pattern)
 CONTRACTS = [
     ("lambda_ratio_x_0", lambda: analysis.lambda_ratio(1.0, 0.0),
@@ -114,6 +124,9 @@ CONTRACTS = [
     ("evaluate_family_array",
      lambda: bounds.evaluate_family("qi_guo", np.array([0.5])),
      r"^qi_guo requires a float x, got ndarray$"),
+    ("evaluate_family_convertible_array",
+     lambda: bounds.evaluate_family("qi_guo", _ConvertibleArray()),
+     r"^qi_guo requires a float x, got _ConvertibleArray$"),
     ("polygamma_bounds_k_list", lambda: bounds.polygamma_bounds([1], 1.0),
      r"^polygamma_bounds requires an integer k, got \[1\]$"),
     ("polygamma_bounds_k_list_on_array",
