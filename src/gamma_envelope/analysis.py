@@ -11,7 +11,6 @@ numeric counterexample and is reported loudly.
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -157,8 +156,7 @@ def _finite_interval(a, b):
 # monotonicity
 
 
-@dataclass
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     function_id: str
     interval: tuple
     grid_n: int
@@ -290,8 +288,7 @@ def search_lambda_thresholds(grid_n=2000, lambda_tol=1e-3):
 # complete-monotonicity probe
 
 
-@dataclass
-class CMReport:
+class CMReport(NamedTuple):
     function_id: str
     interval: tuple
     max_order: int
@@ -424,8 +421,7 @@ def find_crossover(family_a, family_b, side, a, b, scan_n=1000):
     ]
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     side: str
     families: list
     grid: list

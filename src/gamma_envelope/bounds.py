@@ -91,6 +91,8 @@ def theorem_bounds(x, alpha=None, beta=None):
     passing anything weaker on either side sets a warning flag because the
     containment guarantee is lost.
     """
+    if type(x) is not float:
+        x = refcore._float_arg("theorem_bounds", x, DomainError)
     if not 0.0 < x < 1.0:
         raise DomainError("theorem_bounds requires 0 < x < 1, got %r" % (x,))
     a = _C.alpha_sharp if alpha is None else float(alpha)
@@ -117,6 +119,8 @@ def extended_bounds(x):
     Brackets Gamma(x+1) for any x > 0; at positive integers both sides
     collapse to x! and the pair is flagged as an equality point.
     """
+    if type(x) is not float:
+        x = refcore._float_arg("extended_bounds", x, DomainError)
     _require_finite(x, "extended_bounds")
     return evaluate_family("qi_guo_extended", x)
 
@@ -146,14 +150,15 @@ def polygamma_bounds(k, x):
 
     Returned directly (not in log-space), so x**(k+1) must be in range; on
     an array the first element out of it raises the float form's error."""
-    if hasattr(x, "ndim"):  # a numpy array or scalar: numpy is loaded
-        import numpy as np
+    if type(x) is not float:
+        if hasattr(x, "ndim"):  # a numpy array or scalar: numpy is loaded
+            import numpy as np
 
-        if isinstance(x, np.ndarray):
-            return _polygamma_bounds_array(k, x)
-    elif isinstance(x, (list, tuple)):
-        raise DomainError("polygamma_bounds requires a float or a 1-D numpy "
-                          "array, got %s" % (type(x).__name__,))
+            if isinstance(x, np.ndarray):
+                return _polygamma_bounds_array(k, x)
+        elif isinstance(x, (list, tuple, str, bytes)):
+            raise DomainError("polygamma_bounds requires a float or a 1-D "
+                              "numpy array, got %s" % (type(x).__name__,))
     _require_finite(x, "polygamma_bounds")
     try:
         if k < 1:
@@ -432,12 +437,7 @@ def evaluate_family(family_id, x):
     except KeyError:
         _entry(family_id)  # raises the unknown family's KeyError
     if type(x) is not float:  # costs the float path what float(x) did
-        # a list, a tuple or an array of 1 or more dimensions; float() of a
-        # 1-element array succeeds before numpy 2.4, so it is not relied on
-        if isinstance(x, (list, tuple)) or getattr(x, "ndim", 0):
-            raise DomainError("%s requires a float x, got %s"
-                              % (family_id, type(x).__name__))
-        x = float(x)
+        x = refcore._float_arg(family_id, x, DomainError)
     if not math.isfinite(x):
         _require_finite(x, family_id)
     if not inside(x):

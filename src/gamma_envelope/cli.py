@@ -12,7 +12,6 @@ a line break (a quote inside it is doubled); JSON is sorted.
 
 import argparse
 import io
-import json
 import math
 import sys
 
@@ -49,6 +48,8 @@ def _render(header, rows, fmt):
         lines.extend("| " + " | ".join(map(_cell, row)) + " |"
                      for row in rows)
         return "\n".join(lines) + "\n"
+    import json  # only JSON reports pay for it
+
     doc = rows if header is None else [dict(zip(header, r)) for r in rows]
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

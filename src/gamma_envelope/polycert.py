@@ -2,15 +2,17 @@
 
 Everything here runs on exact rational arithmetic (``fractions.Fraction``
 over Python ints): a certificate is only worth producing if re-checking it
-cannot raise tolerance questions.
+cannot raise tolerance questions.  ``Fraction`` is imported by the
+functions that compute with it, so a process that only evaluates the
+lemma polynomials at floats (the proof audit) loads neither ``fractions``
+nor ``decimal``.
 
 The module also carries the four fixed-sign polynomials used by the
 monotonicity proof (see :data:`LEMMA_POLYNOMIALS`); their certification on
 (0, 1) is the machine half of the Descartes-rule argument.
 """
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import NamedTuple
 
 def _trim(coeffs):
     """Drop trailing zero coefficients in place; a lone zero stays."""
@@ -59,6 +61,8 @@ class Polynomial:
 
     def cauchy_root_bound(self):
         """1 + max |a_i / a_n|: all real roots lie in (-B, B)."""
+        from fractions import Fraction
+
         lead = abs(self.coefficients[-1])
         if lead == 0:
             raise ValueError("zero polynomial has no root bound")
@@ -87,6 +91,8 @@ def sign_changes(p):
 def _poly_rem(a, b):
     """Exact remainder of a / b over int or Fraction coefficient lists
     (ascending)."""
+    from fractions import Fraction
+
     db, lb = len(b) - 1, b[-1]
     rem = list(a)
     while len(rem) - 1 >= db and rem != [0]:
@@ -116,6 +122,8 @@ def _sturm_chain(p):
 def _interval(p, a, b):
     """(a, b) as Fractions, after checking that a < b.  The zero
     polynomial vanishes everywhere and is rejected."""
+    from fractions import Fraction
+
     if p.is_zero():
         raise ValueError("sign and root questions are undefined for the "
                          "zero polynomial")
@@ -158,8 +166,7 @@ def sturm_root_count(p, a, b):
             - _variations(_horner(c, b) for c in chain))
 
 
-@dataclass
-class SignCertificate:
+class SignCertificate(NamedTuple):
     """Machine-checkable record of why p has fixed sign on (a, b)."""
 
     polynomial: Polynomial
@@ -169,11 +176,13 @@ class SignCertificate:
     endpoint_values: list  # [(Fraction point, Fraction value), ...]
     sturm_root_count: int
     verdict: str  # "certified" | "refuted"
-    spot_checks: list = field(default_factory=list)  # extra exact anchors
+    spot_checks: list  # extra exact anchors, as endpoint_values
 
     def as_dict(self):
         """The certificate as plain JSON types, each rational a
         ``"num/den"`` string."""
+        from fractions import Fraction
+
         def frac(q):
             q = Fraction(q)
             return "%d/%d" % (q.numerator, q.denominator)
@@ -203,6 +212,8 @@ def certify_sign(p, a, b, claimed, spot_points=()):
     ``spot_points`` are extra rational points whose exact values are
     recorded for cross-checking against published anchor values.
     """
+    from fractions import Fraction
+
     if claimed not in ("negative", "positive"):
         raise ValueError("claimed sign must be 'negative' or 'positive', "
                          "got %r" % (claimed,))

@@ -17,8 +17,8 @@ points.
 """
 
 import math
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ NEAR_ONE_BAND = 1e-2
 BLOCK = 1 << 15
 
 
-@dataclass
-class ProofClaim:
+class ProofClaim(NamedTuple):
     """One audited assertion with its verdict and measurement."""
 
     name: str
@@ -56,9 +55,9 @@ def _positive(x):
 
 
 def _float_or_array(name, x):
-    # a list or tuple is neither form: it would reach the float path's
-    # comparisons and raise a TypeError there
-    if isinstance(x, (list, tuple)):
+    # a list, a tuple, a str or bytes is neither form: it would reach the
+    # float path's comparisons and raise a TypeError there
+    if type(x) is not float and isinstance(x, (list, tuple, str, bytes)):
         raise ValueError("%s requires a float or a 1-D numpy array, got %s"
                          % (name, type(x).__name__))
 

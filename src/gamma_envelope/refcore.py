@@ -50,11 +50,16 @@ its array twin (``ln_gamma_array``, ``ln_gamma1p_array``,
 ``digamma_array``, ``polygamma_array``) call the same code; the two differ
 only in their input check and their shift loop, which take the same steps
 in the same order.  ``ln_gamma1p_array`` mirrors ``ln_gamma1p``: its own
-bands, else ``ln_gamma_array(1 + x)``.  The band takes only +, -, *, /
-and ``math.log`` or ``math.log1p`` element by element, and every power is
-a product, so on (0, 2.5) each twin equals its scalar kernel bit for bit
-(``ln_gamma1p_array`` equals ``ln_gamma1p`` on (-1, 1.5)), and the psi',
-psi'' and psi''' twins equal theirs everywhere.  Past 2.5 the ln Gamma and
+bands, else ``ln_gamma_array(1 + x)``.  A twin splits an array at 2.5 by
+gather and scatter only when elements lie on both sides, and adds psi's
+recurrence term on [0.5, 1.5) in place, ``np.add(..., where=...)``,
+skipping a sub-band with no element; none of this changes an operation
+on any element, and a 0-d array comes back a 0-d array.  The band takes
+only +, -, *, / and ``math.log`` or ``math.log1p`` element by element,
+and every power is a product, so on (0, 2.5) each twin equals its scalar
+kernel bit for bit (``ln_gamma1p_array`` equals ``ln_gamma1p`` on
+(-1, 1.5)), and the psi', psi'' and psi''' twins equal theirs
+everywhere.  Past 2.5 the ln Gamma and
 psi twins differ from their scalar kernels only where numpy's ``log``
 rounds differently from ``math.log``: by a few ulps of the shift sum, on
 0.04% (ln Gamma) and 0.02% (psi) of arguments in [2.5, 16).
@@ -318,9 +323,24 @@ def _polygamma_series(k, y):
     return sign * _tail[k](value, _POWERS[k + 2](inv), inv * inv)
 
 
+def _float_arg(name, x, error=ValueError):
+    """``x``, which is not a float, as one.  A str or bytes (which float()
+    would parse), a list, a tuple, an array of one or more dimensions
+    (whose one element float() takes before numpy 2.4) or anything else
+    float() rejects raises ``error`` naming ``name``."""
+    if not (isinstance(x, (str, bytes, list, tuple))
+            or getattr(x, "ndim", 0)):
+        try:
+            return float(x)
+        except TypeError:
+            pass
+    raise error("%s requires a float x, got %s" % (name, type(x).__name__))
+
+
 def ln_gamma(x):
     """ln Gamma(x) for finite x > 0."""
-    x = float(x)
+    if type(x) is not float:
+        x = _float_arg("ln_gamma", x)
     if not 0.0 < x < math.inf:
         raise ValueError("ln_gamma requires finite x > 0, got %r" % (x,))
     if x < _TAYLOR_END:
@@ -340,7 +360,8 @@ def ln_gamma(x):
 def ln_gamma1p(x):
     """ln Gamma(1+x) for finite x > -1, to a few ulps relative at 0 and 1:
     near them the series takes z from x itself, since 1 + x rounds."""
-    x = float(x)
+    if type(x) is not float:
+        x = _float_arg("ln_gamma1p", x)
     if not -1.0 < x < math.inf:
         raise ValueError("ln_gamma1p requires finite x > -1, got %r" % (x,))
     if -0.5 < x < _ZERO_BAND or -_ZERO_BAND < x - 1.0 < 0.5:
@@ -350,7 +371,8 @@ def ln_gamma1p(x):
 
 def digamma(x):
     """psi(x) for finite x > 0."""
-    x = float(x)
+    if type(x) is not float:
+        x = _float_arg("digamma", x)
     if not 0.0 < x < math.inf:
         raise ValueError("digamma requires finite x > 0, got %r" % (x,))
     if x < _TAYLOR_END:
@@ -370,7 +392,8 @@ def _out_of_range(k, x):
 
 def polygamma(k, x):
     """psi^(k)(x) for k in {1, 2, 3} and finite x > 0."""
-    x = float(x)
+    if type(x) is not float:
+        x = _float_arg("polygamma", x)
     if k not in (1, 2, 3):
         raise ValueError("polygamma supports k in {1, 2, 3}, got %r" % (k,))
     if not 0.0 < x < math.inf:
@@ -400,7 +423,10 @@ def _finite_array(name, x, low=0.0):
     # the bound families load without it
     import numpy as np
 
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
+    if x.dtype.kind in "SU":  # text, which a float conversion would parse
+        raise ValueError("%s requires numbers, got text" % (name,))
+    x = x.astype(float, copy=False)
     if not np.all((x > low) & (x < math.inf)):  # a NaN fails both
         raise ValueError("%s requires every x finite and > %g" % (name, low))
     return x
@@ -448,11 +474,19 @@ def _taylor_array(x):
 
 def _by_band(x, near, far):
     """``near`` of the elements of a checked array below the band's
-    end 2.5 and ``far`` of the rest (a 0-d array stays one)."""
+    end 2.5 and ``far`` of the rest (a 0-d array stays one).  An array
+    that lies wholly on one side is handed over whole, with no gather or
+    scatter; a 0-d array is always gathered, since arithmetic on it gives
+    a numpy scalar, which ``near`` cannot write into."""
     import numpy as np
 
-    out = np.empty_like(x)
     band = x < _TAYLOR_END
+    if x.ndim:
+        if band.all():
+            return near(x)
+        if not band.any():
+            return far(x)
+    out = np.empty_like(x)
     out[band] = near(x[band])
     out[~band] = far(x[~band])
     return out
@@ -508,9 +542,11 @@ def _psi_taylor_array(k, x):
     s = _taylor[k](np.where(low, x, x - np.where(mid, 1.0, 2.0)))
     rec, power = _RECURRENCE[k], _POWERS[k + 1]
     with np.errstate(over="ignore", divide="ignore"):
-        s[mid] += rec / power(x[mid])
-        x = x[low]
-        s[low] += rec / power(x) + rec / power(1.0 + x)
+        if mid.any():  # the term at every x, added where mid holds
+            np.add(s, rec / power(x), out=s, where=mid)
+        if low.any():
+            x = x[low]
+            s[low] += rec / power(x) + rec / power(1.0 + x)
     return s
 
 
@@ -583,6 +619,8 @@ ON_ARRAY = SimpleNamespace(
 
 def gamma(x):
     """Gamma(x) = exp(ln_gamma(x)), x > 0, where it is a finite double."""
+    if type(x) is not float:
+        x = _float_arg("gamma", x)
     log_value = ln_gamma(x)
     if not log_value <= LN_DBL_MAX:
         raise ValueError("Gamma(%r) is not a finite double" % (x,))

@@ -1,7 +1,6 @@
 """End-to-end CLI contract: exit codes, formats, determinism."""
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -158,7 +157,7 @@ class TestSubcommands:
         assert code == 0
         claims = proofaudit.audit_proof(grid_n=200)
         assert json.loads(out) == json.loads(json.dumps(
-            [dataclasses.asdict(c) for c in claims]))
+            [c._asdict() for c in claims]))
 
     def test_conjecture_tau(self, capsys):
         code, out, _ = run(
@@ -565,3 +564,41 @@ class TestImportFootprint:
         codes, modules = _fresh_process([argv])
         assert codes == [0]
         assert not modules & {"gamma_envelope." + m for m in unloaded}
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--grid", "200"],
+        ["compare", "--grid", "500"],
+        ["openproblem-lambda", "--grid", "1000"],
+    ])
+    def test_sweeps_load_no_unused_stdlib_module(self, argv):
+        # the reports are NamedTuples, polycert imports Fraction only to
+        # compute with it and the CLI imports json only for a JSON report
+        code, _, modules = _importtime(argv)
+        assert code == 0
+        assert "gamma_envelope.refcore" in modules  # the list was read
+        assert not modules & {"fractions", "decimal", "dataclasses", "json"}
+
+    def test_lemma2_json_still_certifies(self):
+        code, out, modules = _importtime(["lemma2", "--format", "json"])
+        assert code == 0
+        assert {"fractions", "json"} <= modules
+        certificates = json.loads(out)["certificates"]
+        assert sorted(certificates) == ["h1", "h3", "h4", "h5"]
+        assert {c["verdict"] for c in certificates.values()} == {"certified"}
+
+
+def _importtime(argv):
+    """Exit code, stdout and the modules imported of one fresh CLI run,
+    read from ``-X importtime``, which lists every module a process
+    imports (the child runs no code of its own, so it imports no json)."""
+    src = os.path.dirname(os.path.dirname(gamma_envelope.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gamma_envelope.cli",
+         *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    modules = {line.rpartition("|")[2].strip()
+               for line in proc.stderr.splitlines()
+               if line.startswith("import time:")}
+    return proc.returncode, proc.stdout, modules

@@ -3,6 +3,7 @@ ValueError with a message naming what is wrong, before any work is done."""
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -160,6 +161,46 @@ CONTRACTS = [
      r"^h_cm requires a float or a 1-D numpy array, got 0 dimensions$"),
     ("h_cm_2d", lambda: analysis.h_cm(np.array([[0.5]])),
      r"^h_cm requires a float or a 1-D numpy array, got 2 dimensions$"),
+    # text is not a number: float() would parse it and a comparison would
+    # raise TypeError, so every entry rejects a str or bytes by name
+    *[("%s_%s" % (name, type(text).__name__), partial(entry, text),
+       r"^%s requires a float%s, got %s$"
+       % (named, " x" if scalar else r" or a 1-D numpy array",
+          type(text).__name__))
+      for name, entry, named, scalar in [
+          ("ln_gamma", refcore.ln_gamma, "ln_gamma", True),
+          ("ln_gamma1p", refcore.ln_gamma1p, "ln_gamma1p", True),
+          ("digamma", refcore.digamma, "digamma", True),
+          ("polygamma", partial(refcore.polygamma, 1), "polygamma", True),
+          ("gamma", refcore.gamma, "gamma", True),
+          ("evaluate_family", partial(bounds.evaluate_family, "qi_guo"),
+           "qi_guo", True),
+          ("theorem_bounds", bounds.theorem_bounds, "theorem_bounds", True),
+          ("extended_bounds", bounds.extended_bounds, "extended_bounds",
+           True),
+          ("polygamma_bounds", partial(bounds.polygamma_bounds, 1),
+           "polygamma_bounds", False),
+          ("proof_function", partial(proofaudit.proof_function, "q"), "q",
+           False),
+          ("lemma_expr", partial(proofaudit.lemma_expr, 2), "lemma_expr",
+           False),
+          ("ratio_R", proofaudit.ratio_R, "ratio_R", False),
+          ("lambda_ratio", partial(analysis.lambda_ratio, 2.0),
+           "lambda_ratio", False),
+          ("tau_ratio", partial(analysis.tau_ratio, 2.0), "tau_ratio", False),
+          ("F_unitball", analysis.F_unitball, "F_unitball", False),
+          ("h_cm", analysis.h_cm, "h_cm", False),
+      ]
+      for text in ("2.5", b"2.5")],
+    *[("%s_text" % name, partial(twin, text),
+       r"^%s requires numbers, got text$" % name)
+      for name, twin in [
+          ("ln_gamma_array", refcore.ln_gamma_array),
+          ("ln_gamma1p_array", refcore.ln_gamma1p_array),
+          ("digamma_array", refcore.digamma_array),
+          ("polygamma_array", partial(refcore.polygamma_array, 1)),
+      ]
+      for text in ("2.5", [b"2.5"])],
     ("certify_sign_a_equals_b",
      lambda: polycert.certify_sign(_P, 1, 1, "negative"), "a < b"),
     ("certify_sign_a_above_b",
@@ -228,6 +269,15 @@ CONTRACTS = [
 def test_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("entry", [
+    partial(bounds.evaluate_family, "qi_guo"), bounds.theorem_bounds,
+    bounds.extended_bounds, partial(bounds.polygamma_bounds, 1),
+])
+def test_bounds_rejects_text_with_domain_error(entry):
+    with pytest.raises(bounds.DomainError):
+        entry("0.5")
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-310])

@@ -618,6 +618,73 @@ class TestArrayKernels:
             array(low + np.array([1.5, bad, 2.5]))
 
 
+# Edge cases of the twins' split at the band's end 2.5 and, inside the
+# band, at 0.5 and 1.5: an array wholly on one side is handed over whole,
+# with no gather or scatter, and a 0-d array is always gathered.  Points
+# are ln Gamma's arguments, listed and then drawn from a span; the
+# ln_gamma1p twin takes each minus 1.
+_TWIN_CASES = {
+    "all_in_band": ([1e-8, 0.1, 0.3, 0.5, 0.75, 1.0, 1.25, 1.5, 1.9, 2.0,
+                     2.4999999999999996], (0.0, 2.5)),
+    "none_in_band": ([2.5, 3.0, 7.25, 14.999999999999998, 15.0, 40.0, 1e6],
+                     (2.5, 40.0)),
+    "mid_band_only": ([0.5, 0.75, 1.0, 1.25, 1.4999999999999998],
+                      (0.5, 1.5)),
+    "low_band_only": ([1e-8, 0.1, 0.3, 0.49999999999999994], (0.0, 0.5)),
+    "empty": ([], None),
+}
+
+
+def _twins():
+    # (id, twin, scalar kernel, shift of the points)
+    return [
+        ("ln_gamma", refcore.ln_gamma_array, refcore.ln_gamma, 0.0),
+        ("ln_gamma1p", refcore.ln_gamma1p_array, refcore.ln_gamma1p, -1.0),
+        ("digamma", refcore.digamma_array, refcore.digamma, 0.0),
+    ] + [
+        ("polygamma%d" % k, partial(refcore.polygamma_array, k),
+         partial(refcore.polygamma, k), 0.0)
+        for k in (1, 2, 3)
+    ]
+
+
+def _expected(name, twin, scalar, shift, xs):
+    """What the twin must return on the array ``xs``: its scalar kernel's
+    values, bit for bit, except past the band for ln Gamma and psi, whose
+    twins may round numpy's log differently (module docstring); there, its
+    own values through the gather path, forced by a first point in the
+    band."""
+    expected = np.array([scalar(x) for x in xs.tolist()])
+    if name in ("ln_gamma", "ln_gamma1p", "digamma"):
+        far = xs - shift >= 2.5
+        mixed = twin(np.concatenate([[1.0 + shift], xs]))[1:]
+        expected[far] = mixed[far]
+    return expected
+
+
+@pytest.mark.parametrize("name, twin, scalar, shift", _twins(),
+                         ids=[t[0] for t in _twins()])
+class TestTwinEdgeCases:
+    @pytest.mark.parametrize("case", sorted(_TWIN_CASES))
+    def test_equals_scalar(self, name, twin, scalar, shift, case):
+        points, span = _TWIN_CASES[case]
+        if span:
+            points = points + np.random.default_rng(24).uniform(
+                *span, 200).tolist()
+        xs = np.array([x for x in points if x > 0.0]) + shift
+        values = twin(xs)
+        assert type(values) is np.ndarray and values.shape == xs.shape
+        expected = _expected(name, twin, scalar, shift, xs)
+        assert values.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("x", [1e-8, 0.3, 1.0, 1.25, 2.0, 3.0, 40.0])
+    def test_zero_d(self, name, twin, scalar, shift, x):
+        value = twin(np.array(x + shift))
+        assert type(value) is np.ndarray and value.shape == ()
+        expected = _expected(name, twin, scalar, shift, np.array([x + shift]))
+        assert float(value) == expected[0]
+
+
 def test_array_polygamma_unsupported_order():
     with pytest.raises(ValueError):
         refcore.polygamma_array(4, np.array([1.0]))
