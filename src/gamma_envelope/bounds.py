@@ -156,7 +156,9 @@ def polygamma_bounds(k, x):
 
             if isinstance(x, np.ndarray):
                 return _polygamma_bounds_array(k, x)
-        elif isinstance(x, (list, tuple, str, bytes)):
+        import numbers  # only off the float path: bounds loads without it
+
+        if not isinstance(x, numbers.Real):  # a list, text, None, ...
             raise DomainError("polygamma_bounds requires a float or a 1-D "
                               "numpy array, got %s" % (type(x).__name__,))
     _require_finite(x, "polygamma_bounds")
@@ -181,7 +183,7 @@ def polygamma_bounds(k, x):
 def _polygamma_bounds_array(k, x):
     import numpy as np
 
-    x = np.asarray(x, dtype=float)
+    x = refcore._number_array("polygamma_bounds", x, DomainError)
     if x.ndim != 1:
         raise DomainError("polygamma_bounds requires a float or a 1-D numpy "
                           "array, got %d dimensions" % (x.ndim,))
@@ -459,7 +461,7 @@ def family_logs_array(family_id, xs):
     import numpy as np
 
     entry = _entry(family_id)
-    xs = np.asarray(xs, dtype=float)
+    xs = refcore._number_array(family_id, xs, DomainError)
     lower = np.full(xs.shape, np.nan)
     upper = np.full(xs.shape, np.nan)
     ok = (np.abs(xs) < math.inf) & entry.inside(xs)

@@ -17,6 +17,7 @@ points.
 """
 
 import math
+import numbers
 from functools import partial
 from typing import NamedTuple
 
@@ -55,9 +56,10 @@ def _positive(x):
 
 
 def _float_or_array(name, x):
-    # a list, a tuple, a str or bytes is neither form: it would reach the
-    # float path's comparisons and raise a TypeError there
-    if type(x) is not float and isinstance(x, (list, tuple, str, bytes)):
+    # a list, a tuple, text, None or anything else that is not a real
+    # number is neither form: it would reach the float path's comparisons
+    # and raise a TypeError there
+    if type(x) is not float and not isinstance(x, numbers.Real):
         raise ValueError("%s requires a float or a 1-D numpy array, got %s"
                          % (name, type(x).__name__))
 
@@ -94,6 +96,7 @@ def _quotient(name, domain, inside, x, sides, param=None, at_one=None,
     if x.ndim != 1:  # a 0-d or 2-D array would come back in its shape
         raise ValueError("%s requires a float or a 1-D numpy array, got %d "
                          "dimensions" % (name, x.ndim))
+    x = refcore._number_array(name, x)
     value = np.full(x.shape, np.nan)
     ok = inside(x) & (np.abs(x) < math.inf)  # the kernels take finite x
     # an overflow or 0/0 leaves a non-finite value, handed on below
@@ -259,7 +262,7 @@ def _on_unit(name, xs, closed, point):
     """``xs`` as a float array once every element lies in the unit
     interval, closed or open; the first element outside it is handed to
     ``point``, the float form, which raises its error."""
-    xs = np.asarray(xs, dtype=float)
+    xs = refcore._number_array(name, xs)
     if xs.ndim != 1:
         raise ValueError("%s requires a float or a 1-D numpy array, got %d "
                          "dimensions" % (name, xs.ndim))

@@ -417,16 +417,24 @@ def polygamma(k, x):
     return value
 
 
-def _finite_array(name, x, low=0.0):
-    """``x`` as a float array; every element must be finite and > low."""
+def _number_array(name, x, error=ValueError):
+    """``x`` as a float array; text, which the conversion would parse,
+    raises ``error`` naming ``name``."""
     # numpy is imported by the array kernels only: the scalar kernels and
     # the bound families load without it
     import numpy as np
 
     x = np.asarray(x)
-    if x.dtype.kind in "SU":  # text, which a float conversion would parse
-        raise ValueError("%s requires numbers, got text" % (name,))
-    x = x.astype(float, copy=False)
+    if x.dtype.kind in "SU":
+        raise error("%s requires numbers, got text" % (name,))
+    return x.astype(float, copy=False)
+
+
+def _finite_array(name, x, low=0.0):
+    """``x`` as a float array; every element must be finite and > low."""
+    import numpy as np
+
+    x = _number_array(name, x)
     if not np.all((x > low) & (x < math.inf)):  # a NaN fails both
         raise ValueError("%s requires every x finite and > %g" % (name, low))
     return x

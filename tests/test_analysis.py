@@ -231,17 +231,68 @@ class TestLambdaThresholds:
         self, monkeypatch, grid_n, limit
     ):
         # a lambda whose end steps rule out both directions is decided
-        # from four grid points; a full-grid classification of all 65
-        # lambda of the search would exceed the limit
+        # from four grid points; a full-grid fast sweep of all 65 lambda
+        # of the search would exceed the limit.  Every step of the fast
+        # sweeps clears the error bound, so the exact element-wise sweep
+        # never runs and math.log1p only sees the four end points
+        fast, exact, pointwise = [], [], []
+        log1p, each = an._FAST.log1p, refcore.ON_ARRAY.log1p
+        monkeypatch.setattr(
+            an._FAST, "log1p", lambda v: fast.append(len(v)) or log1p(v))
+        monkeypatch.setattr(
+            refcore.ON_ARRAY, "log1p",
+            lambda v: pointwise.append(len(v)) or each(v))
+        monkeypatch.setattr(
+            an, "_classify_lambda", lambda xs, vals: exact.append(len(xs)))
+        an.search_lambda_thresholds(grid_n)
+        assert 0 < len(fast) <= limit
+        assert set(fast) == {grid_n}
+        assert exact == []
+        assert set(pointwise) == {4}
+
+    def test_fast_log1p_within_four_ulps(self):
+        # the fast sweep's error bound assumes np.log1p within a few ulps
+        # of math.log1p on the lambda ratio's denominator arguments
+        rng = np.random.default_rng(25)
+        n = 1_000_000
+        xs = rng.uniform(0.0, 1.0, n)
+        lams = np.exp(rng.uniform(math.log(0.5), math.log(1000.0), n))
+        v = refcore.log_base_arg(xs, lams)
+        fast = np.log1p(v)
+        exact = np.fromiter(map(math.log1p, v.tolist()), float, n)
+        assert np.all(np.abs(fast - exact) <= 4.0 * np.spacing(np.abs(exact)))
+
+    @pytest.mark.parametrize("grid, lam, expected, swept", [
+        # a repeated point: a zero step, within any bound
+        ("repeat", 1.0, "non-monotone", True),
+        ("repeat", 6.0, "non-monotone", True),
+        # two points 1e-14 apart: a step within the bound whose exact sign
+        # is the lambda's direction
+        ("near", 1.0, "increasing", True),
+        ("near", 6.0, "decreasing", True),
+        # out of order: decided steps of both signs
+        ("unsorted", 1.0, "non-monotone", False),
+        ("unsorted", 6.0, "non-monotone", False),
+    ])
+    def test_undecided_steps_take_the_exact_sweep(
+        self, monkeypatch, grid, lam, expected, swept
+    ):
+        base = an._grid(0.0, 1.0, 2000)
+        xs = {
+            "repeat": np.insert(base, 1000, base[1000]),
+            "near": np.insert(base, 1001, base[1000] + 1e-14),
+            "unsorted": np.array([0.1, 0.2, 0.15, 0.3, 0.4]),
+        }[grid]
+        exact = an._classify_lambda(xs, an._lambda_sweep(xs)(lam))
+        assert exact == expected
         calls = []
         full = an._classify_lambda
         monkeypatch.setattr(
             an, "_classify_lambda",
             lambda xs, vals: calls.append(len(xs)) or full(xs, vals),
         )
-        an.search_lambda_thresholds(grid_n)
-        assert 0 < len(calls) <= limit
-        assert set(calls) == {grid_n}
+        assert an._lambda_classifier(xs)(lam) == exact
+        assert calls == ([len(xs)] if swept else [])
 
     def test_bracket_errs_outward(self):
         # f_lambda'(0+) vanishes at lambda_inc and f_lambda'(1-) at

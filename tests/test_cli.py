@@ -569,6 +569,11 @@ class TestImportFootprint:
         ["audit", "--grid", "200"],
         ["compare", "--grid", "500"],
         ["openproblem-lambda", "--grid", "1000"],
+        ["monotone", "--grid", "200"],
+        ["polygamma-check", "--grid", "20"],
+        ["conjecture", "cm", "--grid", "200"],
+        ["conjecture", "ratio-global", "--grid", "200"],
+        ["conjecture", "tau", "--grid", "200"],
     ])
     def test_sweeps_load_no_unused_stdlib_module(self, argv):
         # the reports are NamedTuples, polycert imports Fraction only to

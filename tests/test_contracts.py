@@ -201,6 +201,43 @@ CONTRACTS = [
           ("polygamma_array", partial(refcore.polygamma_array, 1)),
       ]
       for text in ("2.5", [b"2.5"])],
+    # an array of text is not an array of numbers: rejected by name before
+    # a float conversion parses it or a comparison raises a numpy error
+    *[("%s_text_array" % name, partial(entry, np.array(["0.5"])),
+       r"^%s requires numbers, got text$" % named)
+      for name, entry, named in [
+          ("proof_function", partial(proofaudit.proof_function, "q"), "q"),
+          ("lemma_expr", partial(proofaudit.lemma_expr, 2), "lemma_expr"),
+          ("polygamma_bounds", partial(bounds.polygamma_bounds, 1),
+           "polygamma_bounds"),
+          ("ratio_R", proofaudit.ratio_R, "ratio_R"),
+          ("lambda_ratio", partial(analysis.lambda_ratio, 2.0),
+           "lambda_ratio"),
+          ("tau_ratio", partial(analysis.tau_ratio, 2.0), "tau_ratio"),
+          ("F_unitball", analysis.F_unitball, "F_unitball"),
+          ("h_cm", analysis.h_cm, "h_cm"),
+      ]],
+    ("family_logs_array_text",
+     lambda: bounds.family_logs_array("qi_guo", ["0.5"]),
+     r"^qi_guo requires numbers, got text$"),
+    # None, or anything else that is not a real number, is neither form:
+    # rejected by name, not a TypeError from a comparison
+    *[("%s_%s" % (name, type(value).__name__), partial(entry, value),
+       r"^%s requires a float or a 1-D numpy array, got %s$"
+       % (named, type(value).__name__))
+      for name, entry, named in [
+          ("proof_function", partial(proofaudit.proof_function, "q"), "q"),
+          ("lemma_expr", partial(proofaudit.lemma_expr, 2), "lemma_expr"),
+          ("polygamma_bounds", partial(bounds.polygamma_bounds, 1),
+           "polygamma_bounds"),
+          ("ratio_R", proofaudit.ratio_R, "ratio_R"),
+          ("lambda_ratio", partial(analysis.lambda_ratio, 2.0),
+           "lambda_ratio"),
+          ("tau_ratio", partial(analysis.tau_ratio, 2.0), "tau_ratio"),
+          ("F_unitball", analysis.F_unitball, "F_unitball"),
+          ("h_cm", analysis.h_cm, "h_cm"),
+      ]
+      for value in (None, 0.5j)],
     ("certify_sign_a_equals_b",
      lambda: polycert.certify_sign(_P, 1, 1, "negative"), "a < b"),
     ("certify_sign_a_above_b",
