@@ -10,7 +10,6 @@ numeric counterexample and is reported loudly.
 
 import functools
 import math
-import numbers
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -37,17 +36,19 @@ def _grid(a, b, n):
 
 
 def _require_positive(name, param, value):
-    # a real number > 0: a float, an int or a numpy scalar, not a list or
-    # an array
-    if not (isinstance(value, numbers.Real) and value > 0.0):
+    # a real number > 0, as a float
+    if type(value) is not float:
+        value = refcore._gate(name, value, param=param)
+    if not value > 0.0:
         raise ValueError("%s requires %s > 0, got %r" % (name, param, value))
+    return value
 
 
 def lambda_ratio(lam, x):
     """ln Gamma(x+1) / (ln(x^2+lam) - ln(x+lam)) for lam > 0, 0 < x < 1,
     at a float or every element of a 1-D array; at lam = 1 this equals
     :func:`ratio_R` bit for bit."""
-    _require_positive("lambda_ratio", "lam", lam)
+    lam = _require_positive("lambda_ratio", "lam", lam)
     return _quotient("lambda_ratio", "0 < x < 1",
                      lambda x: (0.0 < x) & (x < 1.0), x, _lambda_sides, lam,
                      None, lam * refcore.EULER_GAMMA)
@@ -81,7 +82,7 @@ def tau_ratio(tau, x):
     element of a 1-D array.  At subnormal x the denominator rounds to -0.0
     or the quotient overflows, and past x ~ 2.56e305 ln Gamma(x) does:
     there it raises ValueError."""
-    _require_positive("tau_ratio", "tau", tau)
+    tau = _require_positive("tau_ratio", "tau", tau)
     return _quotient("tau_ratio", "x > 0", _positive, x, _tau_sides, tau,
                      -(1.0 + tau) * refcore.EULER_GAMMA)
 
@@ -399,7 +400,6 @@ def _family_logs(family_id, xs):
     too), with the errors a walk of evaluate_family over it would meet:
     the first point where it raises takes its exception from that one
     call, and a one-sided family's lower side fails at the first point."""
-    xs = np.asarray(xs, dtype=float)
     lower, upper, bad = bounds.family_logs_array(family_id, xs)
     errors = {}
     for i in np.flatnonzero(bad).tolist():
@@ -459,8 +459,8 @@ def find_crossover(family_a, family_b, side, a, b, scan_n=1000):
     xs = _grid(a, b, sweep.grid_size(scan_n, "scan_n", 2))
     vals = diff(xs)
     return [
-        sweep.root(lambda x: diff([x])[0], float(xs[i]), float(xs[i + 1]),
-                   vals[i], 1e-10)
+        sweep.root(lambda x: diff(np.array([x]))[0], float(xs[i]),
+                   float(xs[i + 1]), vals[i], 1e-10)
         for i in sweep.sign_changes(vals)
     ]
 

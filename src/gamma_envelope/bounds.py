@@ -84,6 +84,15 @@ def _pair(log_lower, log_upper, conv, family, x, is_equality_point=False,
                      is_equality_point, one_sided, warning)
 
 
+def _exponent(value, param):
+    # theorem_bounds' alpha or beta: a finite real number, as a float
+    if type(value) is not float:
+        value = refcore._gate("theorem_bounds", value, "point", DomainError,
+                              param)
+    _require_finite(value, "theorem_bounds", param)
+    return value
+
+
 def theorem_bounds(x, alpha=None, beta=None):
     """Sharp-exponent envelope of (x^2+1)/(x+1) around Gamma(x+1) on (0,1).
 
@@ -92,11 +101,11 @@ def theorem_bounds(x, alpha=None, beta=None):
     containment guarantee is lost.
     """
     if type(x) is not float:
-        x = refcore._float_arg("theorem_bounds", x, DomainError)
+        x = refcore._gate("theorem_bounds", x, "point", DomainError)
     if not 0.0 < x < 1.0:
         raise DomainError("theorem_bounds requires 0 < x < 1, got %r" % (x,))
-    a = _C.alpha_sharp if alpha is None else float(alpha)
-    b = _C.beta_sharp if beta is None else float(beta)
+    a = _C.alpha_sharp if alpha is None else _exponent(alpha, "alpha")
+    b = _C.beta_sharp if beta is None else _exponent(beta, "beta")
     warning = None
     if a < _C.alpha_sharp or b > _C.beta_sharp:
         warning = "exponents outside the sharp region; containment not guaranteed"
@@ -120,7 +129,7 @@ def extended_bounds(x):
     collapse to x! and the pair is flagged as an equality point.
     """
     if type(x) is not float:
-        x = refcore._float_arg("extended_bounds", x, DomainError)
+        x = refcore._gate("extended_bounds", x, "point", DomainError)
     _require_finite(x, "extended_bounds")
     return evaluate_family("qi_guo_extended", x)
 
@@ -151,16 +160,9 @@ def polygamma_bounds(k, x):
     Returned directly (not in log-space), so x**(k+1) must be in range; on
     an array the first element out of it raises the float form's error."""
     if type(x) is not float:
-        if hasattr(x, "ndim"):  # a numpy array or scalar: numpy is loaded
-            import numpy as np
-
-            if isinstance(x, np.ndarray):
-                return _polygamma_bounds_array(k, x)
-        import numbers  # only off the float path: bounds loads without it
-
-        if not isinstance(x, numbers.Real):  # a list, text, None, ...
-            raise DomainError("polygamma_bounds requires a float or a 1-D "
-                              "numpy array, got %s" % (type(x).__name__,))
+        x = refcore._gate("polygamma_bounds", x, "either", DomainError)
+        if type(x) is not float:
+            return _polygamma_bounds_array(k, x)
     _require_finite(x, "polygamma_bounds")
     try:
         if k < 1:
@@ -183,10 +185,6 @@ def polygamma_bounds(k, x):
 def _polygamma_bounds_array(k, x):
     import numpy as np
 
-    x = refcore._number_array("polygamma_bounds", x, DomainError)
-    if x.ndim != 1:
-        raise DomainError("polygamma_bounds requires a float or a 1-D numpy "
-                          "array, got %d dimensions" % (x.ndim,))
     try:
         with np.errstate(all="ignore"):
             lower, upper, tail = _polygamma_sides(k, x)
@@ -294,11 +292,11 @@ def _unitball(x, k):
     return -math.inf, x * k.log(2.0 * x)
 
 
-def _require_finite(x, what):
+def _require_finite(x, what, param="x"):
     # NaN and +-inf slip through the families' own interval tests (NaN
     # fails every comparison, inf passes x > 0) and yield NaN or inf pairs
     if not math.isfinite(x):
-        raise DomainError("%s requires finite x, got %r" % (what, x))
+        raise DomainError("%s requires finite %s, got %r" % (what, param, x))
 
 
 def _open_unit(x):
@@ -439,7 +437,7 @@ def evaluate_family(family_id, x):
     except KeyError:
         _entry(family_id)  # raises the unknown family's KeyError
     if type(x) is not float:  # costs the float path what float(x) did
-        x = refcore._float_arg(family_id, x, DomainError)
+        x = refcore._gate(family_id, x, "point", DomainError)
     if not math.isfinite(x):
         _require_finite(x, family_id)
     if not inside(x):
@@ -461,7 +459,7 @@ def family_logs_array(family_id, xs):
     import numpy as np
 
     entry = _entry(family_id)
-    xs = refcore._number_array(family_id, xs, DomainError)
+    xs = refcore._gate(family_id, xs, "array", DomainError)
     lower = np.full(xs.shape, np.nan)
     upper = np.full(xs.shape, np.nan)
     ok = (np.abs(xs) < math.inf) & entry.inside(xs)

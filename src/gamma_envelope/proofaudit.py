@@ -17,7 +17,6 @@ points.
 """
 
 import math
-import numbers
 from functools import partial
 from typing import NamedTuple
 
@@ -55,15 +54,6 @@ def _positive(x):
     return x > 0.0
 
 
-def _float_or_array(name, x):
-    # a list, a tuple, text, None or anything else that is not a real
-    # number is neither form: it would reach the float path's comparisons
-    # and raise a TypeError there
-    if type(x) is not float and not isinstance(x, numbers.Real):
-        raise ValueError("%s requires a float or a 1-D numpy array, got %s"
-                         % (name, type(x).__name__))
-
-
 def _quotient(name, domain, inside, x, sides, param=None, at_one=None,
               tiny=None):
     """One ratio function num / den, ``sides(kernels, x, param)`` giving
@@ -78,8 +68,9 @@ def _quotient(name, domain, inside, x, sides, param=None, at_one=None,
     would raise is handed to it, so the first of them raises the float
     form's error.
     """
-    if not isinstance(x, np.ndarray):  # a float or numpy scalar
-        _float_or_array(name, x)
+    if type(x) is not float:
+        x = refcore._gate(name, x, "either")
+    if type(x) is float:
         if not inside(x):
             raise ValueError("%s requires %s, got %r" % (name, domain, x))
         if x == 1.0 and at_one is not None:
@@ -93,10 +84,6 @@ def _quotient(name, domain, inside, x, sides, param=None, at_one=None,
         shown = (x,) if param is None else (param, x)
         raise ValueError("%s(%s) is not a finite double"
                          % (name, ", ".join(map(repr, shown))))
-    if x.ndim != 1:  # a 0-d or 2-D array would come back in its shape
-        raise ValueError("%s requires a float or a 1-D numpy array, got %d "
-                         "dimensions" % (name, x.ndim))
-    x = refcore._number_array(name, x)
     value = np.full(x.shape, np.nan)
     ok = inside(x) & (np.abs(x) < math.inf)  # the kernels take finite x
     # an overflow or 0/0 leaves a non-finite value, handed on below
@@ -258,14 +245,10 @@ def _check_index(i):
         raise ValueError("lemma_expr index must be 1..5, got %r" % (i,))
 
 
-def _on_unit(name, xs, closed, point):
-    """``xs`` as a float array once every element lies in the unit
-    interval, closed or open; the first element outside it is handed to
-    ``point``, the float form, which raises its error."""
-    xs = refcore._number_array(name, xs)
-    if xs.ndim != 1:
-        raise ValueError("%s requires a float or a 1-D numpy array, got %d "
-                         "dimensions" % (name, xs.ndim))
+def _on_unit(xs, closed, point):
+    """Hand the first element of the checked array ``xs`` outside the unit
+    interval, closed or open, to ``point``, the float form, which raises
+    its error."""
     if closed:
         inside = (0.0 <= xs) & (xs <= 1.0)
     else:
@@ -273,7 +256,6 @@ def _on_unit(name, xs, closed, point):
     outside = xs[~inside]  # a NaN is never inside
     if len(outside):
         point(float(outside[0]))
-    return xs
 
 
 def lemma_expr(i, x):
@@ -285,11 +267,12 @@ def lemma_expr(i, x):
     (x-1)(x^2+2x-1) - (x+1)(x^2+1) ln((x^2+1)/(x+1)), evaluated through
     a cancellation-free series inside a band around its double zero at 1.
     """
-    if isinstance(x, np.ndarray):
-        xs = _on_unit("lemma_expr", x, True, partial(lemma_expr, i))
-        _check_index(i)
-        return _evaluate(["h%d" % i], xs)["h%d" % i]
-    _float_or_array("lemma_expr", x)
+    if type(x) is not float:
+        x = refcore._gate("lemma_expr", x, "either")
+        if type(x) is not float:
+            _on_unit(x, True, partial(lemma_expr, i))
+            _check_index(i)
+            return _evaluate(["h%d" % i], x)["h%d" % i]
     if not 0.0 <= x <= 1.0:
         raise ValueError("lemma_expr requires 0 <= x <= 1, got %r" % (x,))
     _check_index(i)
@@ -306,11 +289,12 @@ def proof_function(name, x):
     """
     if name not in _PROOF_FUNCTIONS:
         raise ValueError("unknown proof function %r" % (name,))
-    if isinstance(x, np.ndarray):
-        xs = _on_unit(name, x, name != "f_over_g_prime",
-                      partial(proof_function, name))
-        return _evaluate([name], xs)[name]
-    _float_or_array(name, x)
+    if type(x) is not float:
+        x = refcore._gate(name, x, "either")
+        if type(x) is not float:
+            _on_unit(x, name != "f_over_g_prime",
+                     partial(proof_function, name))
+            return _evaluate([name], x)[name]
     if name == "f_over_g_prime":
         if not 0.0 < x < 1.0:
             raise ValueError("f_over_g_prime requires 0 < x < 1")

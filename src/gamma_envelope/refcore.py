@@ -54,13 +54,12 @@ bands, else ``ln_gamma_array(1 + x)``.  A twin splits an array at 2.5 by
 gather and scatter only when elements lie on both sides, and adds psi's
 recurrence term on [0.5, 1.5) in place, ``np.add(..., where=...)``,
 skipping a sub-band with no element; none of this changes an operation
-on any element, and a 0-d array comes back a 0-d array.  The band takes
-only +, -, *, / and ``math.log`` or ``math.log1p`` element by element,
-and every power is a product, so on (0, 2.5) each twin equals its scalar
-kernel bit for bit (``ln_gamma1p_array`` equals ``ln_gamma1p`` on
-(-1, 1.5)), and the psi', psi'' and psi''' twins equal theirs
-everywhere.  Past 2.5 the ln Gamma and
-psi twins differ from their scalar kernels only where numpy's ``log``
+on any element.  The band takes only +, -, *, / and ``math.log`` or
+``math.log1p`` element by element, and every power is a product, so on
+(0, 2.5) each twin equals its scalar kernel bit for bit
+(``ln_gamma1p_array`` equals ``ln_gamma1p`` on (-1, 1.5)), and the psi',
+psi'' and psi''' twins equal theirs everywhere.  Past 2.5 the ln Gamma
+and psi twins differ from their scalar kernels only where numpy's ``log``
 rounds differently from ``math.log``: by a few ulps of the shift sum, on
 0.04% (ln Gamma) and 0.02% (psi) of arguments in [2.5, 16).
 
@@ -323,24 +322,44 @@ def _polygamma_series(k, y):
     return sign * _tail[k](value, _POWERS[k + 2](inv), inv * inv)
 
 
-def _float_arg(name, x, error=ValueError):
-    """``x``, which is not a float, as one.  A str or bytes (which float()
-    would parse), a list, a tuple, an array of one or more dimensions
-    (whose one element float() takes before numpy 2.4) or anything else
-    float() rejects raises ``error`` naming ``name``."""
-    if not (isinstance(x, (str, bytes, list, tuple))
-            or getattr(x, "ndim", 0)):
-        try:
-            return float(x)
-        except TypeError:
-            pass
-    raise error("%s requires a float x, got %s" % (name, type(x).__name__))
+# The input contract of every public entry (README, "Input contract"): a
+# point entry takes a number, an array entry a 1-D array, the others
+# either.  A number is a float, or any numbers.Real but a bool or a numpy
+# timedelta64 (an int, a Fraction, a numpy scalar), made a float; an array
+# is an ndarray of dtype kind f, i or u with ndim 1, made float64.  All
+# else raises: text, None, a list, a Decimal, a complex, a 2-D array, ...
+_TAKES = {"point": "a float {}", "array": "a 1-D numpy array",
+          "either": "a float or a 1-D numpy array"}
+
+
+def _gate(name, x, form="point", error=ValueError, param="x"):
+    """``x`` as the float or 1-D float64 array that ``form`` takes (a key
+    of :data:`_TAKES`), else ``error``: "<name> requires <what form takes>,
+    got <x's kind>".  Every entry that takes a float tests ``type(x) is
+    float`` inline first, so the float path never enters it."""
+    np = sys.modules.get("numpy")  # no value is numpy's before it loads
+    if np is not None and isinstance(x, np.ndarray):
+        if form != "point" and x.ndim == 1 and x.dtype.kind in "fiu":
+            return x.astype(float, copy=False)
+        kind = "%d-D %s array" % (x.ndim, x.dtype.name)
+    else:
+        import numbers
+
+        kind = type(x).__name__
+        if (form != "array" and isinstance(x, numbers.Real)
+                and not isinstance(x, bool) and kind != "timedelta64"):
+            try:
+                return float(x)
+            except OverflowError:  # an int or a Fraction past 1.8e308
+                kind += " outside double range"
+    raise error("%s requires %s, got %s"
+                % (name, _TAKES[form].format(param), kind))
 
 
 def ln_gamma(x):
     """ln Gamma(x) for finite x > 0."""
     if type(x) is not float:
-        x = _float_arg("ln_gamma", x)
+        x = _gate("ln_gamma", x)
     if not 0.0 < x < math.inf:
         raise ValueError("ln_gamma requires finite x > 0, got %r" % (x,))
     if x < _TAYLOR_END:
@@ -361,7 +380,7 @@ def ln_gamma1p(x):
     """ln Gamma(1+x) for finite x > -1, to a few ulps relative at 0 and 1:
     near them the series takes z from x itself, since 1 + x rounds."""
     if type(x) is not float:
-        x = _float_arg("ln_gamma1p", x)
+        x = _gate("ln_gamma1p", x)
     if not -1.0 < x < math.inf:
         raise ValueError("ln_gamma1p requires finite x > -1, got %r" % (x,))
     if -0.5 < x < _ZERO_BAND or -_ZERO_BAND < x - 1.0 < 0.5:
@@ -372,7 +391,7 @@ def ln_gamma1p(x):
 def digamma(x):
     """psi(x) for finite x > 0."""
     if type(x) is not float:
-        x = _float_arg("digamma", x)
+        x = _gate("digamma", x)
     if not 0.0 < x < math.inf:
         raise ValueError("digamma requires finite x > 0, got %r" % (x,))
     if x < _TAYLOR_END:
@@ -390,12 +409,18 @@ def _out_of_range(k, x):
     return ValueError("psi^(%d)(%r) is not a finite double" % (k, x))
 
 
+def _check_order(k):
+    # 1, 2 or 3 as an integer: True and 1.0 equal 1 but are no order
+    if type(k) is bool or not hasattr(k, "__index__") or k not in (1, 2, 3):
+        raise ValueError("polygamma supports k in {1, 2, 3}, got %r" % (k,))
+
+
 def polygamma(k, x):
     """psi^(k)(x) for k in {1, 2, 3} and finite x > 0."""
     if type(x) is not float:
-        x = _float_arg("polygamma", x)
-    if k not in (1, 2, 3):
-        raise ValueError("polygamma supports k in {1, 2, 3}, got %r" % (k,))
+        x = _gate("polygamma", x)
+    if type(k) is not int or k not in (1, 2, 3):
+        _check_order(k)
     if not 0.0 < x < math.inf:
         raise ValueError("polygamma requires finite x > 0, got %r" % (x,))
     if x < _TAYLOR_END:
@@ -415,29 +440,6 @@ def polygamma(k, x):
     if not math.isfinite(value):
         raise _out_of_range(k, x)
     return value
-
-
-def _number_array(name, x, error=ValueError):
-    """``x`` as a float array; text, which the conversion would parse,
-    raises ``error`` naming ``name``."""
-    # numpy is imported by the array kernels only: the scalar kernels and
-    # the bound families load without it
-    import numpy as np
-
-    x = np.asarray(x)
-    if x.dtype.kind in "SU":
-        raise error("%s requires numbers, got text" % (name,))
-    return x.astype(float, copy=False)
-
-
-def _finite_array(name, x, low=0.0):
-    """``x`` as a float array; every element must be finite and > low."""
-    import numpy as np
-
-    x = _number_array(name, x)
-    if not np.all((x > low) & (x < math.inf)):  # a NaN fails both
-        raise ValueError("%s requires every x finite and > %g" % (name, low))
-    return x
 
 
 def _each(fn, x):
@@ -482,18 +484,15 @@ def _taylor_array(x):
 
 def _by_band(x, near, far):
     """``near`` of the elements of a checked array below the band's
-    end 2.5 and ``far`` of the rest (a 0-d array stays one).  An array
-    that lies wholly on one side is handed over whole, with no gather or
-    scatter; a 0-d array is always gathered, since arithmetic on it gives
-    a numpy scalar, which ``near`` cannot write into."""
+    end 2.5 and ``far`` of the rest.  An array that lies wholly on one
+    side is handed over whole, with no gather or scatter."""
     import numpy as np
 
     band = x < _TAYLOR_END
-    if x.ndim:
-        if band.all():
-            return near(x)
-        if not band.any():
-            return far(x)
+    if band.all():
+        return near(x)
+    if not band.any():
+        return far(x)
     out = np.empty_like(x)
     out[band] = near(x[band])
     out[~band] = far(x[~band])
@@ -520,17 +519,22 @@ def _ln_gamma_elements(y):
 
 
 def ln_gamma_array(x):
-    """:func:`ln_gamma` of every element of a float array."""
-    return _ln_gamma_elements(_finite_array("ln_gamma_array", x))
+    """:func:`ln_gamma` of every element of a 1-D array."""
+    x = _gate("ln_gamma_array", x, "array")
+    if not ((x > 0.0) & (x < math.inf)).all():  # a NaN fails both
+        raise ValueError("ln_gamma_array requires every x finite and > 0")
+    return _ln_gamma_elements(x)
 
 
 def ln_gamma1p_array(x):
-    """:func:`ln_gamma1p` of every element of a float array: the band
+    """:func:`ln_gamma1p` of every element of a 1-D array: the band
     polynomial at x itself on ln_gamma1p's own bands, else
     ``ln_gamma_array(1 + x)``."""
     import numpy as np
 
-    x = _finite_array("ln_gamma1p_array", x, -1.0)
+    x = _gate("ln_gamma1p_array", x, "array")
+    if not ((x > -1.0) & (x < math.inf)).all():
+        raise ValueError("ln_gamma1p_array requires every x finite and > -1")
     out = np.empty_like(x)
     own = (((-0.5 < x) & (x < _ZERO_BAND))
            | ((-_ZERO_BAND < x - 1.0) & (x - 1.0 < 0.5)))
@@ -559,22 +563,24 @@ def _psi_taylor_array(k, x):
 
 
 def digamma_array(x):
-    """:func:`digamma` of every element of a float array."""
+    """:func:`digamma` of every element of a 1-D array."""
     import numpy as np
+
+    x = _gate("digamma_array", x, "array")
+    if not ((x > 0.0) & (x < math.inf)).all():
+        raise ValueError("digamma_array requires every x finite and > 0")
 
     def far(y):
         y, shift = _shift_up(y, lambda y: 1.0 / y)
         return _digamma_series(y, np.log) - shift
 
-    return _by_band(_finite_array("digamma_array", x),
-                    partial(_psi_taylor_array, 0), far)
+    return _by_band(x, partial(_psi_taylor_array, 0), far)
 
 
 def polygamma_array(k, x):
     """:func:`polygamma` of order k in {1, 2, 3} of every element of a
-    float array."""
-    if k not in (1, 2, 3):
-        raise ValueError("polygamma supports k in {1, 2, 3}, got %r" % (k,))
+    1-D array."""
+    _check_order(k)
     import numpy as np
 
     rec, power = _RECURRENCE[k], _POWERS[k + 1]
@@ -589,11 +595,13 @@ def polygamma_array(k, x):
         y, shift = _shift_up(y, term)
         return _polygamma_series(k, y) + shift
 
-    x = _finite_array("polygamma_array", x)
+    x = _gate("polygamma_array", x, "array")
+    if not ((x > 0.0) & (x < math.inf)).all():
+        raise ValueError("polygamma_array requires every x finite and > 0")
     value = _by_band(x, partial(_psi_taylor_array, k), far)
     bad = ~np.isfinite(value)
     if bad.any():
-        raise _out_of_range(k, float(x[bad].flat[0]))
+        raise _out_of_range(k, float(x[bad][0]))
     return value
 
 
@@ -628,7 +636,7 @@ ON_ARRAY = SimpleNamespace(
 def gamma(x):
     """Gamma(x) = exp(ln_gamma(x)), x > 0, where it is a finite double."""
     if type(x) is not float:
-        x = _float_arg("gamma", x)
+        x = _gate("gamma", x)
     log_value = ln_gamma(x)
     if not log_value <= LN_DBL_MAX:
         raise ValueError("Gamma(%r) is not a finite double" % (x,))

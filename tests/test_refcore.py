@@ -197,8 +197,8 @@ class TestPolygamma:
     @example(k=3, x=1e-81)
     @example(k=3, x=5e-324)
     def test_finite_or_value_error(self, k, x):
-        for kernel in (refcore.polygamma,
-                       lambda k, x: refcore.polygamma_array(k, [x])[0]):
+        for kernel in (refcore.polygamma, lambda k, x:
+                       refcore.polygamma_array(k, np.array([x]))[0]):
             try:
                 value = kernel(k, x)
             except ValueError:
@@ -600,10 +600,17 @@ class TestArrayKernels:
             assert np.array_equal(values[band], ref[band])
 
     def test_keeps_shape(self, name, array, scalar, oracle, low):
-        xs = low + np.array([[0.5, 1.5], [3.0, 40.0]])
-        assert array(xs).shape == (2, 2)
-        assert array(xs)[1, 0] == array(np.array([low + 3.0]))[0]
-        assert array(low + 3.0) == array(np.array([low + 3.0]))[0]
+        # a twin takes a 1-D array only: a 2-D or 0-d array, which would
+        # come back in its own shape, and a float are rejected by name
+        xs = low + np.array([0.5, 1.5, 3.0, 40.0])
+        assert array(xs).shape == (4,)
+        for other, kind in [(xs.reshape(2, 2), "2-D float64 array"),
+                            (xs[2:3].reshape(()), "0-D float64 array"),
+                            (low + 3.0, "float")]:
+            with pytest.raises(ValueError,
+                               match="requires a 1-D numpy array, got %s$"
+                               % kind):
+                array(other)
 
     def test_empty(self, name, array, scalar, oracle, low):
         out = array(np.array([]))
@@ -620,7 +627,7 @@ class TestArrayKernels:
 
 # Edge cases of the twins' split at the band's end 2.5 and, inside the
 # band, at 0.5 and 1.5: an array wholly on one side is handed over whole,
-# with no gather or scatter, and a 0-d array is always gathered.  Points
+# with no gather or scatter.  Points
 # are ln Gamma's arguments, listed and then drawn from a span; the
 # ln_gamma1p twin takes each minus 1.
 _TWIN_CASES = {
@@ -679,10 +686,13 @@ class TestTwinEdgeCases:
 
     @pytest.mark.parametrize("x", [1e-8, 0.3, 1.0, 1.25, 2.0, 3.0, 40.0])
     def test_zero_d(self, name, twin, scalar, shift, x):
-        value = twin(np.array(x + shift))
-        assert type(value) is np.ndarray and value.shape == ()
+        # a 0-d array is rejected by name; its one element, as a 1-D
+        # array, takes the one-point path
+        with pytest.raises(ValueError, match="got 0-D float64 array$"):
+            twin(np.array(x + shift))
+        value = twin(np.array([x + shift]))
         expected = _expected(name, twin, scalar, shift, np.array([x + shift]))
-        assert float(value) == expected[0]
+        assert value.tolist() == expected.tolist()
 
 
 def test_array_polygamma_unsupported_order():
