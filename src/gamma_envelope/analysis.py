@@ -17,9 +17,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gamma_envelope import bounds, refcore, sweep
+from gamma_envelope.bounds import _open_unit, _positive
 from gamma_envelope.proofaudit import (
-    _lambda_den, _lambda_sides, _positive, _quotient, proof_function,
-    ratio_R,
+    _lambda_den, _lambda_value, _quotient, proof_function, ratio_R,
 )
 
 # Relative inset used to keep grids away from open-interval boundaries.
@@ -49,9 +49,8 @@ def lambda_ratio(lam, x):
     at a float or every element of a 1-D array; at lam = 1 this equals
     :func:`ratio_R` bit for bit."""
     lam = _require_positive("lambda_ratio", "lam", lam)
-    return _quotient("lambda_ratio", "0 < x < 1",
-                     lambda x: (0.0 < x) & (x < 1.0), x, _lambda_sides, lam,
-                     None, lam * refcore.EULER_GAMMA)
+    return _quotient("lambda_ratio", "0 < x < 1", _open_unit, x,
+                     _lambda_value, lam, None, lam * refcore.EULER_GAMMA)
 
 
 def _lambda_sweep(xs):
@@ -72,8 +71,8 @@ def _lambda_sweep(xs):
     return values
 
 
-def _tau_sides(k, x, tau):
-    return k.ln_gamma(x), k.log1p(refcore.log_base_arg(x, tau))
+def _tau_value(k, x, tau):
+    return k.ln_gamma(x) / k.log1p(refcore.log_base_arg(x, tau))
 
 
 def tau_ratio(tau, x):
@@ -83,12 +82,12 @@ def tau_ratio(tau, x):
     or the quotient overflows, and past x ~ 2.56e305 ln Gamma(x) does:
     there it raises ValueError."""
     tau = _require_positive("tau_ratio", "tau", tau)
-    return _quotient("tau_ratio", "x > 0", _positive, x, _tau_sides, tau,
+    return _quotient("tau_ratio", "x > 0", _positive, x, _tau_value, tau,
                      -(1.0 + tau) * refcore.EULER_GAMMA)
 
 
-def _unitball_sides(k, x, _):
-    return k.ln_gamma(x + 1.0), x * k.log(2.0 * x)
+def _unitball_value(k, x, _):
+    return k.ln_gamma(x + 1.0) / (x * k.log(2.0 * x))
 
 
 def F_unitball(x):
@@ -96,11 +95,11 @@ def F_unitball(x):
     At a float or every element of a 1-D array; raises ValueError past
     x ~ 2.56e305, where ln Gamma(x+1) overflows."""
     return _quotient("F_unitball", "x > 1/2", lambda x: x > 0.5, x,
-                     _unitball_sides)
+                     _unitball_value)
 
 
-def _h_cm_sides(k, x, _):
-    return k.log(x), k.log1p(refcore.log_base_arg(x))
+def _h_cm_value(k, x, _):
+    return k.log(x) / k.log1p(refcore.log_base_arg(x))
 
 
 def h_cm(x):
@@ -111,7 +110,7 @@ def h_cm(x):
     float or every element of a 1-D array; raises ValueError at subnormal
     x, where the quotient overflows.
     """
-    return _quotient("h_cm", "x > 0", _positive, x, _h_cm_sides, None, 2.0)
+    return _quotient("h_cm", "x > 0", _positive, x, _h_cm_value, None, 2.0)
 
 
 def _proof_function_each(name, x):
@@ -389,46 +388,33 @@ def cm_probe(function_id, a, b, max_order, step):
 # family, both log sides at every point from one array evaluation
 
 
-class _FamilyLogs(NamedTuple):
-    lower: np.ndarray  # NaN where the side is undefined
-    upper: np.ndarray
-    errors: dict  # side -> (index, DomainError) of its first undefined point
-
-
-def _family_logs(family_id, xs):
-    """Both log sides of one family at every x of a grid (a one-point grid
-    too), with the errors a walk of evaluate_family over it would meet:
-    the first point where it raises takes its exception from that one
-    call, and a one-sided family's lower side fails at the first point."""
-    lower, upper, bad = bounds.family_logs_array(family_id, xs)
-    errors = {}
-    for i in np.flatnonzero(bad).tolist():
-        try:
-            bounds.evaluate_family(family_id, xs[i])
-        except bounds.DomainError as exc:
-            errors["lower"] = errors["upper"] = (i, exc)
-            break
-    if bounds.FAMILIES[family_id].one_sided and len(xs):
-        lower[:] = np.nan
-        if errors.get("lower", (None,))[0] != 0:  # the first point is valid
-            errors["lower"] = (0, bounds.DomainError(
-                "%s has no lower bound" % family_id))
-    return _FamilyLogs(lower, upper, errors)
-
-
-def _side(logs, side):
+def _side(logs, family, side):
+    """One side of ``family``'s ``bounds.family_logs_array`` result
+    ``logs``: NaN where it is undefined, and all of a one-sided family's
+    lower side."""
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
-    return getattr(logs, side)
+    lower, upper = logs
+    if side == "upper":
+        return upper
+    if bounds.FAMILIES[family].one_sided:
+        return np.full(len(lower), np.nan)
+    return lower
 
 
-def _side_difference(side, logs_a, logs_b):
-    """Family a's side minus family b's; raises the DomainError that a walk
-    over the grid (a before b at each point) would meet first."""
-    errors = [f.errors[side] for f in (logs_a, logs_b) if side in f.errors]
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-    return _side(logs_a, side) - _side(logs_b, side)
+def _side_difference(side, xs, family_a, logs_a, family_b, logs_b):
+    """Family a's side minus family b's on the grid xs.  At the first
+    point where either side is undefined, a before b, raises the
+    DomainError of evaluate_family there, or the missing lower side's."""
+    va, vb = _side(logs_a, family_a, side), _side(logs_b, family_b, side)
+    d = va - vb  # NaN exactly where a side is: both are finite elsewhere
+    undefined = np.flatnonzero(np.isnan(d))
+    if len(undefined):
+        i = undefined[0]
+        family = family_a if math.isnan(va[i]) else family_b
+        bounds.evaluate_family(family, float(xs[i]))
+        raise bounds.DomainError("%s has no lower bound" % family)
+    return d
 
 
 def _winners(side, values):
@@ -453,8 +439,9 @@ def find_crossover(family_a, family_b, side, a, b, scan_n=1000):
     """
 
     def diff(xs):
-        logs = [_family_logs(f, xs) for f in (family_a, family_b)]
-        return _side_difference(side, *logs)
+        return _side_difference(
+            side, xs, family_a, bounds.family_logs_array(family_a, xs),
+            family_b, bounds.family_logs_array(family_b, xs))
 
     xs = _grid(a, b, sweep.grid_size(scan_n, "scan_n", 2))
     vals = diff(xs)
@@ -489,7 +476,8 @@ def compare_families(side, a, b, grid_n, families):
             "families mix argument conventions: %s" % (sorted(conventions),)
         )
     xs = _grid(a, b, sweep.grid_size(grid_n, "grid_n", 2))
-    values = [_side(_family_logs(f, xs), side) for f in families]
+    values = [_side(bounds.family_logs_array(f, xs), f, side)
+              for f in families]
     winners = _winners(side, values)
     return ComparisonReport(
         side=side,
@@ -523,11 +511,12 @@ class _ClaimGrids:
 
     def __init__(self, grid_n):
         self.grid = (0.0, 1.0, grid_n)
-        self.logs = functools.cache(lambda f, g: _family_logs(f, _grid(*g)))
+        self.logs = functools.cache(
+            lambda f, g: bounds.family_logs_array(f, _grid(*g)))
 
     def dominates(self, fa, fb, side, grid=None):
         grid = grid or self.grid
-        values = [_side(self.logs(f, grid), side) for f in (fa, fb)]
+        values = [_side(self.logs(f, grid), f, side) for f in (fa, fb)]
         return bool(np.all(_winners(side, values) == 0))
 
     def includes(self, fa, fb, grid=None):
@@ -535,7 +524,8 @@ class _ClaimGrids:
                 and self.dominates(fa, fb, "upper", grid))
 
     def crosses(self, fa, fb, side):
-        d = _side_difference(side, self.logs(fa, _SCAN), self.logs(fb, _SCAN))
+        d = _side_difference(side, _grid(*_SCAN), fa, self.logs(fa, _SCAN),
+                             fb, self.logs(fb, _SCAN))
         return len(sweep.sign_changes(d)) > 0
 
 

@@ -164,19 +164,17 @@ def polygamma_bounds(k, x):
         if type(x) is not float:
             return _polygamma_bounds_array(k, x)
     _require_finite(x, "polygamma_bounds")
+    if not refcore._is_integer(k):
+        raise DomainError("polygamma_bounds requires an integer k, got %r"
+                          % (k,))
+    if k < 1:
+        raise DomainError("polygamma_bounds requires k >= 1, got %r" % (k,))
+    if not x > 0.0:
+        raise DomainError("polygamma_bounds requires x > 0, got %r" % (x,))
     try:
-        if k < 1:
-            raise DomainError("polygamma_bounds requires k >= 1, got %r"
-                              % (k,))
-        if not x > 0.0:
-            raise DomainError("polygamma_bounds requires x > 0, got %r"
-                              % (x,))
         lower, upper, tail = _polygamma_sides(k, x)
     except (OverflowError, ZeroDivisionError):  # k! or a power leaves range
         tail = 0.0
-    except TypeError:  # from k < 1, range or math.factorial
-        raise DomainError("polygamma_bounds requires an integer k, got %r"
-                          % (k,)) from None
     if not (tail > 0.0 and upper < math.inf):
         raise DomainError("polygamma_bounds(%d, %r): out of range" % (k, x))
     return Sandwich(lower, upper)
@@ -185,12 +183,14 @@ def polygamma_bounds(k, x):
 def _polygamma_bounds_array(k, x):
     import numpy as np
 
+    first = float(x[0]) if len(x) else 1.0
+    if not refcore._is_integer(k) or k < 1:
+        polygamma_bounds(k, first)  # k is rejected: the float form raises
     try:
         with np.errstate(all="ignore"):
             lower, upper, tail = _polygamma_sides(k, x)
-    except (OverflowError, TypeError, ValueError):
-        # k is rejected at every x: the float form raises its error
-        polygamma_bounds(k, float(x[0]) if len(x) else 1.0)
+    except OverflowError:  # k! leaves range: the float form raises
+        polygamma_bounds(k, first)
     outside = x[~((x > 0.0) & (tail > 0.0) & (upper < math.inf))]
     if len(outside):  # the float form raises its error there
         polygamma_bounds(k, float(outside[0]))
@@ -451,10 +451,9 @@ def family_logs_array(family_id, xs):
     """Both log sides of one catalog family at every element of a 1-D
     float array, in one evaluation with the array kernels.
 
-    Returns (log_lower, log_upper, bad): ``bad`` marks the elements where
+    Returns (log_lower, log_upper), both NaN at the elements where
     :func:`evaluate_family` would raise, outside the domain or where a log
-    side is not finite, and both sides are NaN there.  A one-sided
-    family's lower side is -inf.
+    side is not finite.  A one-sided family's lower side is -inf.
     """
     import numpy as np
 
@@ -471,7 +470,7 @@ def family_logs_array(family_id, xs):
         finite_lower |= lower == -math.inf
     bad = ~(finite_lower & np.isfinite(upper))
     lower[bad] = upper[bad] = np.nan
-    return lower, upper, bad
+    return lower, upper
 
 
 def catalog():

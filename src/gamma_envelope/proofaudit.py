@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from gamma_envelope import refcore, sweep
+from gamma_envelope.bounds import _open_unit, _positive
 from gamma_envelope.polycert import LEMMA_POLYNOMIALS
 
 # Half-width of the series band around x = 1 where the numerator and
@@ -50,23 +51,23 @@ class ProofClaim(NamedTuple):
 _LEAST_NORMAL = 2.0**-1022
 
 
-def _positive(x):
-    return x > 0.0
+def _closed_unit(x):
+    return (0.0 <= x) & (x <= 1.0)
 
 
-def _quotient(name, domain, inside, x, sides, param=None, at_one=None,
+def _quotient(name, domain, inside, x, value, param=None, at_one=None,
               tiny=None):
-    """One ratio function num / den, ``sides(kernels, x, param)`` giving
-    (num, den), at a float x or at every element of a 1-D array.
+    """One value ``value(kernels, x, param)`` at a float x or at every
+    element of a 1-D array: a link of the proof chain or a ratio function.
 
     ``inside`` is x's domain test, a function (on an array, giving a bool
     per element), and ``domain`` its text for the error.  ``at_one`` is
     the defined value at x == 1, ``tiny`` the limit below the least
     normal double, where the quotient of the two rounded sides no longer
-    holds it (None: the quotient).  A value that is not a finite double
-    raises ValueError.  On an array, every element where the float form
-    would raise is handed to it, so the first of them raises the float
-    form's error.
+    holds it (None: the value).  A value that is not a finite double, a
+    division by zero at a float included, raises ValueError.  On an array,
+    every element where the float form would raise is handed to it, so
+    the first of them raises the float form's error.
     """
     if type(x) is not float:
         x = refcore._gate(name, x, "either")
@@ -77,27 +78,28 @@ def _quotient(name, domain, inside, x, sides, param=None, at_one=None,
             return at_one
         if x < _LEAST_NORMAL and tiny is not None:
             return tiny
-        num, den = sides(refcore.AT_POINT, x, param)
-        value = num / den if den else math.inf
-        if math.isfinite(value):
-            return value
+        try:
+            v = value(refcore.AT_POINT, x, param)
+        except ZeroDivisionError:
+            v = math.inf
+        if math.isfinite(v):
+            return v
         shown = (x,) if param is None else (param, x)
         raise ValueError("%s(%s) is not a finite double"
                          % (name, ", ".join(map(repr, shown))))
-    value = np.full(x.shape, np.nan)
+    v = np.full(x.shape, np.nan)
     ok = inside(x) & (np.abs(x) < math.inf)  # the kernels take finite x
     # an overflow or 0/0 leaves a non-finite value, handed on below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        num, den = sides(refcore.ON_ARRAY, x[ok], param)
-        value[ok] = num / den
+        v[ok] = value(refcore.ON_ARRAY, x[ok], param)
     if at_one is not None:
-        value[ok & (x == 1.0)] = at_one
+        v[ok & (x == 1.0)] = at_one
     if tiny is not None:
-        value[ok & (x < _LEAST_NORMAL)] = tiny
-    for i in np.flatnonzero(~np.isfinite(value)):
-        value[i] = _quotient(name, domain, inside, float(x[i]), sides, param,
-                             at_one, tiny)
-    return value
+        v[ok & (x < _LEAST_NORMAL)] = tiny
+    for i in np.flatnonzero(~np.isfinite(v)):
+        v[i] = _quotient(name, domain, inside, float(x[i]), value, param,
+                         at_one, tiny)
+    return v
 
 
 def _lambda_den(k, x, lam):
@@ -105,14 +107,14 @@ def _lambda_den(k, x, lam):
     return k.log1p(refcore.log_base_arg(x, lam))
 
 
-def _lambda_sides(k, x, lam):
+def _lambda_value(k, x, lam):
     # ln Gamma(x+1) keeps its digits at its zeros too, so only x == 1 and
     # subnormal x take limits
-    return k.ln_gamma1p(x), _lambda_den(k, x, lam)
+    return k.ln_gamma1p(x) / _lambda_den(k, x, lam)
 
 
-def _ratio_R_sides(k, x, _):
-    return _lambda_sides(k, x, 1.0)
+def _ratio_R_value(k, x, _):
+    return _lambda_value(k, x, 1.0)
 
 
 # ratio_R's limits at x == 1 and below the least normal double
@@ -127,7 +129,7 @@ def ratio_R(x):
     :func:`gamma_envelope.analysis.lambda_ratio` at lambda = 1.  Raises
     ValueError where the value is not a finite double (x past ~2.56e305,
     where ln Gamma(x+1) overflows)."""
-    return _quotient("ratio_R", "x > 0", _positive, x, _ratio_R_sides, None,
+    return _quotient("ratio_R", "x > 0", _positive, x, _ratio_R_value, None,
                      _RATIO_R_AT_ONE, _RATIO_R_TINY)
 
 
@@ -240,22 +242,18 @@ class _Values(dict):
         return value
 
 
-def _check_index(i):
-    if i != 2 and i not in LEMMA_POLYNOMIALS:
+def _chain(name, k, x, _=None):
+    # the value ``name`` of :data:`_VALUES`: at a float through the memo,
+    # on an array through :func:`_evaluate`, in blocks
+    if k is refcore.AT_POINT:
+        return _Values(x, k)[name]
+    return _evaluate([name], x)[name]
+
+
+def _lemma(k, x, i):
+    if not refcore._is_integer(i) or i != 2 and i not in LEMMA_POLYNOMIALS:
         raise ValueError("lemma_expr index must be 1..5, got %r" % (i,))
-
-
-def _on_unit(xs, closed, point):
-    """Hand the first element of the checked array ``xs`` outside the unit
-    interval, closed or open, to ``point``, the float form, which raises
-    its error."""
-    if closed:
-        inside = (0.0 <= xs) & (xs <= 1.0)
-    else:
-        inside = (0.0 < xs) & (xs < 1.0)
-    outside = xs[~inside]  # a NaN is never inside
-    if len(outside):
-        point(float(outside[0]))
+    return _chain("h%d" % i, k, x)
 
 
 def lemma_expr(i, x):
@@ -267,16 +265,7 @@ def lemma_expr(i, x):
     (x-1)(x^2+2x-1) - (x+1)(x^2+1) ln((x^2+1)/(x+1)), evaluated through
     a cancellation-free series inside a band around its double zero at 1.
     """
-    if type(x) is not float:
-        x = refcore._gate("lemma_expr", x, "either")
-        if type(x) is not float:
-            _on_unit(x, True, partial(lemma_expr, i))
-            _check_index(i)
-            return _evaluate(["h%d" % i], x)["h%d" % i]
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("lemma_expr requires 0 <= x <= 1, got %r" % (x,))
-    _check_index(i)
-    return float(_Values(x, refcore.AT_POINT)["h%d" % i])
+    return _quotient("lemma_expr", "0 <= x <= 1", _closed_unit, x, _lemma, i)
 
 
 def proof_function(name, x):
@@ -289,18 +278,9 @@ def proof_function(name, x):
     """
     if name not in _PROOF_FUNCTIONS:
         raise ValueError("unknown proof function %r" % (name,))
-    if type(x) is not float:
-        x = refcore._gate(name, x, "either")
-        if type(x) is not float:
-            _on_unit(x, name != "f_over_g_prime",
-                     partial(proof_function, name))
-            return _evaluate([name], x)[name]
-    if name == "f_over_g_prime":
-        if not 0.0 < x < 1.0:
-            raise ValueError("f_over_g_prime requires 0 < x < 1")
-    elif not 0.0 <= x <= 1.0:
-        raise ValueError("%s requires 0 <= x <= 1" % (name,))
-    return _Values(x, refcore.AT_POINT)[name]
+    domain, inside = (("0 < x < 1", _open_unit) if name == "f_over_g_prime"
+                      else ("0 <= x <= 1", _closed_unit))
+    return _quotient(name, domain, inside, x, partial(_chain, name))
 
 
 def _evaluate(names, xs):

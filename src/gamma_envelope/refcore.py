@@ -409,9 +409,13 @@ def _out_of_range(k, x):
     return ValueError("psi^(%d)(%r) is not a finite double" % (k, x))
 
 
+def _is_integer(k):
+    # an order, index or count: True and 1.0 equal 1 but are none
+    return type(k) is not bool and hasattr(k, "__index__")
+
+
 def _check_order(k):
-    # 1, 2 or 3 as an integer: True and 1.0 equal 1 but are no order
-    if type(k) is bool or not hasattr(k, "__index__") or k not in (1, 2, 3):
+    if not _is_integer(k) or k not in (1, 2, 3):
         raise ValueError("polygamma supports k in {1, 2, 3}, got %r" % (k,))
 
 

@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from gamma_envelope import refcore
+
 
 class Verdict(NamedTuple):
     ok: bool
@@ -25,10 +27,9 @@ class Verdict(NamedTuple):
 def grid_size(n, name, least=-math.inf):
     """The count ``n`` as an int; a non-integer, or a count below
     ``least``, raises ValueError naming ``name``."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError("%s must be an integer, got %r" % (name, n)) from None
+    if not refcore._is_integer(n):
+        raise ValueError("%s must be an integer, got %r" % (name, n))
+    n = operator.index(n)
     if n < least:
         raise ValueError("%s must be >= %d, got %r" % (name, least, n))
     return n

@@ -1,5 +1,6 @@
 """Monotonicity sweeps, family comparison, and conjecture probes."""
 
+import functools
 import math
 
 import mpmath as mp
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from gamma_envelope import analysis as an
-from gamma_envelope import bounds, refcore
+from gamma_envelope import bounds, refcore, sweep
 
 mp.mp.dps = 50
 G = refcore.EULER_GAMMA
@@ -651,8 +652,9 @@ class TestArrayForms:
 
 
 def _walk_logs(family_id, xs):
-    """Both log sides of one family by one evaluate_family call per point:
-    the walk that _family_logs replaces, kept as its reference."""
+    """Both log sides of one family by one evaluate_family call per point,
+    with the first error each side meets: the reference of the array
+    comparisons."""
     lower = np.full(len(xs), np.nan)
     upper = np.full(len(xs), np.nan)
     errors = {}
@@ -672,6 +674,46 @@ def _walk_logs(family_id, xs):
     return lower, upper, errors
 
 
+def _walk_error(walks, family_a, family_b, side):
+    """The DomainError a walk over the grid of ``walks`` (family ->
+    _walk_logs) meets first on one side, a before b at each point; None
+    where both sides are defined throughout."""
+    errors = [walks[f][2][side] for f in (family_a, family_b)
+              if side in walks[f][2]]
+    return min(errors, key=lambda e: e[0])[1] if errors else None
+
+
+def _walk_crossover(walks, family_a, family_b, side, a, b):
+    """find_crossover by the walk: the scan's difference from ``walks``,
+    on its grid of (a, b), and each root bisected by one walk per point;
+    the first error either meets is raised."""
+    j = 0 if side == "lower" else 1
+
+    def diff(walks):
+        error = _walk_error(walks, family_a, family_b, side)
+        if error is not None:
+            raise error
+        return walks[family_a][j] - walks[family_b][j]
+
+    def at(x):
+        return diff({f: _walk_logs(f, [x]) for f in (family_a, family_b)})[0]
+
+    xs = an._grid(a, b, SCAN_N)
+    vals = diff(walks)
+    return [sweep.root(at, float(xs[i]), float(xs[i + 1]), vals[i], 1e-10)
+            for i in sweep.sign_changes(vals)]
+
+
+def _outcome(call):
+    """``call()``'s value, or its DomainError as its type and message."""
+    try:
+        return call()
+    except bounds.DomainError as exc:
+        return type(exc), str(exc)
+
+
+FAMILY_IDS = sorted(bounds.FAMILIES)
+
 # grids that cross every domain edge (0, 1/2, 1, the integers) and reach
 # the subnormals and lnGamma's overflow, plus one-point and empty grids
 FAMILY_GRIDS = {
@@ -684,6 +726,28 @@ FAMILY_GRIDS = {
     "empty": np.array([]),
 }
 
+# find_crossover's intervals, scanned at SCAN_N points: across 0, 1/2, 1 and 2, into the subnormals
+# and past lnGamma's overflow, and inside (0, 1)
+CROSSOVER_INTERVALS = {
+    "wide": (-1.0, 3.0),
+    "half": (0.25, 0.75),
+    "one": (0.5, 1.5),
+    "unit": (0.0, 1.0),
+    "subnormal": (-1e-300, 1e-300),
+    "overflow": (1e305, 1e307),
+}
+SCAN_N = 200
+
+
+@functools.cache
+def _walks(grid):
+    """family -> _walk_logs on FAMILY_GRIDS[grid], or on the scan grid of
+    CROSSOVER_INTERVALS[grid[1]] for a tuple ("scan", name)."""
+    xs = (FAMILY_GRIDS[grid] if isinstance(grid, str)
+          else an._grid(*CROSSOVER_INTERVALS[grid[1]], SCAN_N))
+    return {f: _walk_logs(f, xs) for f in FAMILY_IDS}
+
+
 # the families whose sides take no psi: every other kernel of
 # refcore.ON_ARRAY rounds each element as its float form does
 EXACT_FAMILIES = (
@@ -692,16 +756,25 @@ EXACT_FAMILIES = (
 )
 
 
+def _count_point_calls(monkeypatch):
+    calls = []
+    evaluate = bounds.evaluate_family
+    monkeypatch.setattr(bounds, "evaluate_family",
+                        lambda f, x: calls.append(f) or evaluate(f, x))
+    return calls
+
+
 class TestFamilyLogsArray:
     @pytest.mark.parametrize("grid", FAMILY_GRIDS)
-    @pytest.mark.parametrize("family", sorted(bounds.FAMILIES))
+    @pytest.mark.parametrize("family", FAMILY_IDS)
     def test_matches_the_walk(self, family, grid):
+        # each side as the comparisons read it equals the walk's, and its
+        # difference with every family raises the walk's first error
         xs = FAMILY_GRIDS[grid]
-        logs = an._family_logs(family, xs)
-        lower, upper, errors = _walk_logs(family, xs)
-        assert {k: (i, type(e), str(e)) for k, (i, e) in logs.errors.items()} \
-            == {k: (i, type(e), str(e)) for k, (i, e) in errors.items()}
-        for got, want in ((logs.lower, lower), (logs.upper, upper)):
+        walks = _walks(grid)
+        logs = {f: bounds.family_logs_array(f, xs) for f in FAMILY_IDS}
+        for side, want in zip(("lower", "upper"), walks[family]):
+            got = an._side(logs[family], family, side)
             assert np.array_equal(np.isnan(got), np.isnan(want))
             got, want = got[~np.isnan(want)], want[~np.isnan(want)]
             if family in EXACT_FAMILIES:
@@ -711,12 +784,65 @@ class TestFamilyLogsArray:
                 # of max(1, |side|) on these grids
                 assert np.all(np.abs(got - want)
                               <= 4e-14 * np.maximum(1.0, np.abs(want)))
+            for other in FAMILY_IDS:
+                error = _walk_error(walks, family, other, side)
+                got = _outcome(lambda: an._side_difference(
+                    side, xs, family, logs[family], other, logs[other]))
+                if error is None:
+                    assert not np.isnan(got).any()
+                else:
+                    assert got == (type(error), str(error))
+
+    @pytest.mark.parametrize("interval", CROSSOVER_INTERVALS)
+    @pytest.mark.parametrize("family", FAMILY_IDS)
+    def test_crossover_matches_the_walk(self, family, interval):
+        # the error, and between families that take no psi the roots
+        walks = _walks(("scan", interval))
+        ab = CROSSOVER_INTERVALS[interval]
+        for other in FAMILY_IDS:
+            for side in ("lower", "upper"):
+                got = _outcome(lambda: an.find_crossover(
+                    family, other, side, *ab, SCAN_N))
+                want = _outcome(lambda: _walk_crossover(
+                    walks, family, other, side, *ab))
+                if isinstance(want, list) and not {family, other} <= set(
+                        EXACT_FAMILIES):
+                    assert isinstance(got, list)
+                else:
+                    assert got == want
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("families, interval", [
+        ([f for f in FAMILY_IDS if f != "unitball"
+          and bounds.FAMILIES[f].convention == bounds.GAMMA_OF_X_PLUS_1],
+         "unit"),
+        ([f for f in FAMILY_IDS
+          if bounds.FAMILIES[f].convention == bounds.GAMMA_OF_X], "unit"),
+        # one family has no crossover to raise at an undefined point
+        *[([f], interval) for f in FAMILY_IDS
+          for interval in ("wide", "one", "subnormal", "overflow")],
+    ])
+    def test_compare_winners_match_the_walk(self, families, interval, side,
+                                           monkeypatch):
+        calls = _count_point_calls(monkeypatch)
+        rep = an.compare_families(side, *CROSSOVER_INTERVALS[interval],
+                                  SCAN_N, families)
+        assert calls == []
+        walks = _walks(("scan", interval))
+        want = []
+        for i in range(SCAN_N):
+            best = None
+            for f in families:
+                v = walks[f][0 if side == "lower" else 1][i]
+                if not math.isnan(v) and (
+                        best is None
+                        or (v > best_v if side == "lower" else v < best_v)):
+                    best, best_v = f, v
+            want.append(best)
+        assert rep.winner_per_point == want
 
     def test_no_point_calls_on_valid_grids(self, monkeypatch):
-        calls = []
-        evaluate = bounds.evaluate_family
-        monkeypatch.setattr(bounds, "evaluate_family",
-                            lambda f, x: calls.append(f) or evaluate(f, x))
+        calls = _count_point_calls(monkeypatch)
         findings = an.remark_claims(2000)
         assert [v for _, _, v in findings] == ["pass"] * 10 + ["flagged"]
         assert calls == []
@@ -730,9 +856,10 @@ class TestFamilyLogsArray:
     ])
     def test_one_point_call_per_error(self, family, a, b, expected,
                                       monkeypatch):
-        calls = []
-        evaluate = bounds.evaluate_family
-        monkeypatch.setattr(bounds, "evaluate_family",
-                            lambda f, x: calls.append(f) or evaluate(f, x))
-        an._family_logs(family, an._grid(a, b, 1000))
+        # a scan calls evaluate_family only at its first undefined point,
+        # whose error it raises
+        calls = _count_point_calls(monkeypatch)
+        got = _outcome(lambda: an.find_crossover(family, family, "upper",
+                                                 a, b))
         assert calls == expected
+        assert isinstance(got, list) == (expected == [])

@@ -252,6 +252,14 @@ class TestFamilyCatalog:
         assert bp.lower == -math.inf
         assert bp.upper == pytest.approx(16.0, rel=1e-13)
 
+    def test_repr_names_every_field(self):
+        bp = bounds.evaluate_family("unitball", 2.0)
+        assert repr(bp) == (
+            "BoundPair(log_lower=-inf, log_upper=%r, "
+            "argument_convention='gamma_of_x_plus_1', family='unitball', "
+            "x=2.0, is_equality_point=False, one_sided=True, warning=None)"
+            % (bp.log_upper,))
+
     def test_alzer_power_rejects_one(self):
         with pytest.raises(DomainError):
             bounds.evaluate_family("alzer_power", 1.0)

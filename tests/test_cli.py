@@ -372,12 +372,14 @@ class TestExitCodes:
          "F_unitball requires x > 1/2, got 1e-06"),
         ("monotone --function h_cm --interval -1 1",
          "h_cm requires x > 0, got -0.999998"),
-        ("monotone --function q --interval 0 2", "q requires 0 <= x <= 1"),
-        ("monotone --function q1 --interval -1 1", "q1 requires 0 <= x <= 1"),
+        ("monotone --function q --interval 0 2",
+         "q requires 0 <= x <= 1, got 1.00010000980098"),
+        ("monotone --function q1 --interval -1 1",
+         "q1 requires 0 <= x <= 1, got -0.999998"),
         ("monotone --function q1_prime --interval 0 2",
-         "q1_prime requires 0 <= x <= 1"),
+         "q1_prime requires 0 <= x <= 1, got 1.00010000980098"),
         ("monotone --function f_over_g_prime --interval 0 2",
-         "f_over_g_prime requires 0 < x < 1"),
+         "f_over_g_prime requires 0 < x < 1, got 1.00010000980098"),
         ("monotone --function tau_ratio:2 --interval 5e-324 1e-321 --grid 3",
          "tau_ratio(2.0, 5e-324) is not a finite double"),
         ("monotone --function ratio_R --interval 1e305 1e307",

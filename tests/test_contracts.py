@@ -225,7 +225,8 @@ CONTRACTS = [
      lambda: analysis.cm_probe("h_cm", 0.0, 1.0, 2, 0.01), "a must"),
     ("cm_probe_a_negative",
      lambda: analysis.cm_probe("h_cm", -1.0, 1.0, 2, 0.01), "a must"),
-    ("side_unknown", lambda: analysis._side(None, "middle"), "side"),
+    ("side_unknown", lambda: analysis._side(None, "qi_guo", "middle"),
+     "side"),
     ("lemma_expr_below_0", lambda: proofaudit.lemma_expr(2, -0.1),
      "0 <= x <= 1"),
     ("lemma_expr_above_1", lambda: proofaudit.lemma_expr(1, 1.5),
@@ -258,7 +259,7 @@ CONTRACTS = [
     # form's error
     ("proof_function_array_above_1",
      lambda: proofaudit.proof_function("q", np.array([0.5, 1.5])),
-     r"^q requires 0 <= x <= 1$"),
+     r"^q requires 0 <= x <= 1, got 1\.5$"),
     ("lemma_expr_array_below_0",
      lambda: proofaudit.lemma_expr(2, np.array([0.5, -0.1])),
      r"^lemma_expr requires 0 <= x <= 1, got -0\.1$"),
@@ -342,6 +343,50 @@ CONTRACTS = [
      lambda: analysis.find_crossover("qi_guo", "batir_15", "lower", 0.0,
                                      1.0, scan_n=100.5),
      "scan_n must be an integer"),
+    # ... and True, which equals 1, is none either; nor are True and 2.0
+    # an order of polygamma_bounds or an index of lemma_expr
+    *[("%s_%s" % (name, type(n).__name__), partial(call, n),
+       r"^%s, got %s$" % (message, re.escape(repr(n))), error)
+      for name, call, message, error, values in [
+          ("audit_proof_grid", proofaudit.audit_proof,
+           "grid_n must be an integer", ValueError, [True]),
+          ("closed_grid", proofaudit.closed_grid, "n must be an integer",
+           ValueError, [True]),
+          ("interior_grid", proofaudit.interior_grid,
+           "n must be an integer", ValueError, [True]),
+          ("check_monotone_grid",
+           partial(analysis.check_monotone, "ratio_R", 0.0, 1.0,
+                   "increasing"), "grid_n must be an integer", ValueError,
+           [True]),
+          ("lambda_search_grid", analysis.search_lambda_thresholds,
+           "grid_n must be an integer", ValueError, [True]),
+          ("remark_claims_grid", analysis.remark_claims,
+           "grid_n must be an integer", ValueError, [True]),
+          ("cm_probe_order",
+           lambda n: analysis.cm_probe("h_cm", 0.1, 1.0, n, 0.01),
+           "max_order must be an integer", ValueError, [True]),
+          ("compare_families_grid",
+           lambda n: analysis.compare_families("lower", 0.0, 1.0, n,
+                                               ["qi_guo"]),
+           "grid_n must be an integer", ValueError, [True]),
+          ("find_crossover_scan",
+           lambda n: analysis.find_crossover("qi_guo", "batir_15", "lower",
+                                             0.0, 1.0, scan_n=n),
+           "scan_n must be an integer", ValueError, [True]),
+          ("polygamma_bounds_k", lambda k: bounds.polygamma_bounds(k, 0.5),
+           "polygamma_bounds requires an integer k", bounds.DomainError,
+           [True, 2.0]),
+          ("polygamma_bounds_k_on_array",
+           lambda k: bounds.polygamma_bounds(k, np.array([0.5])),
+           "polygamma_bounds requires an integer k", bounds.DomainError,
+           [True, 2.0]),
+          ("lemma_expr_index", lambda i: proofaudit.lemma_expr(i, 0.5),
+           r"lemma_expr index must be 1\.\.5", ValueError, [True, 2.0]),
+          ("lemma_expr_index_on_array",
+           lambda i: proofaudit.lemma_expr(i, np.array([0.5])),
+           r"lemma_expr index must be 1\.\.5", ValueError, [True, 2.0]),
+      ]
+      for n in values],
     # a grid of fewer than two points has no step: every claim over it
     # would hold vacuously
     ("remark_claims_grid_0", lambda: analysis.remark_claims(0),
