@@ -12,13 +12,19 @@ series.  Three more rows, ``band:ln_gamma``, ``band:digamma`` and
 ``band:polygamma``, time the same kernels on n arguments drawn uniformly
 from (1, 2), where each sums its economized Taylor series about 2 (the
 audit's range).  They come from a second seeded stream, so the first three
-rows' arguments are as before, and their names do not start with a
-kernel's, so perfbench reads only the first three.
+rows' arguments are as before.  The last three rows, ``array:ln_gamma``,
+``array:digamma`` and ``array:polygamma``, time one call of each array
+twin on the first three rows' n arguments as one array (the twin of
+polygamma once for each k = 1..3), best of three.  Neither the ``band:``
+nor the ``array:`` names start with a kernel's, so perfbench reads only
+the first three rows.
 """
 
 import argparse
 import random
 import time
+
+import numpy as np
 
 from gamma_envelope import refcore
 
@@ -45,6 +51,7 @@ def main():
     band = random.Random(20261019)
     band_xs = [(band.uniform(1.0, 2.0),) for _ in range(args.n)]
     band_kxs = [(band.choice((1, 2, 3)), x) for (x,) in band_xs]
+    wide = np.array([x for (x,) in xs])
 
     print("%-14s %12s %12s" % ("function", "time [s]", "compiled [s]"))
     for row, name, payload in [
@@ -54,6 +61,9 @@ def main():
         ("band:ln_gamma", "ln_gamma", band_xs),
         ("band:digamma", "digamma", band_xs),
         ("band:polygamma", "polygamma", band_kxs),
+        ("array:ln_gamma", "ln_gamma_array", [(wide,)]),
+        ("array:digamma", "digamma_array", [(wide,)]),
+        ("array:polygamma", "polygamma_array", [(k, wide) for k in (1, 2, 3)]),
     ]:
         seconds = _time(getattr(refcore, name), payload)
         print("%-14s %12.4f %12s" % (row, seconds, "n/a"))

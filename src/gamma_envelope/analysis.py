@@ -36,16 +36,17 @@ def _grid(a, b, n):
 
 
 def _require_positive(name, param, value):
-    # a real number > 0, as a float
+    # a finite real number > 0, as a float
     if type(value) is not float:
         value = refcore._gate(name, value, param=param)
-    if not value > 0.0:
-        raise ValueError("%s requires %s > 0, got %r" % (name, param, value))
+    if not 0.0 < value < math.inf:
+        raise ValueError("%s requires finite %s > 0, got %r"
+                         % (name, param, value))
     return value
 
 
 def lambda_ratio(lam, x):
-    """ln Gamma(x+1) / (ln(x^2+lam) - ln(x+lam)) for lam > 0, 0 < x < 1,
+    """ln Gamma(x+1) / (ln(x^2+lam) - ln(x+lam)) for finite lam > 0, 0 < x < 1,
     at a float or every element of a 1-D array; at lam = 1 this equals
     :func:`ratio_R` bit for bit."""
     lam = _require_positive("lambda_ratio", "lam", lam)
@@ -188,18 +189,16 @@ def check_monotone(function_id, a, b, direction, grid_n=10000):
     vals = f(xs)
     sign = 1.0 if direction == "increasing" else -1.0
     steps = sign * np.diff(vals)
-    check = sweep.lowest(xs, steps)
+    violations = [(float(xs[i]), float(steps[i]))
+                  for i in np.flatnonzero(~(steps > 0.0))]
     return MonotonicityReport(
         function_id=function_id,
         interval=(a, b),
         grid_n=grid_n,
         direction=direction,
-        strict_violations=[
-            (float(xs[i]), float(steps[i]))
-            for i in np.flatnonzero(~(steps > 0.0))
-        ],
+        strict_violations=violations,
         min_abs_diff=float(np.min(np.abs(steps), initial=math.inf)),
-        verdict="consistent" if check.ok else "violated",
+        verdict="consistent" if not violations else "violated",
     )
 
 
@@ -417,6 +416,18 @@ def _side_difference(side, xs, family_a, logs_a, family_b, logs_b):
     return d
 
 
+def _one_convention(families):
+    """Raise unless ``families`` is a nonempty list of catalog families
+    that share one argument convention: mixing conventions would compare
+    bounds on different quantities."""
+    if not families:
+        raise ValueError("family list must be nonempty")
+    conventions = {bounds._entry(f).convention for f in families}
+    if len(conventions) != 1:
+        raise ValueError("families mix argument conventions: %s"
+                         % (sorted(conventions),))
+
+
 def _winners(side, values):
     """Index of the family with the best side at each point (largest
     lower, smallest upper; -1 where none is defined).  A tie keeps the
@@ -435,8 +446,10 @@ def find_crossover(family_a, family_b, side, a, b, scan_n=1000):
 
     Sign changes of the log-bound difference are located on a scan grid
     and refined by bisection to 1e-10.  An empty list means one family's
-    side dominates throughout.
+    side dominates throughout.  The families must share one convention.
     """
+    _one_convention((family_a, family_b))
+    _finite_interval(a, b)
 
     def diff(xs):
         return _side_difference(
@@ -465,16 +478,10 @@ def compare_families(side, a, b, grid_n, families):
 
     The winner at x is the family with the largest lower (resp. smallest
     upper) bound among those valid at x.  All requested families must
-    share one argument convention; mixing conventions would compare
-    bounds on different quantities.
+    share one argument convention.
     """
-    if not families:
-        raise ValueError("family list must be nonempty")
-    conventions = {bounds.FAMILIES[f].convention for f in families}
-    if len(conventions) != 1:
-        raise ValueError(
-            "families mix argument conventions: %s" % (sorted(conventions),)
-        )
+    _one_convention(families)
+    _finite_interval(a, b)
     xs = _grid(a, b, sweep.grid_size(grid_n, "grid_n", 2))
     values = [_side(bounds.family_logs_array(f, xs), f, side)
               for f in families]

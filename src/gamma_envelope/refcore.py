@@ -45,20 +45,22 @@ returns ``ln_gamma(1.0 + x)``, which the rounding of 1 + x leaves within
 Each series is straight-line code generated from its coefficient table
 at its first call: each band polynomial one nested Horner expression,
 each Stirling tail one written-out forward sum, with no loop at a call.
-The code is plain arithmetic on a float or an array, and a scalar kernel and
-its array twin (``ln_gamma_array``, ``ln_gamma1p_array``,
-``digamma_array``, ``polygamma_array``) call the same code; the two differ
-only in their input check and their shift loop, which take the same steps
+The code is plain arithmetic on a float or an array, and a scalar kernel
+and its array twin (``ln_gamma_array``, ``ln_gamma1p_array``,
+``digamma_array``, ``polygamma_array``) call the same code.  Each twin
+checks its input and runs one engine, ``_twin``, on its row of one
+table, ``_TWINS``: the band function, a shift step's term and the series
+past the cutoff; the engine's shift loop takes the scalar kernels' steps
 in the same order.  ``ln_gamma1p_array`` mirrors ``ln_gamma1p``: its own
-bands, else ``ln_gamma_array(1 + x)``.  A twin splits an array at 2.5 by
-gather and scatter only when elements lie on both sides, and adds psi's
-recurrence term on [0.5, 1.5) in place, ``np.add(..., where=...)``,
-skipping a sub-band with no element; none of this changes an operation
-on any element.  The band takes only +, -, *, / and ``math.log`` or
-``math.log1p`` element by element, and every power is a product, so on
-(0, 2.5) each twin equals its scalar kernel bit for bit
-(``ln_gamma1p_array`` equals ``ln_gamma1p`` on (-1, 1.5)), and the psi',
-psi'' and psi''' twins equal theirs everywhere.  Past 2.5 the ln Gamma
+bands, else the ln Gamma row at 1 + x.  The engine splits an array at
+2.5 by gather and scatter only when elements lie on both sides, and
+psi's band adds its recurrence term on [0.5, 1.5) in place,
+``np.add(..., where=...)``, skipping a sub-band with no element; none of
+this changes an operation on any element.  The band takes only +, -, *,
+/ and ``math.log`` or ``math.log1p`` element by element, and every power
+is a product, so on (0, 2.5) each twin equals its scalar kernel bit for
+bit (``ln_gamma1p_array`` equals ``ln_gamma1p`` on (-1, 1.5)), and the
+psi', psi'' and psi''' twins equal theirs everywhere.  Past 2.5 the ln Gamma
 and psi twins differ from their scalar kernels only where numpy's ``log``
 rounds differently from ``math.log``: by a few ulps of the shift sum, on
 0.04% (ln Gamma) and 0.02% (psi) of arguments in [2.5, 16).
@@ -455,22 +457,6 @@ def _each(fn, x):
     return np.fromiter(map(fn, x.tolist()), float, len(x))
 
 
-def _shift_up(x, term):
-    """(y, shift): each element raised by 1 until it reaches the cutoff,
-    as the scalar kernels' loop does, and the sum of ``term(y)`` over the
-    steps that element took, added in the same order.  An element past
-    the cutoff adds term * 0 to its shift and 0 to its y, which changes
-    neither."""
-    y = x.copy()
-    shift = 0.0
-    below = y < _SHIFT_CUTOFF
-    while below.any():
-        shift += term(y) * below
-        y += below
-        below = y < _SHIFT_CUTOFF
-    return y, shift
-
-
 def _taylor_array(x):
     """:func:`_ln_gamma1p_taylor` of every element of an array in
     (-0.5, 1.5), with the same operations in the same order."""
@@ -479,72 +465,19 @@ def _taylor_array(x):
     lower = x < 0.5
     z = np.where(lower, x, x - 1.0)
     s = _taylor[_LN_GAMMA](z) * z
-    # math.log1p, as the scalar kernel: np.log1p rounds some x differently;
-    # fed element by element, with no list of every x held at once
-    x = x[lower]
-    s[lower] -= np.fromiter(map(math.log1p, x), float, len(x))
+    # math.log1p, as the scalar kernel: np.log1p rounds some x differently
+    s[lower] -= _each(math.log1p, x[lower])
     return s
 
 
-def _by_band(x, near, far):
-    """``near`` of the elements of a checked array below the band's
-    end 2.5 and ``far`` of the rest.  An array that lies wholly on one
-    side is handed over whole, with no gather or scatter."""
+def _ln_gamma_band(x):
+    # ln_gamma below 2.5: the series at x - 1 (exact) above 0.5, else at x
     import numpy as np
 
-    band = x < _TAYLOR_END
-    if band.all():
-        return near(x)
-    if not band.any():
-        return far(x)
-    out = np.empty_like(x)
-    out[band] = near(x[band])
-    out[~band] = far(x[~band])
-    return out
-
-
-def _ln_gamma_elements(y):
-    # ln_gamma's branches, element by element, on a checked array
-    import numpy as np
-
-    def near(y):  # the series at y - 1 (exact) above 0.5, at y minus log y
-        low = y <= 0.5
-        s = _taylor_array(np.where(low, y, y - 1.0))
-        s[low] -= _each(math.log, y[low])
-        return s
-
-    def far(y):
-        y, shift = _shift_up(y, np.log)
-        # past y ~ 2.56e305 the series overflows to inf, as the scalar's does
-        with np.errstate(over="ignore"):
-            return _ln_gamma_series(y, np.log) - shift
-
-    return _by_band(y, near, far)
-
-
-def ln_gamma_array(x):
-    """:func:`ln_gamma` of every element of a 1-D array."""
-    x = _gate("ln_gamma_array", x, "array")
-    if not ((x > 0.0) & (x < math.inf)).all():  # a NaN fails both
-        raise ValueError("ln_gamma_array requires every x finite and > 0")
-    return _ln_gamma_elements(x)
-
-
-def ln_gamma1p_array(x):
-    """:func:`ln_gamma1p` of every element of a 1-D array: the band
-    polynomial at x itself on ln_gamma1p's own bands, else
-    ``ln_gamma_array(1 + x)``."""
-    import numpy as np
-
-    x = _gate("ln_gamma1p_array", x, "array")
-    if not ((x > -1.0) & (x < math.inf)).all():
-        raise ValueError("ln_gamma1p_array requires every x finite and > -1")
-    out = np.empty_like(x)
-    own = (((-0.5 < x) & (x < _ZERO_BAND))
-           | ((-_ZERO_BAND < x - 1.0) & (x - 1.0 < 0.5)))
-    out[own] = _taylor_array(x[own])
-    out[~own] = _ln_gamma_elements(1.0 + x[~own])
-    return out
+    low = x <= 0.5
+    s = _taylor_array(np.where(low, x, x - 1.0))
+    s[low] -= _each(math.log, x[low])
+    return s
 
 
 def _psi_taylor_array(k, x):
@@ -566,19 +499,89 @@ def _psi_taylor_array(k, x):
     return s
 
 
-def digamma_array(x):
-    """:func:`digamma` of every element of a 1-D array."""
+def _psi_row(k):
+    rec, power = _RECURRENCE[k], _POWERS[k + 1]
+    series = (_digamma_series if k == 0
+              else lambda y, log: _polygamma_series(k, y))
+    return (partial(_psi_taylor_array, k), lambda y, log: rec / power(y),
+            series)
+
+
+# The array twins' rows, indexed as _taylor and _tail: the band function
+# below 2.5, the term a shift step adds at y and the series past the
+# cutoff, these two taking numpy's log.  psi's term is -1 / y and ln
+# Gamma's -log y, so every row adds its shift where the scalar kernels
+# subtract theirs: a sum of negated terms is the negated sum, bit for bit.
+_TWINS = (*map(_psi_row, range(4)),
+          (_ln_gamma_band, lambda y, log: -log(y), _ln_gamma_series))
+
+
+def _twin(k, x):
+    """Row k of :data:`_TWINS` on a checked 1-D array: the band function
+    below 2.5; from there the series at y plus the shift, each element
+    raised by 1 until it reaches the cutoff and its steps' terms summed in
+    the scalar kernels' order.  An element past the cutoff adds term * 0
+    and 0, which change nothing.  An array that lies wholly on one side of
+    2.5 is handed over whole, with no gather or scatter."""
     import numpy as np
 
-    x = _gate("digamma_array", x, "array")
-    if not ((x > 0.0) & (x < math.inf)).all():
-        raise ValueError("digamma_array requires every x finite and > 0")
+    band_of, term, series = _TWINS[k]
+    band = x < _TAYLOR_END
+    if band.all():
+        return band_of(x)
+    split = band.any()
+    y = x[~band] if split else x.copy()
+    shift = 0.0
+    below = y < _SHIFT_CUTOFF
+    # y**(k+1) overflows only where y > 1e77, whose term is multiplied by
+    # 0; past y ~ 2.56e305 ln Gamma's series overflows, as the scalar's
+    with np.errstate(over="ignore"):
+        while below.any():
+            shift += term(y, np.log) * below
+            y += below
+            below = y < _SHIFT_CUTOFF
+        far = series(y, np.log) + shift
+    if not split:
+        return far
+    out = np.empty_like(x)
+    out[band] = band_of(x[band])
+    out[~band] = far
+    return out
 
-    def far(y):
-        y, shift = _shift_up(y, lambda y: 1.0 / y)
-        return _digamma_series(y, np.log) - shift
 
-    return _by_band(x, partial(_psi_taylor_array, 0), far)
+def _positive_array(name, x):
+    # the input check of the twins on x > 0
+    x = _gate(name, x, "array")
+    if not ((x > 0.0) & (x < math.inf)).all():  # a NaN fails both
+        raise ValueError("%s requires every x finite and > 0" % name)
+    return x
+
+
+def ln_gamma_array(x):
+    """:func:`ln_gamma` of every element of a 1-D array."""
+    return _twin(_LN_GAMMA, _positive_array("ln_gamma_array", x))
+
+
+def ln_gamma1p_array(x):
+    """:func:`ln_gamma1p` of every element of a 1-D array: the band
+    polynomial at x itself on ln_gamma1p's own bands, else the ln Gamma
+    twin at 1 + x."""
+    import numpy as np
+
+    x = _gate("ln_gamma1p_array", x, "array")
+    if not ((x > -1.0) & (x < math.inf)).all():
+        raise ValueError("ln_gamma1p_array requires every x finite and > -1")
+    out = np.empty_like(x)
+    own = (((-0.5 < x) & (x < _ZERO_BAND))
+           | ((-_ZERO_BAND < x - 1.0) & (x - 1.0 < 0.5)))
+    out[own] = _taylor_array(x[own])
+    out[~own] = _twin(_LN_GAMMA, 1.0 + x[~own])
+    return out
+
+
+def digamma_array(x):
+    """:func:`digamma` of every element of a 1-D array."""
+    return _twin(0, _positive_array("digamma_array", x))
 
 
 def polygamma_array(k, x):
@@ -587,22 +590,8 @@ def polygamma_array(k, x):
     _check_order(k)
     import numpy as np
 
-    rec, power = _RECURRENCE[k], _POWERS[k + 1]
-
-    def term(y):
-        # y**(k+1) overflows only in elements long past the cutoff
-        # (y > 1e77), whose term _shift_up multiplies by 0
-        with np.errstate(over="ignore"):
-            return rec / power(y)
-
-    def far(y):
-        y, shift = _shift_up(y, term)
-        return _polygamma_series(k, y) + shift
-
-    x = _gate("polygamma_array", x, "array")
-    if not ((x > 0.0) & (x < math.inf)).all():
-        raise ValueError("polygamma_array requires every x finite and > 0")
-    value = _by_band(x, partial(_psi_taylor_array, k), far)
+    x = _positive_array("polygamma_array", x)
+    value = _twin(k, x)
     bad = ~np.isfinite(value)
     if bad.any():
         raise _out_of_range(k, float(x[bad][0]))

@@ -645,6 +645,9 @@ class TestArrayForms:
         lambda: an.check_monotone("h_cm", -1e308, 1e308, "decreasing", 10),
         lambda: an.cm_probe("h_cm", 0.1, math.inf, 2, 0.01),
         lambda: an.cm_probe("h_cm", 0.1, math.nan, 2, 0.01),
+        lambda: an.find_crossover("qi_guo", "batir_15", "lower", 0.0,
+                                  math.inf),
+        lambda: an.compare_families("upper", 0.0, math.inf, 10, ["qi_guo"]),
     ])
     def test_non_finite_interval_named(self, call):
         with pytest.raises(ValueError, match=r"interval \(.*\) is not finite"):
@@ -796,11 +799,17 @@ class TestFamilyLogsArray:
     @pytest.mark.parametrize("interval", CROSSOVER_INTERVALS)
     @pytest.mark.parametrize("family", FAMILY_IDS)
     def test_crossover_matches_the_walk(self, family, interval):
-        # the error, and between families that take no psi the roots
+        # the error, and between families that take no psi the roots;
+        # families of two conventions are refused before any evaluation
         walks = _walks(("scan", interval))
         ab = CROSSOVER_INTERVALS[interval]
+        convention = bounds.FAMILIES[family].convention
         for other in FAMILY_IDS:
             for side in ("lower", "upper"):
+                if bounds.FAMILIES[other].convention != convention:
+                    with pytest.raises(ValueError, match="mix argument"):
+                        an.find_crossover(family, other, side, *ab, SCAN_N)
+                    continue
                 got = _outcome(lambda: an.find_crossover(
                     family, other, side, *ab, SCAN_N))
                 want = _outcome(lambda: _walk_crossover(

@@ -353,11 +353,13 @@ class TestExitCodes:
     MISUSES = [
         ("monotone --function nope", "\"unknown function id 'nope'\""),
         ("monotone --function tau_ratio:-1",
-         "tau_ratio requires tau > 0, got -1.0"),
+         "tau_ratio requires finite tau > 0, got -1.0"),
         ("monotone --function tau_ratio:abc",
          "could not convert string to float: 'abc'"),
         ("monotone --function lambda_ratio:0",
-         "lambda_ratio requires lam > 0, got 0.0"),
+         "lambda_ratio requires finite lam > 0, got 0.0"),
+        ("monotone --function lambda_ratio:inf",
+         "lambda_ratio requires finite lam > 0, got inf"),
         ("monotone --interval 1 0", "need a < b"),
         ("conjecture ratio-global --interval 1 0", "need a < b"),
         ("monotone --function ratio_R --interval -1 1",

@@ -212,6 +212,18 @@ CONTRACTS = [
     ("tau_ratio_tau_0", lambda: analysis.tau_ratio(0.0, 0.5), "tau > 0"),
     ("tau_ratio_tau_negative", lambda: analysis.tau_ratio(-1.0, 0.5),
      "tau > 0"),
+    # a parameter is finite: at an inner x, a subnormal x and x = 1 (tau's
+    # removable point, outside lambda's domain) alike
+    *[("%s_inf_at_%r" % (name, x), partial(entry, math.inf, x),
+       r"^%s requires finite %s > 0, got inf$" % (name, param))
+      for name, entry, param in [
+          ("lambda_ratio", analysis.lambda_ratio, "lam"),
+          ("tau_ratio", analysis.tau_ratio, "tau"),
+      ]
+      for x in (0.5, 1e-310, 1.0)],
+    ("compare_families_unknown_family",
+     lambda: analysis.compare_families("upper", 0.0, 1.0, 10, ["nope"]),
+     "unknown bound family 'nope'", KeyError),
     ("check_monotone_direction",
      lambda: analysis.check_monotone("ratio_R", 0.0, 1.0, "up", 100),
      "direction"),
