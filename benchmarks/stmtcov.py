@@ -7,9 +7,11 @@ run in frames of the package's own files only, then prints every
 statement that no test ran as ``path:line: source`` and a count.  A
 statement counts as run when any of its lines ran, so a compound
 statement counts when its header or any statement in its body ran;
-docstrings are not statements.  Code run in a child process (the CLI's
-subprocess tests) is not seen.  Only the standard library and pytest are
-needed.  A traced run takes several times as long as a plain one.
+docstrings are not statements.  Exits with pytest's code when a test
+fails, else 1 when any statement never ran, else 0.  Code run in a child
+process (the CLI's subprocess tests) is not seen.  Only the standard
+library and pytest are needed.  A traced run takes several times as long
+as a plain one.
 """
 
 import ast
@@ -63,7 +65,7 @@ def main(args):
                 print("%s:%d: %s" % (path.relative_to(SRC.parent), line,
                                      source[line - 1].strip()))
     print("%d of %d statements never run" % (missed, total))
-    return int(code)
+    return int(code) or int(missed > 0)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ numeric counterexample and is reported loudly.
 
 import functools
 import math
+import sys
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -19,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from gamma_envelope import bounds, refcore, sweep
 from gamma_envelope.bounds import _open_unit, _positive
 from gamma_envelope.proofaudit import (
-    _lambda_den, _lambda_value, _quotient, proof_function, ratio_R,
+    _lambda_value, _quotient, proof_function, ratio_R,
 )
 
 # Relative inset used to keep grids away from open-interval boundaries.
@@ -50,8 +51,9 @@ def lambda_ratio(lam, x):
     at a float or every element of a 1-D array; at lam = 1 this equals
     :func:`ratio_R` bit for bit."""
     lam = _require_positive("lambda_ratio", "lam", lam)
+    _, at_zero = refcore.envelope_exponents(lam)
     return _quotient("lambda_ratio", "0 < x < 1", _open_unit, x,
-                     _lambda_value, lam, None, lam * refcore.EULER_GAMMA)
+                     _lambda_value, lam, None, at_zero)
 
 
 def _lambda_sweep(xs):
@@ -67,13 +69,13 @@ def _lambda_sweep(xs):
     num = refcore.ln_gamma1p_array(xs)
 
     def values(lam, idx=slice(None), k=refcore.ON_ARRAY):
-        return num[idx] / _lambda_den(k, xs[idx], lam)
+        return num[idx] / refcore.log_base(k, xs[idx], lam)
 
     return values
 
 
 def _tau_value(k, x, tau):
-    return k.ln_gamma(x) / k.log1p(refcore.log_base_arg(x, tau))
+    return k.ln_gamma(x) / refcore.log_base(k, x, tau)
 
 
 def tau_ratio(tau, x):
@@ -100,7 +102,7 @@ def F_unitball(x):
 
 
 def _h_cm_value(k, x, _):
-    return k.log(x) / k.log1p(refcore.log_base_arg(x))
+    return k.log(x) / refcore.log_base(k, x)
 
 
 def h_cm(x):
@@ -352,13 +354,19 @@ def cm_probe(function_id, a, b, max_order, step):
         raise ValueError("max_order must be in 0..8, got %r" % (max_order,))
     if not step > 0.0:
         raise ValueError("step must be positive")
+    if step == math.inf:
+        raise ValueError("step must be finite, got inf")
     if not a > 0.0:
         raise ValueError("a must be positive")
     _finite_interval(a, b)
     if a + max_order * step > b:
         raise ValueError("stencil exceeds the domain")
+    steps = (b - a) / step
+    if not steps < sys.maxsize:
+        raise ValueError("step %r gives more grid points on (%r, %r) than "
+                         "an array can hold" % (step, a, b))
     f = resolve_function(function_id)
-    n_pts = int(math.floor((b - a) / step)) + 1
+    n_pts = math.floor(steps) + 1
     xs = a + step * np.arange(n_pts)
     vals = f(xs)
     absvals = np.abs(vals)

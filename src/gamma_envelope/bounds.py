@@ -109,7 +109,7 @@ def theorem_bounds(x, alpha=None, beta=None):
     warning = None
     if a < _C.alpha_sharp or b > _C.beta_sharp:
         warning = "exponents outside the sharp region; containment not guaranteed"
-    lb = math.log1p(refcore.log_base_arg(x))
+    lb = refcore.log_base(refcore.AT_POINT, x)
     return _pair(
         a * lb, b * lb, GAMMA_OF_X_PLUS_1, "qi_guo", x, warning=warning
     )
@@ -218,31 +218,36 @@ def _falling_log(x):
 
 
 def _ivady(x, k):
-    return k.log((x * x + 1.0) / (x + 1.0)), k.log((x * x + 2.0) / (x + 2.0))
+    return refcore.log_base(k, x), refcore.log_base(k, x, 2.0)
 
 
-def _qi_guo(x, k):
-    lb = k.log1p(refcore.log_base_arg(x))
-    return _C.alpha_sharp * lb, _C.beta_sharp * lb
+def _envelope(lam):
+    # ln Gamma(x+1)/ln b is between its limits at 0 and 1 for lam <= lambda_inc
+    # or >= lambda_dec (here 1, 6); ln b < 0, so the lower side gets the larger
+    lower, upper = sorted(refcore.envelope_exponents(lam), reverse=True)
+
+    def sides(x, k):
+        lb = refcore.log_base(k, x, lam)
+        return lower * lb, upper * lb
+
+    return sides
+
+
+_qi_guo = _envelope(1.0)
 
 
 def _qi_guo_extended(x, k):
     # the envelope at t = x - floor(x) times x (x-1) ... (t+1); at t = 0
-    # lb is -0.0 and the sides are the falling log
-    lb = k.log1p(refcore.log_base_arg(x % 1.0))
+    # ln b is -0.0 and the sides are the falling log
+    lower, upper = _qi_guo(x % 1.0, k)
     log_prod = k.each(_falling_log, x)
-    return _C.alpha_sharp * lb + log_prod, _C.beta_sharp * lb + log_prod
+    return lower + log_prod, upper + log_prod
 
 
 def _qi_guo_rearranged(x, k):
-    lb = k.log1p(refcore.log_base_arg(x))
+    lower, upper = _qi_guo(x, k)
     lx = k.log(x)
-    return _C.alpha_sharp * lb - lx, _C.beta_sharp * lb - lx
-
-
-def _lambda6(x, k):
-    lb = k.log((x * x + 6.0) / (x + 6.0))
-    return 6.0 * _C.euler_gamma * lb, 7.0 * (1.0 - _C.euler_gamma) * lb
+    return lower - lx, upper - lx
 
 
 def _alzer_power(x, k):
@@ -360,7 +365,7 @@ FAMILIES = {
             GAMMA_OF_X_PLUS_1,
             "envelope of (x^2+6)/(x+6) with exponents 6*gamma and "
             "7(1-gamma)",
-            _lambda6, _open_unit, "lambda6 requires 0 < x < 1, got %r",
+            _envelope(6.0), _open_unit, "lambda6 requires 0 < x < 1, got %r",
         ),
         FamilyEntry(
             "alzer_power",

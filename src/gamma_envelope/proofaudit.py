@@ -102,24 +102,14 @@ def _quotient(name, domain, inside, x, value, param=None, at_one=None,
     return v
 
 
-def _lambda_den(k, x, lam):
-    # ln((x^2+lam)/(x+lam)), which keeps its digits at its zeros
-    return k.log1p(refcore.log_base_arg(x, lam))
-
-
 def _lambda_value(k, x, lam):
-    # ln Gamma(x+1) keeps its digits at its zeros too, so only x == 1 and
-    # subnormal x take limits
-    return k.ln_gamma1p(x) / _lambda_den(k, x, lam)
+    # both sides keep their digits at their zeros 0 and 1, so only x == 1
+    # and subnormal x take limits
+    return k.ln_gamma1p(x) / refcore.log_base(k, x, lam)
 
 
 def _ratio_R_value(k, x, _):
     return _lambda_value(k, x, 1.0)
-
-
-# ratio_R's limits at x == 1 and below the least normal double
-_RATIO_R_AT_ONE = (1.0 + 1.0) * (1.0 - refcore.EULER_GAMMA)
-_RATIO_R_TINY = 1.0 * refcore.EULER_GAMMA
 
 
 def ratio_R(x):
@@ -130,7 +120,7 @@ def ratio_R(x):
     ValueError where the value is not a finite double (x past ~2.56e305,
     where ln Gamma(x+1) overflows)."""
     return _quotient("ratio_R", "x > 0", _positive, x, _ratio_R_value, None,
-                     _RATIO_R_AT_ONE, _RATIO_R_TINY)
+                     *refcore.envelope_exponents(1.0))
 
 
 def _every(flags):
@@ -157,7 +147,7 @@ def _h2(v):
     x = v.x
     return (x - 1.0) * (x * x + 2.0 * x - 1.0) - (x + 1.0) * (
         x * x + 1.0
-    ) * v.k.log1p(refcore.log_base_arg(x))
+    ) * refcore.log_base(v.k, x)
 
 
 def _h2_near_one(x):
@@ -384,6 +374,7 @@ def audit_proof(grid_n=10000):
     # Point claims: the helper functions' endpoint anchors, printed to 3
     # decimals in the derivation, and the ratio's two one-sided limits.
     # (name, kind, measured, expected, tolerance)
+    limit_at_1, limit_at_0 = refcore.envelope_exponents(1.0)
     expected_text = {
         "endpoint_value": "{0:g} within {1:g}",
         "limit": "{0:.12g} within 1e-6",
@@ -393,9 +384,8 @@ def audit_proof(grid_n=10000):
         ("q1_at_1", "endpoint_value", proof_function("q1", 1.0), -45.1289, 5e-4),
         ("q_at_0", "endpoint_value", proof_function("q", 0.0), -0.0289, 1e-4),
         ("q_at_1", "endpoint_value", proof_function("q", 1.0), 0.0, 1e-10),
-        ("ratio_limit_at_0", "limit", ratio_R(1e-8), refcore.EULER_GAMMA, 1e-6),
-        ("ratio_limit_at_1", "limit", ratio_R(1.0 - 1e-8),
-         2.0 * (1.0 - refcore.EULER_GAMMA), 1e-6),
+        ("ratio_limit_at_0", "limit", ratio_R(1e-8), limit_at_0, 1e-6),
+        ("ratio_limit_at_1", "limit", ratio_R(1.0 - 1e-8), limit_at_1, 1e-6),
     ]:
         ok = abs(measured - expected) <= tol
         claims.append(ProofClaim(

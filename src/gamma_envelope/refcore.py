@@ -520,9 +520,12 @@ def _twin(k, x):
     """Row k of :data:`_TWINS` on a checked 1-D array: the band function
     below 2.5; from there the series at y plus the shift, each element
     raised by 1 until it reaches the cutoff and its steps' terms summed in
-    the scalar kernels' order.  An element past the cutoff adds term * 0
-    and 0, which change nothing.  An array that lies wholly on one side of
-    2.5 is handed over whole, with no gather or scatter."""
+    the scalar kernels' order.  Only the elements below the cutoff are
+    shifted, gathered once in ascending order: y + 1 rounds monotonically,
+    so those still below after each step are a prefix, which the next
+    step takes as a slice.  The others keep a shift of 0.0, which the
+    scalar kernels add too.  An array that lies wholly on one side of 2.5
+    is handed over whole, with no gather or scatter."""
     import numpy as np
 
     band_of, term, series = _TWINS[k]
@@ -531,15 +534,18 @@ def _twin(k, x):
         return band_of(x)
     split = band.any()
     y = x[~band] if split else x.copy()
-    shift = 0.0
-    below = y < _SHIFT_CUTOFF
-    # y**(k+1) overflows only where y > 1e77, whose term is multiplied by
-    # 0; past y ~ 2.56e305 ln Gamma's series overflows, as the scalar's
+    shift = np.zeros(len(y))
+    below = np.flatnonzero(y < _SHIFT_CUTOFF)
+    below = below[np.argsort(y[below])]
+    z, s = y[below], shift[below]
+    n = len(z)
+    while n:
+        s[:n] += term(z[:n], np.log)
+        z[:n] += 1.0
+        n = np.searchsorted(z[:n], _SHIFT_CUTOFF)
+    y[below], shift[below] = z, s
+    # past y ~ 2.56e305 ln Gamma's series overflows, as the scalar's
     with np.errstate(over="ignore"):
-        while below.any():
-            shift += term(y, np.log) * below
-            y += below
-            below = y < _SHIFT_CUTOFF
         far = series(y, np.log) + shift
     if not split:
         return far
@@ -636,6 +642,12 @@ def gamma(x):
     return math.exp(log_value)
 
 
+def envelope_exponents(lam):
+    """((1+lam)(1-gamma), lam gamma), the limits at 1 and 0 of ln Gamma(x+1)
+    / ln((x^2+lam)/(x+lam)): the lambda-envelope's exponents, at call time."""
+    return (1.0 + lam) * (1.0 - EULER_GAMMA), lam * EULER_GAMMA
+
+
 class Constants(NamedTuple):
     """The numeric anchors every bound family derives from."""
 
@@ -648,10 +660,8 @@ class Constants(NamedTuple):
 
 
 _CONSTANTS = Constants(
-    euler_gamma=EULER_GAMMA,
-    pi_sq_over_6=PI_SQ_OVER_6,
-    alpha_sharp=2.0 * (1.0 - EULER_GAMMA),
-    beta_sharp=EULER_GAMMA,
+    EULER_GAMMA, PI_SQ_OVER_6,
+    *envelope_exponents(1.0),  # alpha_sharp, beta_sharp
     alzer_alpha=1.0 - EULER_GAMMA,
     alzer_beta=0.5 * (PI_SQ_OVER_6 - EULER_GAMMA),
 )
@@ -678,6 +688,12 @@ def log_base_arg(x, lam=1.0):
     with np.errstate(over="ignore"):
         v = x * (x - 1.0) / (x + lam)
     return np.where(np.isposinf(v), x * ((x - 1.0) / (x + lam)), v)
+
+
+def log_base(k, x, lam=1.0):
+    """ln((x^2+lam)/(x+lam)) with the kernels ``k``: log1p of
+    :func:`log_base_arg`, so it keeps its digits next to x = 0 and 1."""
+    return k.log1p(log_base_arg(x, lam))
 
 
 def _check_gamma_literal():

@@ -19,6 +19,18 @@ def true_log_gamma(bp):
     return refcore.ln_gamma(bp.x)
 
 
+def mp_ln_gamma1p(x):
+    """ln Gamma(1+x) at the working precision, also next to x = 0: 1 + x
+    is added exactly, however many digits that takes."""
+    return mp.loggamma(mp.fadd(1, mp.mpf(x), exact=True))
+
+
+# x = 10^-k and 1 - 10^-k, where ln Gamma(x+1) and the log of an
+# envelope base both vanish
+NEXT_TO_THE_ENDS = ([10.0**-k for k in range(1, 15)]
+                    + [1.0 - 10.0**-k for k in range(1, 14)])
+
+
 class TestTheoremBounds:
     def test_midpoint_example(self):
         bp = bounds.theorem_bounds(0.5)
@@ -338,6 +350,15 @@ class TestFamilyCatalog:
             lg = true_log_gamma(bp)
             assert bp.log_lower < lg < bp.log_upper, (fid, x)
 
+    @pytest.mark.parametrize("fid, x", [
+        (fid, x) for fid in ("ivady", "lambda6") for x in NEXT_TO_THE_ENDS
+    ] + [("ivady", x) for x in (1e-16, 1e-17, 1e-300)])
+    def test_containment_against_mpmath_next_to_the_ends(self, fid, x):
+        # strict: the log of the rounded quotient (x^2+c)/(x+c) lost the
+        # digits that decide these
+        bp = bounds.evaluate_family(fid, x)
+        assert bp.log_lower < mp_ln_gamma1p(x) < bp.log_upper
+
     def test_refinement_of_rational_lower_bound(self):
         # the sharp-exponent lower bound dominates the plain rational one
         # everywhere on (0,1): base in (0,1) and exponent 2(1-gamma) < 1
@@ -345,6 +366,49 @@ class TestFamilyCatalog:
             qg = bounds.evaluate_family("qi_guo", float(x))
             iv = bounds.evaluate_family("ivady", float(x))
             assert qg.lower >= iv.lower
+
+
+# the thresholds of the lambda open problem: f_lambda cannot increase
+# past LAMBDA_INC = gamma/(pi^2/6 - 2 gamma) nor decrease below
+# LAMBDA_DEC = (pi^2/6 - gamma)/(3 - 2 gamma - pi^2/6)
+LAMBDA_INC = 1.1767837797985385
+LAMBDA_DEC = 5.321706147024761
+
+
+class TestEnvelope:
+    POINTS = np.linspace(0.0, 1.0, 402)[1:-1].tolist() + NEXT_TO_THE_ENDS
+
+    @pytest.mark.parametrize(
+        "lam", [0.1, 0.5, 1.0, LAMBDA_INC, LAMBDA_DEC, 6.0, 100.0])
+    def test_containment_against_mpmath(self, lam):
+        # a side within 4 ulps of ln Gamma(x+1) is unresolved, not a pass;
+        # one beyond that on the wrong side is violated
+        sides = bounds._envelope(lam)
+        violated, unresolved = [], []
+        with mp.workdps(40):
+            for x in self.POINTS:
+                ref = mp_ln_gamma1p(x)
+                resolution = 4 * math.ulp(float(ref))
+                for side, sign in zip(sides(x, refcore.AT_POINT), (-1, 1)):
+                    margin = sign * (side - ref)
+                    if abs(margin) <= resolution:
+                        unresolved.append((x, sign))
+                    elif margin < 0:
+                        violated.append((x, sign, side))
+        assert violated == []
+        assert len(unresolved) <= 10, unresolved
+
+    def test_catalog_envelopes(self):
+        # qi_guo and lambda6 are the envelope at lambda = 1 and 6, and
+        # their exponents are the sharp constants' literals, bit for bit
+        g = refcore.EULER_GAMMA
+        for fid, lam, lower, upper in [("qi_guo", 1.0, 2.0 * (1.0 - g), g),
+                                       ("lambda6", 6.0, 6.0 * g,
+                                        7.0 * (1.0 - g))]:
+            for x in (1e-9, 0.25, 0.5, 0.999):
+                lb = math.log1p(x * (x - 1.0) / (x + lam))
+                bp = bounds.evaluate_family(fid, x)
+                assert (bp.log_lower, bp.log_upper) == (lower * lb, upper * lb)
 
 
 def _batir_14_logs(x):

@@ -278,6 +278,13 @@ class TestExitCodes:
         # (+4.3e-16 and +6.8e-18 in log) resolve
         ("qi_guo", "1e-7", 0),
         ("batir_14", "1e-8", 0),
+        # ln b is log1p of x(x-1)/(x+lam), which keeps its digits next to
+        # x = 0 and 1, where the log of the rounded quotient lost them
+        ("lambda6", "1e-12", 0),
+        ("lambda6", "3e-8", 0),
+        ("lambda6", "0.999999999", 0),
+        ("ivady", "1e-16", 0),
+        ("ivady", "1e-17", 0),
         # the margin is below one ulp of ln Gamma(1001): it needs an
         # unresolved verdict, not a kernel
         ("batir_12", "1000", 1),
@@ -389,6 +396,12 @@ class TestExitCodes:
         ("conjecture tau --interval -1 1",
          "tau_ratio requires x > 0, got -0.999998"),
         ("conjecture cm --step 0", "step must be positive"),
+        ("conjecture cm --step inf --max-order 0",
+         "step must be finite, got inf"),
+        ("conjecture cm --step 1e-320", "step 1e-320 gives more grid points "
+         "on (0.1, 50.0) than an array can hold"),
+        ("conjecture cm --step 1e-300", "step 1e-300 gives more grid points "
+         "on (0.1, 50.0) than an array can hold"),
         ("conjecture cm --interval 0 1", "a must be positive"),
         ("conjecture cm --max-order 9", "max_order must be in 0..8, got 9"),
         ("monotone --function h_cm --interval 0 inf",

@@ -233,6 +233,17 @@ CONTRACTS = [
      lambda: analysis.cm_probe("h_cm", 0.1, 1.0, 2, 0.0), "step"),
     ("cm_probe_step_negative",
      lambda: analysis.cm_probe("h_cm", 0.1, 1.0, 2, -0.01), "step"),
+    ("cm_probe_step_inf",
+     lambda: analysis.cm_probe("h_cm", 0.1, 50.0, 0, math.inf),
+     r"^step must be finite, got inf$"),
+    ("cm_probe_step_count_overflows",
+     lambda: analysis.cm_probe("h_cm", 0.1, 50.0, 6, 1e-320),
+     r"^step 1e-320 gives more grid points on \(0.1, 50.0\) than an "
+     r"array can hold$"),
+    ("cm_probe_step_count_past_intp",
+     lambda: analysis.cm_probe("h_cm", 0.1, 50.0, 6, 1e-300),
+     r"^step 1e-300 gives more grid points on \(0.1, 50.0\) than an "
+     r"array can hold$"),
     ("cm_probe_a_0",
      lambda: analysis.cm_probe("h_cm", 0.0, 1.0, 2, 0.01), "a must"),
     ("cm_probe_a_negative",

@@ -115,6 +115,21 @@ class TestNearZeros:
         assert [refcore.log_base_arg(x, 2.0)
                 for x in xs[:-1].tolist()] == plain
 
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 6.0])
+    def test_log_base_keeps_its_digits_next_to_0_and_1(self, lam):
+        # ln((x^2+lam)/(x+lam)) vanishes at 0 and 1; within 4 ulps there,
+        # the same bits on a float and on an array
+        xs = [s * 10.0**-k for k in range(1, 17) for s in (1.0, -1.0)]
+        xs = [x for x in xs if x > 0.0] + [1.0 + x for x in xs] + [1e-300]
+        on_array = refcore.log_base(refcore.ON_ARRAY, np.array(xs), lam)
+        for x, element in zip(xs, on_array.tolist()):
+            with mp.workdps(50):  # ln(1 + x(x-1)/(x+lam)), exactly
+                m = mp.mpf(x)
+                ref = float(mp.log1p(m * (m - 1) / (m + lam)))
+            value = refcore.log_base(refcore.AT_POINT, x, lam)
+            assert value == element
+            assert abs(value - ref) <= 4 * math.ulp(ref), x
+
     @pytest.mark.parametrize("bad", [-1.0, -2.0, math.nan, math.inf])
     def test_ln_gamma1p_domain(self, bad):
         with pytest.raises(ValueError):
@@ -246,6 +261,17 @@ class TestConstants:
         assert c.alpha_sharp == 2.0 * (1.0 - c.euler_gamma)
         assert c.beta_sharp == c.euler_gamma
         assert c.alzer_alpha == 1.0 - c.euler_gamma
+
+    def test_envelope_exponents(self, monkeypatch):
+        # f_lambda's limits at 1 and 0; the sharp pair is lambda = 1, and
+        # each call reads the literal afresh
+        c = refcore.constants()
+        assert refcore.envelope_exponents(1.0) == (c.alpha_sharp,
+                                                   c.beta_sharp)
+        g = c.euler_gamma
+        assert refcore.envelope_exponents(6.0) == (7.0 * (1.0 - g), 6.0 * g)
+        monkeypatch.setattr(refcore, "EULER_GAMMA", 0.5)
+        assert refcore.envelope_exponents(2.0) == (1.5, 1.0)
 
     def test_five_decimal_anchors(self):
         c = refcore.constants()
@@ -683,6 +709,16 @@ class TestTwinEdgeCases:
         assert type(values) is np.ndarray and values.shape == xs.shape
         expected = _expected(name, twin, scalar, shift, xs)
         assert values.tolist() == expected.tolist()
+
+    def test_shift_takes_any_order(self, name, twin, scalar, shift):
+        # the shift sorts the elements below the cutoff; repeated points
+        # and any order give each element the same value
+        xs = np.random.default_rng(30).uniform(2.5, 20.0, 300)
+        xs = np.concatenate([xs, xs[:50], [2.5, 15.0, 3.0, 3.0]]) + shift
+        perm = np.random.default_rng(31).permutation(len(xs))
+        assert twin(xs)[perm].tolist() == twin(xs[perm]).tolist()
+        assert twin(xs).tolist() == _expected(name, twin, scalar, shift,
+                                              xs).tolist()
 
     @pytest.mark.parametrize("x", [1e-8, 0.3, 1.0, 1.25, 2.0, 3.0, 40.0])
     def test_zero_d(self, name, twin, scalar, shift, x):
