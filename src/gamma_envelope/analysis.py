@@ -2,6 +2,7 @@
 localization, and falsification probes for the open problem and the three
 conjectures around the gamma-log ratio.
 
+Every check and finding is one :class:`gamma_envelope.sweep.Claim`.
 Conjecture verdicts are always "consistent" or "violated", never
 "proved": a consistent sweep only means no counterexample was found at
 the probed resolution.  A violation, on the other hand, is a concrete
@@ -163,22 +164,16 @@ def _finite_interval(a, b):
 # monotonicity
 
 
-class MonotonicityReport(NamedTuple):
-    function_id: str
-    interval: tuple
-    grid_n: int
-    direction: str  # increasing | decreasing
-    strict_violations: list  # [(x, diff), ...]
-    min_abs_diff: float
-    verdict: str  # consistent | violated
-
-
 def check_monotone(function_id, a, b, direction, grid_n=10000):
     """Check strict monotonicity of a registered function on (a, b).
 
     Samples ``grid_n`` points on [a+eps, b-eps] with eps = (b-a)*1e-6 and
     requires every consecutive difference to have the claimed sign in
-    exact double comparison; ties count as violations.
+    exact double comparison; ties count as violations.  Returns a
+    :class:`~gamma_envelope.sweep.Claim` named ``function_id`` of kind
+    monotonicity on (a, b): verdict consistent or violated, measured the
+    smallest |difference|, witness the x where the first failing step
+    starts and violations the number of failing steps.
     """
     _finite_interval(a, b)
     if not a < b:
@@ -188,20 +183,14 @@ def check_monotone(function_id, a, b, direction, grid_n=10000):
         raise ValueError("direction must be 'increasing' or 'decreasing'")
     f = resolve_function(function_id)
     xs = _grid(a, b, grid_n)
-    vals = f(xs)
     sign = 1.0 if direction == "increasing" else -1.0
-    steps = sign * np.diff(vals)
-    violations = [(float(xs[i]), float(steps[i]))
-                  for i in np.flatnonzero(~(steps > 0.0))]
-    return MonotonicityReport(
-        function_id=function_id,
-        interval=(a, b),
-        grid_n=grid_n,
-        direction=direction,
-        strict_violations=violations,
-        min_abs_diff=float(np.min(np.abs(steps), initial=math.inf)),
-        verdict="consistent" if not violations else "violated",
-    )
+    steps = sign * np.diff(f(xs))
+    fails = np.flatnonzero(~(steps > 0.0))
+    return sweep.Claim(
+        function_id, "monotonicity", (a, b), "strictly " + direction,
+        "violated" if len(fails) else "consistent",
+        float(np.min(np.abs(steps), initial=math.inf)),
+        float(xs[fails[0]]) if len(fails) else None, len(fails))
 
 
 # ---------------------------------------------------------------------------
@@ -333,22 +322,17 @@ def search_lambda_thresholds(grid_n=2000, lambda_tol=1e-3):
 # complete-monotonicity probe
 
 
-class CMReport(NamedTuple):
-    function_id: str
-    interval: tuple
-    max_order: int
-    step: float
-    violations: list  # [(x, order, value, tolerance), ...]
-    verdict: str  # consistent | violated
-
-
 def cm_probe(function_id, a, b, max_order, step):
     """Finite-difference probe of complete monotonicity on [a, b].
 
     For each grid x and order n <= max_order the forward difference
     Delta^n f(x) must satisfy (-1)^n Delta^n >= -tol_n with
-    tol_n = 2^n * 1e-12 * max|f| over the stencil.  A clean sweep is
-    reported "consistent" (no violation found, not a proof).
+    tol_n = 2^n * 1e-12 * max|f| over the stencil.  Returns a
+    :class:`~gamma_envelope.sweep.Claim` named ``function_id`` of kind
+    complete_monotonicity on (a, b): verdict consistent (no violation
+    found, not a proof) or violated, measured None, witness the smallest
+    x of a failing stencil and violations the number of failing stencils
+    over every order.
     """
     if not 0 <= sweep.grid_size(max_order, "max_order") <= 8:
         raise ValueError("max_order must be in 0..8, got %r" % (max_order,))
@@ -370,24 +354,21 @@ def cm_probe(function_id, a, b, max_order, step):
     xs = a + step * np.arange(n_pts)
     vals = f(xs)
     absvals = np.abs(vals)
-    violations = []
+    violations, first = 0, n_pts
     for n in range(max_order + 1):
         # max|f| over each length-(n+1) stencil
         stencil_max = sliding_window_view(absvals, n + 1).max(axis=1)
         tol = (2.0**n) * 1e-12 * stencil_max
         signed = ((-1.0) ** n) * np.diff(vals, n)
-        violations += [
-            (float(xs[i]), n, float(signed[i]), float(tol[i]))
-            for i in np.flatnonzero(signed < -tol)
-        ]
-    return CMReport(
-        function_id=function_id,
-        interval=(a, b),
-        max_order=max_order,
-        step=step,
-        violations=violations,
-        verdict="consistent" if not violations else "violated",
-    )
+        fails = np.flatnonzero(signed < -tol)
+        violations += len(fails)
+        if len(fails):
+            first = min(first, fails[0])
+    return sweep.Claim(
+        function_id, "complete_monotonicity", (a, b),
+        "(-1)^n Delta^n f >= -tol_n for n <= %d" % max_order,
+        "violated" if violations else "consistent", None,
+        float(xs[first]) if violations else None, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -586,19 +567,28 @@ _CLAIMS = [
 ]
 
 
+def _finding(name, text, verdict):
+    # a comparison finding on (0, 1): its text is what it expects, and it
+    # measures nothing
+    return sweep.Claim(name, "comparison", (0.0, 1.0), text, verdict, None,
+                       None, int(verdict == "fail"))
+
+
 def remark_claims(grid_n=2000):
-    """Evaluate every encoded comparison finding; returns
-    [(claim_id, description, verdict)] with verdict in
-    {pass, fail, flagged}."""
+    """Evaluate every encoded comparison finding; returns one
+    :class:`~gamma_envelope.sweep.Claim` per finding, of kind comparison
+    on (0, 1): name the claim id, expected its description, verdict pass,
+    fail or flagged, measured and witness None, and violations 1 for a
+    failed finding, else 0."""
     c = _ClaimGrids(sweep.grid_size(grid_n, "grid_n", 2))
-    out = [(cid, text, "pass" if holds(c) else "fail")
+    out = [_finding(cid, text, "pass" if holds(c) else "fail")
            for cid, text, holds in _CLAIMS]
     # The companion upper-bound finding in the source text compares a
     # bound with itself (apparent typo), so there is nothing well-defined
     # to assert; the observed qi_guo/batir_12 upper relation is reported
     # as a flagged finding instead.
     cross = c.crosses("qi_guo", "batir_12", "upper")
-    out.append((
+    out.append(_finding(
         "r3_4b_upper_half_self_referential",
         "source claim compares a bound with itself; observed: "
         "qi_guo/batir_12 upper bounds %s on (0,1)"

@@ -82,10 +82,10 @@ def _cmd_bounds(args):
 def _cmd_compare(args):
     from gamma_envelope import analysis
 
-    findings = analysis.remark_claims(grid_n=max(args.grid, args.grid_floor))
+    claims = analysis.remark_claims(grid_n=max(args.grid, args.grid_floor))
     header = ["claim_id", "description", "verdict"]
-    rows = [list(f) for f in findings]
-    return header, rows, all(v in ("pass", "flagged") for _, _, v in findings)
+    rows = [[c.name, c.expected, c.verdict] for c in claims]
+    return header, rows, all(c.ok for c in claims)
 
 
 def _cmd_audit(args):
@@ -97,24 +97,26 @@ def _cmd_audit(args):
         fields.insert(2, "interval")
     rows = [[getattr(c, f) for f in fields] for c in claims]
     header = ["claim"] + fields[1:] if args.format == "markdown" else fields
-    return header, rows, all(c.verdict == "pass" for c in claims)
+    return header, rows, all(c.ok for c in claims)
 
 
 def _cmd_lemma2(args):
-    from gamma_envelope import polycert, proofaudit, sweep
+    from gamma_envelope import polycert, proofaudit
 
     certs = polycert.certify_lemma_polynomials()
     rows = [["h%d" % i, "polynomial", cert.claimed_sign, cert.descartes_bound,
              cert.sturm_root_count, cert.verdict]
             for i, cert in certs.items()]
-    # the transcendental member is checked numerically on a grid
+    # the transcendental member is the audit's grid claim, with its value
+    # 1 at 0 checked too
     xs = proofaudit.interior_grid(max(args.grid, args.grid_floor))
-    h2 = sweep.lowest(xs, proofaudit.lemma_expr(2, xs))
+    h2 = proofaudit._grid_claim("lemma_h2_positive", "sign", 1.0, xs,
+                                proofaudit.lemma_expr(2, xs), "h2")
     h2_at_0 = proofaudit.lemma_expr(2, 0.0)
-    h2_ok = h2.ok and abs(h2_at_0 - 1.0) <= 1e-12
-    rows.append(["h2", "transcendental", "positive", "", "",
-                 "consistent" if h2_ok else "violated"])
-    ok = h2_ok and all(c.verdict == "certified" for c in certs.values())
+    h2 = h2._replace(verdict="consistent" if h2.ok
+                     and abs(h2_at_0 - 1.0) <= 1e-12 else "violated")
+    rows.append(["h2", "transcendental", "positive", "", "", h2.verdict])
+    ok = h2.ok and all(c.verdict == "certified" for c in certs.values())
     header = ["name", "kind", "claimed_sign", "descartes_bound",
               "sturm_root_count", "verdict"]
     if args.format == "json":  # a document of the exact certificates
@@ -126,7 +128,7 @@ def _cmd_lemma2(args):
             "h2_grid_check": {
                 "min_value": h2.measured,
                 "value_at_0": h2_at_0,
-                "verdict": "consistent" if h2_ok else "violated",
+                "verdict": h2.verdict,
             },
         }
     return header, rows, ok
@@ -136,43 +138,39 @@ def _cmd_monotone(args):
     from gamma_envelope import analysis
 
     a, b = args.interval if args.interval else (0.0, 1.0)
-    rep = analysis.check_monotone(
+    c = analysis.check_monotone(
         args.function, a, b, args.direction, grid_n=args.grid
     )
     header = ["function", "a", "b", "direction", "grid_n",
               "min_abs_diff", "violations", "verdict"]
-    rows = [[rep.function_id, a, b, rep.direction, rep.grid_n,
-             rep.min_abs_diff, len(rep.strict_violations), rep.verdict]]
-    return header, rows, rep.verdict == "consistent"
+    rows = [[c.name, a, b, args.direction, args.grid, c.measured,
+             c.violations, c.verdict]]
+    return header, rows, c.ok
 
 
 def _cmd_conjecture(args):
     from gamma_envelope import analysis
 
-    rows = []
-    if args.which == "cm":
-        a, b = args.interval if args.interval else (0.1, 50.0)
-        rep = analysis.cm_probe("h_cm", a, b, args.max_order, args.step)
-        rows.append(["cm_h", "(%g,%g)" % (a, b), len(rep.violations),
-                     rep.verdict])
-    elif args.which == "ratio-global":
-        a, b = args.interval if args.interval else (0.0, 50.0)
-        rep = analysis.check_monotone(
-            "ratio_R", a, b, "increasing", grid_n=args.grid
-        )
-        rows.append(["ratio_global_increasing", "(%g,%g)" % (a, b),
-                     len(rep.strict_violations), rep.verdict])
-    else:  # tau
-        a, b = args.interval if args.interval else (1e-3, 50.0)
-        for tau in (0.5, 1.0, 2.0, 6.0):
-            rep = analysis.check_monotone(
-                "tau_ratio:%g" % tau, a, b, "increasing", grid_n=args.grid
-            )
-            rows.append(["tau_ratio_increasing_tau=%g" % tau,
-                         "(%g,%g)" % (a, b),
-                         len(rep.strict_violations), rep.verdict])
+    def increasing(function_id):
+        return lambda a, b: analysis.check_monotone(
+            function_id, a, b, "increasing", grid_n=args.grid)
+
+    # the probe's default interval and its (row id, claim of (a, b))
+    interval, probes = {
+        "cm": ((0.1, 50.0), [("cm_h", lambda a, b: analysis.cm_probe(
+            "h_cm", a, b, args.max_order, args.step))]),
+        "ratio-global": ((0.0, 50.0), [("ratio_global_increasing",
+                                        increasing("ratio_R"))]),
+        "tau": ((1e-3, 50.0), [("tau_ratio_increasing_tau=%g" % tau,
+                                increasing("tau_ratio:%g" % tau))
+                               for tau in (0.5, 1.0, 2.0, 6.0)]),
+    }[args.which]
+    a, b = args.interval if args.interval else interval
+    claims = [(probe, claim(a, b)) for probe, claim in probes]
+    rows = [[probe, "(%g,%g)" % c.interval, c.violations, c.verdict]
+            for probe, c in claims]
     header = ["probe", "interval", "violations", "verdict"]
-    return header, rows, all(row[-1] == "consistent" for row in rows)
+    return header, rows, all(c.ok for _, c in claims)
 
 
 def _cmd_openproblem_lambda(args):
@@ -195,15 +193,16 @@ def _cmd_polygamma_check(args):
     from gamma_envelope import sweep
 
     xs = np.logspace(math.log10(0.01), math.log10(100.0), args.grid)
-    rows = []
+    rows, ok = [], True
     for k in (1, 2, 3):
         lower, upper = bounds.polygamma_bounds(k, xs)
         val = abs(refcore.polygamma_array(k, xs))
         check = sweep.lowest(xs, np.minimum(val - lower, upper - val))
         rows.append([k, float(xs[0]), float(xs[-1]), len(xs), check.measured,
                      "pass" if check.ok else "fail"])
+        ok = ok and check.ok
     header = ["k", "x_min", "x_max", "points", "min_margin", "verdict"]
-    return header, rows, all(row[-1] == "pass" for row in rows)
+    return header, rows, ok
 
 
 def _grid_size(text):

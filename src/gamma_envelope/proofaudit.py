@@ -6,19 +6,19 @@ quotient f'/g' whose monotonicity drives everything, and the helper
 functions q, q1, q1' whose signs and zeros are asserted along the way.
 This module evaluates every link of that chain verbatim (with the
 polygamma reference kernels), at one point or over a float array, and
-re-checks each asserted claim on a grid, returning structured pass/fail
-verdicts rather than raising.  Each link is one entry of one table,
-:data:`_VALUES`, written once for both forms: it takes its kernels from
-``refcore.AT_POINT`` at a float and ``refcore.ON_ARRAY`` on an array;
-every kernel it calls, at x + 1 in [1, 2], sums the same Taylor series on
-both, so every value of the chain agrees bit for bit between the forms.
-The audit's sweeps use the array form, in blocks of :data:`BLOCK`
-points.
+re-checks each asserted claim on a grid, returning each as a
+:class:`gamma_envelope.sweep.Claim` (name, kind, interval, expected,
+verdict pass or fail, measured, witness and violations) rather than
+raising.  Each link is one entry of one table, :data:`_VALUES`, written
+once for both forms: it takes its kernels from ``refcore.AT_POINT`` at a
+float and ``refcore.ON_ARRAY`` on an array; every kernel it calls, at
+x + 1 in [1, 2], sums the same Taylor series on both, so every value of
+the chain agrees bit for bit between the forms.  The audit's sweeps use
+the array form, in blocks of :data:`BLOCK` points.
 """
 
 import math
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,18 +34,6 @@ NEAR_ONE_BAND = 1e-2
 # Points per block of an array sweep: the temporaries of one block stay
 # in cache, and memory beyond the grid and its values stays bounded.
 BLOCK = 1 << 15
-
-
-class ProofClaim(NamedTuple):
-    """One audited assertion with its verdict and measurement."""
-
-    name: str
-    kind: str  # sign | monotonicity | unique_zero | unique_minimum | endpoint_value | limit
-    interval: tuple
-    expected: str
-    verdict: str  # pass | fail
-    measured: float
-    witness: float | None = None
 
 
 _LEAST_NORMAL = 2.0**-1022
@@ -300,10 +288,17 @@ def interior_grid(n):
     return eps + (1.0 - 2.0 * eps) * np.arange(n) / (n - 1)
 
 
+def _claim(name, kind, interval, expected, ok, measured, witness):
+    # an audited claim, pass or fail, counting itself as its one violation
+    return sweep.Claim(name, kind, interval, expected,
+                       "pass" if ok else "fail", measured, witness,
+                       int(not ok))
+
+
 def _grid_claim(name, kind, sign, xs, vals, arg):
     """One audited grid claim of the given kind from a sweep of the value
-    ``arg`` of :data:`_VALUES`; a unique zero is refined on the proof
-    function of that name."""
+    ``arg`` of :data:`_VALUES`, as a :class:`~gamma_envelope.sweep.Claim`;
+    a unique zero is refined on the proof function of that name."""
     if kind == "monotonicity":
         expected = "strictly %s" % ("increasing" if sign > 0 else "decreasing")
         ok, measured, witness = sweep.monotone(xs, vals, sign)
@@ -323,23 +318,19 @@ def _grid_claim(name, kind, sign, xs, vals, arg):
                                  float(xs[i + 1]), vals[i], 1e-12)
         else:
             witness = float(xs[changes[0]]) if len(changes) else None
-    return ProofClaim(
-        name=name,
-        kind=kind,
-        interval=(float(xs[0]), float(xs[-1])),
-        expected=expected,
-        verdict="pass" if ok else "fail",
-        measured=measured,
-        witness=witness,
-    )
+    return _claim(name, kind, (float(xs[0]), float(xs[-1])), expected, ok,
+                  measured, witness)
 
 
 def audit_proof(grid_n=10000):
     """Re-check every asserted step of the monotonicity proof on a grid.
 
-    Returns one :class:`ProofClaim` per assertion; all pass on a correct
-    implementation.  Strictness is exact double comparison of consecutive
-    grid values (the functions' derivatives dwarf grid noise here).
+    Returns one :class:`~gamma_envelope.sweep.Claim` per assertion: its
+    name, kind, interval and expected outcome, verdict pass or fail,
+    measured, witness, and violations 1 when it fails; all pass on a
+    correct implementation.  Strictness is exact double comparison of
+    consecutive grid values (the functions' derivatives dwarf grid noise
+    here).
     """
     sweep.grid_size(grid_n, "grid_n", 100)
     closed = closed_grid(grid_n)
@@ -388,14 +379,8 @@ def audit_proof(grid_n=10000):
         ("ratio_limit_at_1", "limit", ratio_R(1.0 - 1e-8), limit_at_1, 1e-6),
     ]:
         ok = abs(measured - expected) <= tol
-        claims.append(ProofClaim(
-            name=name,
-            kind=kind,
-            interval=(0.0, 1.0),
-            expected=expected_text[kind].format(expected, tol),
-            verdict="pass" if ok else "fail",
-            measured=measured,
-            witness=None if ok else measured,
-        ))
+        claims.append(_claim(name, kind, (0.0, 1.0),
+                             expected_text[kind].format(expected, tol), ok,
+                             measured, None if ok else measured))
     return claims
 

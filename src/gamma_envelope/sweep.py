@@ -1,4 +1,5 @@
-"""Grid reductions and the one bisection shared by every grid claim.
+"""Grid reductions, the one bisection shared by every grid claim, and
+the one record of a checked claim.
 
 A sweep is a grid ``xs`` and the values ``vals`` of one function on it,
 both computed by the caller.  The reducers turn a sweep into a
@@ -6,7 +7,8 @@ both computed by the caller.  The reducers turn a sweep into a
 measured (the margin that came closest to failing, or a count), and the
 grid point that witnesses it (each reducer says which).  Comparisons
 are exact double comparisons; a NaN never satisfies a strict
-inequality.
+inequality.  Every claim the toolkit checks and reports is a
+:class:`Claim`.
 """
 
 import math
@@ -22,6 +24,31 @@ class Verdict(NamedTuple):
     ok: bool
     measured: float
     witness: float | None
+
+
+# The verdict words of a claim that holds, or of a probe that found no
+# counterexample; the others are fail, violated and refuted
+_HOLDS = frozenset(("pass", "flagged", "certified", "consistent"))
+
+
+class Claim(NamedTuple):
+    """One checked claim.  ``measured`` is None where nothing is measured,
+    ``witness`` None where no x witnesses the verdict, and ``violations``
+    the number of failing steps or stencils of a probe that counts them,
+    or 1 for any other claim that fails."""
+
+    name: str
+    kind: str
+    interval: tuple
+    expected: str
+    verdict: str
+    measured: float | None
+    witness: float | None
+    violations: int
+
+    @property
+    def ok(self):
+        return self.verdict in _HOLDS
 
 
 def grid_size(n, name, least=-math.inf):

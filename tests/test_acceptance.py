@@ -133,8 +133,8 @@ class TestAcceptance:
 
     def test_09_remark_reproduction(self):
         findings = analysis.remark_claims(grid_n=1000)
-        ok = all(v in ("pass", "flagged") for _, _, v in findings)
-        flagged = [cid for cid, _, v in findings if v == "flagged"]
+        ok = all(c.verdict in ("pass", "flagged") for c in findings)
+        flagged = [c.name for c in findings if c.verdict == "flagged"]
         ok = ok and flagged == ["r3_4b_upper_half_self_referential"]
         ok = ok and analysis.find_crossover("qi_guo", "ivady", "lower", 0.0, 1.0) == []
         roots = analysis.find_crossover("qi_guo", "ivady", "upper", 0.0, 1.0)

@@ -109,7 +109,7 @@ class TestCheckMonotone:
     def test_base_ratio_increasing_on_unit_interval(self):
         rep = an.check_monotone("ratio_R", 0.0, 1.0, "increasing", 10000)
         assert rep.verdict == "consistent"
-        assert rep.strict_violations == []
+        assert rep.violations == 0
 
     def test_base_ratio_increasing_beyond_one(self):
         rep = an.check_monotone("ratio_R", 0.0, 5.0, "increasing", 10000)
@@ -125,7 +125,8 @@ class TestCheckMonotone:
         # q is not monotone on (0,1): it has an interior minimum
         rep = an.check_monotone("q", 0.0, 1.0, "increasing", 500)
         assert rep.verdict == "violated"
-        assert rep.strict_violations
+        assert rep.violations > 0
+        assert rep.witness == 1e-6  # q falls from the first grid point on
 
     def test_unknown_function(self):
         with pytest.raises(KeyError):
@@ -320,7 +321,7 @@ class TestCMProbe:
     def test_h_cm_consistent(self):
         rep = an.cm_probe("h_cm", 0.1, 50.0, 6, 0.01)
         assert rep.verdict == "consistent"
-        assert rep.violations == []
+        assert rep.violations == 0
 
     def test_order0_and_order1_sanity(self):
         xs = np.arange(0.1, 50.0, 0.01)
@@ -333,6 +334,8 @@ class TestCMProbe:
         # (-1)^1 * positive < -tol fails complete monotonicity
         rep = an.cm_probe("ratio_R", 0.1, 5.0, 2, 0.01)
         assert rep.verdict == "violated"
+        assert rep.violations > 0
+        assert rep.witness == 0.1  # the first stencil already fails
 
     def test_stencil_domain_check(self):
         with pytest.raises(ValueError):
@@ -417,15 +420,15 @@ class TestCompareFamilies:
 
     def test_remark_claims_all_pass(self):
         findings = an.remark_claims(grid_n=1000)
-        by_id = {cid: verdict for cid, _, verdict in findings}
+        by_id = {c.name: c.verdict for c in findings}
         assert by_id["r2_3_rearranged_improves_alzer_batir"] == "pass"
         assert by_id["r3_2_qi_guo_upper_better_batir15"] == "pass"
         assert by_id["r3_1_qi_guo_batir14_not_included"] == "pass"
         assert by_id["r3_4b_upper_half_self_referential"] == "flagged"
         bad = [
-            cid
-            for cid, _, verdict in findings
-            if verdict not in ("pass", "flagged")
+            c.name
+            for c in findings
+            if c.verdict not in ("pass", "flagged")
         ]
         assert bad == []
 
@@ -448,9 +451,9 @@ class TestRemarkClaims:
     @pytest.mark.parametrize("grid_n", [500, 1000, 2000])
     def test_verdicts_pinned(self, grid_n):
         findings = an.remark_claims(grid_n)
-        assert [cid for cid, _, _ in findings] == self.IDS
-        assert [v for _, _, v in findings] == ["pass"] * 10 + ["flagged"]
-        assert findings[-1][1] == (
+        assert [c.name for c in findings] == self.IDS
+        assert [c.verdict for c in findings] == ["pass"] * 10 + ["flagged"]
+        assert findings[-1].expected == (
             "source claim compares a bound with itself; observed: "
             "qi_guo/batir_12 upper bounds cross on (0,1)"
         )
@@ -853,7 +856,7 @@ class TestFamilyLogsArray:
     def test_no_point_calls_on_valid_grids(self, monkeypatch):
         calls = _count_point_calls(monkeypatch)
         findings = an.remark_claims(2000)
-        assert [v for _, _, v in findings] == ["pass"] * 10 + ["flagged"]
+        assert [c.verdict for c in findings] == ["pass"] * 10 + ["flagged"]
         assert calls == []
 
     @pytest.mark.parametrize("family, a, b, expected", [

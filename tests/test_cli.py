@@ -156,8 +156,10 @@ class TestSubcommands:
                            capsys)
         assert code == 0
         claims = proofaudit.audit_proof(grid_n=200)
+        fields = ["name", "kind", "interval", "expected", "verdict",
+                  "measured", "witness"]  # violations is not a column
         assert json.loads(out) == json.loads(json.dumps(
-            [c._asdict() for c in claims]))
+            [{f: getattr(c, f) for f in fields} for c in claims]))
 
     def test_conjecture_tau(self, capsys):
         code, out, _ = run(
@@ -181,6 +183,38 @@ class TestSubcommands:
 
 
 class TestExitCodes:
+    # the verdict words of a row that holds; every other word fails it
+    HOLDS = {"pass", "flagged", "certified", "consistent"}
+
+    @pytest.mark.parametrize("argv, code", [
+        ("compare --grid 500", 0),
+        ("audit --grid 200", 0),
+        ("lemma2 --grid 100", 0),
+        ("monotone --grid 200", 0),
+        ("monotone --function q --direction decreasing", 1),
+        ("monotone --function h_cm --interval 1 1e300 --direction "
+         "decreasing", 1),
+        ("conjecture cm", 0),
+        ("conjecture ratio-global --grid 200", 0),
+        ("conjecture tau --grid 200", 0),
+        ("polygamma-check --grid 20", 0),
+    ])
+    def test_exit_code_follows_the_rows(self, argv, code, capsys):
+        got, out, err = run(argv.split(), capsys)
+        verdicts = [row["verdict"] for row in csv.DictReader(io.StringIO(out))]
+        assert (got, err) == (code, "")
+        assert got == (0 if set(verdicts) <= self.HOLDS else 1)
+
+    def test_ties_count_as_violations(self, capsys):
+        # h_cm rounds to 1.0 far out, so its steps there are ties
+        code, out, _ = run(["monotone", "--function", "h_cm", "--interval",
+                            "1", "1e300", "--direction", "decreasing",
+                            "--format", "json"], capsys)
+        (row,) = json.loads(out)
+        assert code == 1
+        assert (row["violations"], row["min_abs_diff"], row["verdict"]) == (
+            9998, 0.0, "violated")
+
     def test_usage_error_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 2
 

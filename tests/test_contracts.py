@@ -521,9 +521,11 @@ def test_numpy_integer_counts_pass():
     assert len(proofaudit.interior_grid(n)) == 5
     report = analysis.check_monotone("ratio_R", 0.0, 1.0, "increasing",
                                      grid_n=n)
-    assert report.grid_n == 5
+    assert report == analysis.check_monotone("ratio_R", 0.0, 1.0,
+                                             "increasing", grid_n=5)
     probe = analysis.cm_probe("h_cm", 0.1, 1.0, np.int64(2), 0.01)
-    assert probe.max_order == 2
+    assert probe == analysis.cm_probe("h_cm", 0.1, 1.0, 2, 0.01)
+    assert probe.expected.endswith("for n <= 2")
 
 
 def test_numpy_scalars_take_the_float_path():

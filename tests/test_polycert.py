@@ -34,6 +34,11 @@ class TestPolynomial:
             -4, -4, 12, 4,
         ]
 
+    @pytest.mark.parametrize("c", [7, -7])
+    def test_cauchy_root_bound_of_a_constant(self, c):
+        # a nonzero constant has no root: its bound is 1, not an error
+        assert Polynomial([c]).cauchy_root_bound() == 1
+
 
 class TestSignChanges:
     def test_lemma_h1(self):

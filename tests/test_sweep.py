@@ -151,3 +151,14 @@ def test_no_margins_hold_vacuously():
 def test_unique_minimum_witnesses_the_failing_end_step(vals, witness):
     xs = [0.0, 0.25, 0.5, 0.75, 1.0]
     assert sweep.unique_minimum(xs, vals) == (False, 1.0, witness)
+
+
+@pytest.mark.parametrize("verdict, ok", [
+    ("pass", True), ("flagged", True), ("certified", True),
+    ("consistent", True), ("fail", False), ("violated", False),
+    ("refuted", False),
+])
+def test_claim_ok_for_every_verdict_word(verdict, ok):
+    claim = sweep.Claim("c", "sign", (0.0, 1.0), "> 0 on the interval",
+                        verdict, 1.0, None, 0)
+    assert claim.ok is ok
