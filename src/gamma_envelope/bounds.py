@@ -448,8 +448,13 @@ def evaluate_family(family_id, x):
     if not inside(x):
         raise DomainError(domain_error % (x,))
     log_lower, log_upper = sides(x, refcore.AT_POINT)
-    return _pair(log_lower, log_upper, conv, family_id, x,
-                 equality is not None and equality(x), one_sided)
+    # _pair's test, written in: NaN fails every comparison
+    if -math.inf < log_upper < math.inf and (
+            -math.inf < log_lower < math.inf
+            or one_sided and log_lower == -math.inf):
+        return BoundPair(log_lower, log_upper, conv, family_id, x,
+                         equality is not None and equality(x), one_sided)
+    _pair(log_lower, log_upper, conv, family_id, x)  # raises DomainError
 
 
 def family_logs_array(family_id, xs):

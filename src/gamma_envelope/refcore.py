@@ -42,31 +42,40 @@ relative, and z = x - 1 on (0.9, 1.5), within 2.6e-16.  Elsewhere it
 returns ``ln_gamma(1.0 + x)``, which the rounding of 1 + x leaves within
 1.2e-15 relative on [0.1, 0.9].
 
-Each series is straight-line code generated from its coefficient table
-at its first call: each band polynomial one nested Horner expression,
-each Stirling tail one written-out forward sum, with no loop at a call.
-The code is plain arithmetic on a float or an array, and a scalar kernel
-and its array twin (``ln_gamma_array``, ``ln_gamma1p_array``,
-``digamma_array``, ``polygamma_array``) call the same code.  Each twin
-checks its input and runs one engine, ``_twin``, on its row of one
-table, ``_TWINS``: the band function, a shift step's term and the series
-past the cutoff; the engine's shift loop takes the scalar kernels' steps
-in the same order.  ``ln_gamma1p_array`` mirrors ``ln_gamma1p``: its own
-bands, else the ln Gamma row at 1 + x.  The engine splits an array at
-2.5 by gather and scatter only when elements lie on both sides, and
-psi's band adds its recurrence term on [0.5, 1.5) in place,
-``np.add(..., where=...)``, skipping a sub-band with no element; none of
-this changes an operation on any element.  The band takes only +, -, *,
-/ and ``math.log`` or ``math.log1p`` element by element, and every power
-is a product, so on (0, 2.5) each twin equals its scalar kernel bit for
-bit (``ln_gamma1p_array`` equals ``ln_gamma1p`` on (-1, 1.5)), and the
-psi', psi'' and psi''' twins equal theirs everywhere.  Past 2.5 the ln Gamma
-and psi twins differ from their scalar kernels only where numpy's ``log``
-rounds differently from ``math.log``: by a few ulps of the shift sum, on
-0.04% (ln Gamma) and 0.02% (psi) of arguments in [2.5, 16).
+Each branch is straight-line code generated from its coefficient table
+at its first call, so that a scalar kernel call makes one Python call
+beyond itself, into it (``ln_gamma1p`` off its own bands hands on to
+``ln_gamma``).  The scalar band of psi^(k), k = 0..3, is one
+function: it picks z for its sub-band and adds the recurrence terms,
+their powers written as products, to one nested Horner expression; that
+of ln Gamma(1+x) likewise, minus log1p(x) below 0.5.  The Stirling
+series of ln Gamma, psi and each psi^(k) is one function with its head
+and its tail, a forward sum, written out: plain arithmetic on a float or
+an array, the logarithm an argument.  The array twins
+(``ln_gamma_array``, ``ln_gamma1p_array``, ``digamma_array``,
+``polygamma_array``) call the same series functions, and their bands sum
+the same Horner text, generated as the polynomial alone.  Import
+compiles only psi's band, for the digamma(1) of ``_check_gamma_literal``.
+Each twin checks its input and runs one engine, ``_twin``, on its row of
+one table, ``_TWINS``: the band function and a shift step's term; the
+engine's shift loop takes the scalar kernels' steps in the same order
+and sums the series past the cutoff.  ``ln_gamma1p_array`` mirrors
+``ln_gamma1p``: its own bands, else the ln Gamma row at 1 + x.  The
+engine splits an array at 2.5 by gather and scatter only when elements
+lie on both sides, and psi's band adds its recurrence term on [0.5, 1.5)
+in place, ``np.add(..., where=...)``, skipping a sub-band with no
+element; none of this changes an operation on any element.  The band
+takes only +, -, *, / and ``math.log`` or ``math.log1p`` element by
+element, and every power is a product, so on (0, 2.5) each twin equals
+its scalar kernel bit for bit (``ln_gamma1p_array`` equals
+``ln_gamma1p`` on (-1, 1.5)), and the psi', psi'' and psi''' twins equal
+theirs everywhere.  Past 2.5 the ln Gamma and psi twins differ from
+their scalar kernels only where numpy's ``log`` rounds differently from
+``math.log``: by a few ulps of the shift sum, on 0.04% (ln Gamma) and
+0.02% (psi) of arguments in [2.5, 16).
 
-All functions are pure; the one state is each series' code, generated at
-its first call and the same in every process.
+All functions are pure; the one state is each generated function, made
+at its first call and the same in every process.
 """
 
 import math
@@ -125,11 +134,6 @@ def _polygamma_constants(k):
 
 
 _POLYGAMMA_CONSTANTS = {k: _polygamma_constants(k) for k in (1, 2, 3)}
-
-# y**n for n = 1..5 as products, which round alike on a float and on an
-# array (float ** and numpy's ** do not always)
-_POWERS = (None, lambda y: y, lambda y: y * y, lambda y: y * y * y,
-           lambda y: (y * y) * (y * y), lambda y: (y * y) * (y * y) * y)
 
 # The leading slice of each table that the series sum.  At y = _SHIFT_CUTOFF
 # the first term left out is 0.22, 0.10, 0.70, 0.31 and 0.12 times 2^-54 of
@@ -223,105 +227,157 @@ _PSI2P_COEFFS = (
 # psi^(k)(x) = psi^(k)(x+1) + rec / x^(k+1); rec for k = 0..3
 _RECURRENCE = (-1.0,) + tuple(_POLYGAMMA_CONSTANTS[k][1] for k in (1, 2, 3))
 
+# y**n for n = 1..5 as the text of products, {0} for y, which round alike
+# on a float and on an array (float ** and numpy's ** do not always)
+_POWERS = (None, "{0}", "{0} * {0}", "{0} * {0} * {0}",
+           "({0} * {0}) * ({0} * {0})", "({0} * {0}) * ({0} * {0}) * {0}")
 
-def _horner(coeffs):
-    """z -> the polynomial with these coefficients, highest power first, by
-    Horner's rule written out as one expression, ((c0 * z + c1) * z + c2)
-    ..., so that no loop runs at a call.  It takes the steps of the loop
-    ``s = 0.0; for each c: s = s * z + c`` in the same order (its first
-    step, 0.0 * z + c0, is c0 for finite z); z a float or an array.  The
+
+def _recurrence_term(k, y):
+    """rec / y^(k+1), the term psi^(k)(y) - psi^(k)(y + 1), its power the
+    product of :data:`_POWERS`; float or array.  The twins' band and shift
+    take it; ``polygamma``'s shift loop writes it in."""
+    rec = _RECURRENCE[k]
+    if k == 0:
+        return rec / y
+    p = y * y
+    return rec / (p if k == 1 else p * y if k == 2 else p * p)
+
+
+def _horner(coeffs, z):
+    """The text of the polynomial with these coefficients, highest power
+    first, at the name z by Horner's rule written out as one expression,
+    ((c0 * z + c1) * z + c2) ..., so that no loop runs at a call.  It takes
+    the steps of the loop ``s = 0.0; for each c: s = s * z + c`` in the
+    same order (its first step, 0.0 * z + c0, is c0 for finite z).  The
     repr of a double reads back as that double, so the compiled literals
     are the table's entries."""
-    return eval("lambda z: " + "(" * len(coeffs)
-                + ") * z + ".join(map(repr, coeffs)) + ")", {})
+    return ("(" * len(coeffs) + (") * %s + " % z).join(map(repr, coeffs))
+            + ")")
 
 
 def _forward(coeffs):
-    """(acc, p, r) -> acc + c0 p + c1 p r + c2 p r^2 + ... summed forward as
-    one written-out expression, acc + c0 * p + c1 * (p := p * r) + ...:
-    each sum's left side is evaluated first, so it takes the steps of the
-    loop ``for each c: acc = acc + c * p; p = p * r`` in the same order;
-    float or array."""
-    return eval("lambda acc, p, r: acc + %r * p" % coeffs[0] + "".join(
-        map(" + {!r} * (p := p * r)".format, coeffs[1:])), {})
+    """The text of c0 p + c1 p r + c2 p r^2 + ... summed forward, c0 * p +
+    c1 * (p := p * r) + ..., at the names p and r: after a sum ``acc +``
+    written before it, each sum's left side is evaluated first, so it takes
+    the steps of the loop ``for each c: acc = acc + c * p; p = p * r`` in
+    the same order; with no ``acc``, those of the loop from acc = 0.0,
+    whose first sum 0.0 + c0 * p is c0 * p wherever c0 * p >= +0, as every
+    kernel's is."""
+    return "%r * p" % coeffs[0] + "".join(
+        map(" + {!r} * (p := p * r)".format, coeffs[1:]))
 
 
-def _on_first_call(make, tables):
-    """``[make(t) for t in tables]``, each made at its first call: until
+# The band of psi^(k), k = 0..3, on (0, 2.5): z = x - 2 from 1.5 up, z =
+# x - 1 plus the recurrence term at x from 0.5 up, z = x plus the terms at
+# x and 1 + x below, so z is exact and |z| <= 0.5; the series at z plus
+# the terms.  Adding -0.0 changes no double, so [1.5, 2.5) returns the
+# series at z.  ZeroDivisionError where x**(k+1) underflows to 0.
+_PSI_BAND = """def band(x):
+    if x >= 1.5:
+        z = x - 2.0
+        t = -0.0
+    elif x >= 0.5:
+        z = x - 1.0
+        t = {rec} / ({x})
+    else:
+        z = x
+        y = 1.0 + x
+        t = {rec} / ({x}) + {rec} / ({y})
+    return {series} + t
+"""
+
+# The band of ln Gamma(1+x) on (-0.5, 1.5): the series at z = x - 1 times
+# z from 0.5 up, at z = x times z minus log1p(x) below; |z| <= 0.5.
+# Subtracting +0.0 changes no double.
+_LN_GAMMA1P_BAND = """def band(x):
+    if x < 0.5:
+        z = x
+        t = log1p(x)
+    else:
+        z = x - 1.0
+        t = 0.0
+    return {series} * z - t
+"""
+
+# The Stirling-type series past the cutoff, y >= 15: p and r start its
+# tail, and the value writes out its head and its tail; float or array,
+# ``log`` math.log unless a twin passes numpy's
+_SERIES = """def series(y, log=log):
+    inv = 1.0 / y
+    r = inv * inv
+    p = {p}
+    return {value}
+"""
+
+
+def _define(name, source):
+    """The function ``name`` that ``source`` defines, with the math
+    functions it calls."""
+    namespace = {"log": math.log, "log1p": math.log1p}
+    exec(source, namespace)
+    return namespace[name]
+
+
+def _make_band(i):
+    if i == _LN_GAMMA:
+        return _define("band", _LN_GAMMA1P_BAND.format(
+            series=_horner(_LNGAMMA2P_COEFFS, "z")))
+    power = _POWERS[i + 1]
+    return _define("band", _PSI_BAND.format(
+        series=_horner(_PSI2P_COEFFS[i], "z"), rec=repr(_RECURRENCE[i]),
+        x=power.format("x"), y=power.format("y")))
+
+
+def _make_series(i):
+    if i == _LN_GAMMA:
+        p, value = "inv", "(y - 0.5) * log(y) - y + %r + (%s)" % (
+            _HALF_LN_TWO_PI, _forward(_LNGAMMA_TAIL))
+    elif i == 0:
+        p, value = "r", "log(y) - 0.5 * inv - (%s)" % _forward(_DIGAMMA_TAIL)
+    else:
+        sign, _, fact_km1, half_fact_k, _ = _POLYGAMMA_CONSTANTS[i]
+        p = _POWERS[i + 2].format("inv")
+        value = "%r * (%r * (%s) + %r * (%s) + %s)" % (
+            sign, fact_km1, _POWERS[i].format("inv"), half_fact_k,
+            _POWERS[i + 1].format("inv"), _forward(_POLYGAMMA_TAILS[i]))
+    return _define("series", _SERIES.format(p=p, value=value))
+
+
+def _on_first_call(make, n):
+    """``[make(i) for i in range(n)]``, each made at its first call: until
     then its slot holds a stand-in that makes it, puts it in the slot and
-    hands the call on, so a process compiles only the series it sums
-    (compiling all ten at import would take about 1.2 ms)."""
-    series = []
+    hands the call on, so a process compiles only the code it runs
+    (compiling all fifteen at import would take about 3 ms)."""
+    made = []
 
     def stand_in(i):
         def first_call(*args):
-            series[i] = make(tables[i])
-            return series[i](*args)
+            made[i] = make(i)
+            return made[i](*args)
         return first_call
 
-    series.extend(map(stand_in, range(len(tables))))
-    return series
+    made.extend(map(stand_in, range(n)))
+    return made
 
 
-# Every series as straight-line code generated from its table, indexed by
-# the order k of psi^(k), k = 0..3, with ln Gamma last, at _LN_GAMMA: the
-# band polynomials (_taylor[_LN_GAMMA](z) * z is ln Gamma(2+z)) and
-# the Stirling tails.  Scalar kernels and array twins call the same code.
+# Every branch as code generated from its table at its first call, indexed
+# by the order k of psi^(k), k = 0..3, with ln Gamma last, at _LN_GAMMA.
+# _band: the scalar kernels' bands, psi^(k) on (0, 2.5) and ln Gamma(1+x)
+# on (-0.5, 1.5), each one function with one Horner expression; _series:
+# the Stirling series, which the scalar kernels and the array twins call;
+# _taylor: z -> the band polynomial alone, whose Horner text the twins'
+# bands share with _band (_taylor[_LN_GAMMA](z) * z is ln Gamma(2+z)).
 _LN_GAMMA = 4
-_taylor = _on_first_call(_horner, _PSI2P_COEFFS + (_LNGAMMA2P_COEFFS,))
-_tail = _on_first_call(_forward, (_DIGAMMA_TAIL,) + tuple(
-    _POLYGAMMA_TAILS[k] for k in (1, 2, 3)) + (_LNGAMMA_TAIL,))
+_band = _on_first_call(_make_band, 5)
+_series = _on_first_call(_make_series, 5)
+_taylor = _on_first_call(lambda i: eval("lambda z: " + _horner(
+    (_PSI2P_COEFFS + (_LNGAMMA2P_COEFFS,))[i], "z"), {}), 5)
 
 
 def backend():
     """Name of the kernel backend; the kernels are pure Python."""
     return "python"
-
-
-def _ln_gamma_series(y, log):
-    # Stirling series for ln Gamma(y), y at or past the cutoff; plain
-    # arithmetic on a float or an array, ``log`` the matching logarithm
-    inv = 1.0 / y
-    tail = _tail[_LN_GAMMA](0.0, inv, inv * inv)
-    return (y - 0.5) * log(y) - y + _HALF_LN_TWO_PI + tail
-
-
-def _ln_gamma1p_taylor(x):
-    # ln Gamma(1+x) for -0.5 < x < 1.5 with no shift: the series at
-    # z = x - 1 from 0.5 up, at z = x minus log1p(x) below; |z| <= 0.5
-    if x < 0.5:
-        return _taylor[_LN_GAMMA](x) * x - math.log1p(x)
-    z = x - 1.0
-    return _taylor[_LN_GAMMA](z) * z
-
-
-def _psi_taylor(k, x):
-    # psi^(k)(x) for 0 < x < 2.5 with no shift: the series at z = x - 2
-    # from 1.5 up; at z = x - 1 plus the recurrence term at x from 0.5 up;
-    # at z = x plus the terms at x and 1 + x below.  z is exact and
-    # |z| <= 0.5.  ZeroDivisionError where x**(k+1) underflows to 0.
-    series = _taylor[k]
-    if x >= 1.5:
-        return series(x - 2.0)
-    rec, power = _RECURRENCE[k], _POWERS[k + 1]
-    if x >= 0.5:
-        return series(x - 1.0) + rec / power(x)
-    return series(x) + (rec / power(x) + rec / power(1.0 + x))
-
-
-def _digamma_series(y, log):
-    # asymptotic series for psi(y), y at or past the cutoff
-    inv = 1.0 / y
-    inv2 = inv * inv
-    return log(y) - 0.5 * inv - _tail[0](0.0, inv2, inv2)
-
-
-def _polygamma_series(k, y):
-    # asymptotic series for psi^(k)(y), y at or past the cutoff
-    sign, _, fact_km1, half_fact_k, _ = _POLYGAMMA_CONSTANTS[k]
-    inv = 1.0 / y
-    value = fact_km1 * _POWERS[k](inv) + half_fact_k * _POWERS[k + 1](inv)
-    return sign * _tail[k](value, _POWERS[k + 2](inv), inv * inv)
 
 
 # The input contract of every public entry (README, "Input contract"): a
@@ -366,8 +422,8 @@ def ln_gamma(x):
         raise ValueError("ln_gamma requires finite x > 0, got %r" % (x,))
     if x < _TAYLOR_END:
         if x > 0.5:
-            return _ln_gamma1p_taylor(x - 1.0)  # x - 1 is exact here
-        return _ln_gamma1p_taylor(x) - math.log(x)
+            return _band[_LN_GAMMA](x - 1.0)  # x - 1 is exact here
+        return _band[_LN_GAMMA](x) - math.log(x)
     log = math.log
     cutoff = _SHIFT_CUTOFF
     shift = 0.0
@@ -375,7 +431,7 @@ def ln_gamma(x):
     while y < cutoff:
         shift += log(y)
         y += 1.0
-    return _ln_gamma_series(y, log) - shift
+    return _series[_LN_GAMMA](y) - shift
 
 
 def ln_gamma1p(x):
@@ -386,7 +442,7 @@ def ln_gamma1p(x):
     if not -1.0 < x < math.inf:
         raise ValueError("ln_gamma1p requires finite x > -1, got %r" % (x,))
     if -0.5 < x < _ZERO_BAND or -_ZERO_BAND < x - 1.0 < 0.5:
-        return _ln_gamma1p_taylor(x)
+        return _band[_LN_GAMMA](x)
     return ln_gamma(1.0 + x)
 
 
@@ -397,14 +453,14 @@ def digamma(x):
     if not 0.0 < x < math.inf:
         raise ValueError("digamma requires finite x > 0, got %r" % (x,))
     if x < _TAYLOR_END:
-        return _psi_taylor(0, x)
+        return _band[0](x)
     cutoff = _SHIFT_CUTOFF
     shift = 0.0
     y = x
     while y < cutoff:
         shift += 1.0 / y
         y += 1.0
-    return _digamma_series(y, math.log) - shift
+    return _series[0](y) - shift
 
 
 def _out_of_range(k, x):
@@ -431,18 +487,19 @@ def polygamma(k, x):
         raise ValueError("polygamma requires finite x > 0, got %r" % (x,))
     if x < _TAYLOR_END:
         try:
-            value = _psi_taylor(k, x)
+            value = _band[k](x)
         except ZeroDivisionError:  # x**(k+1) underflowed to 0
             raise _out_of_range(k, x) from None
     else:
-        rec, power = _RECURRENCE[k], _POWERS[k + 1]
+        rec = _RECURRENCE[k]
         cutoff = _SHIFT_CUTOFF
         shift = 0.0
         y = x
         while y < cutoff:
-            shift += rec / power(y)
+            p = y * y  # _recurrence_term(k, y), written in
+            shift += rec / (p if k == 1 else p * y if k == 2 else p * p)
             y += 1.0
-        value = _polygamma_series(k, y) + shift
+        value = _series[k](y) + shift
     if not math.isfinite(value):
         raise _out_of_range(k, x)
     return value
@@ -458,7 +515,7 @@ def _each(fn, x):
 
 
 def _taylor_array(x):
-    """:func:`_ln_gamma1p_taylor` of every element of an array in
+    """``_band[_LN_GAMMA]``, ln Gamma(1+x), of every element of an array in
     (-0.5, 1.5), with the same operations in the same order."""
     import numpy as np
 
@@ -481,44 +538,38 @@ def _ln_gamma_band(x):
 
 
 def _psi_taylor_array(k, x):
-    """:func:`_psi_taylor` of every element of an array in (0, 2.5), with
-    the same operations in the same order; an infinity where x**(k+1)
-    underflows or a term overflows."""
+    """``_band[k]``, psi^(k), of every element of an array in (0, 2.5),
+    with the same operations in the same order (bar the -0.0 that band
+    adds on [1.5, 2.5)); an infinity where x**(k+1) underflows or a term
+    overflows."""
     import numpy as np
 
     low = x < 0.5
     mid = ~low & (x < 1.5)
     s = _taylor[k](np.where(low, x, x - np.where(mid, 1.0, 2.0)))
-    rec, power = _RECURRENCE[k], _POWERS[k + 1]
     with np.errstate(over="ignore", divide="ignore"):
         if mid.any():  # the term at every x, added where mid holds
-            np.add(s, rec / power(x), out=s, where=mid)
+            np.add(s, _recurrence_term(k, x), out=s, where=mid)
         if low.any():
             x = x[low]
-            s[low] += rec / power(x) + rec / power(1.0 + x)
+            s[low] += _recurrence_term(k, x) + _recurrence_term(k, 1.0 + x)
     return s
 
 
-def _psi_row(k):
-    rec, power = _RECURRENCE[k], _POWERS[k + 1]
-    series = (_digamma_series if k == 0
-              else lambda y, log: _polygamma_series(k, y))
-    return (partial(_psi_taylor_array, k), lambda y, log: rec / power(y),
-            series)
-
-
-# The array twins' rows, indexed as _taylor and _tail: the band function
-# below 2.5, the term a shift step adds at y and the series past the
-# cutoff, these two taking numpy's log.  psi's term is -1 / y and ln
-# Gamma's -log y, so every row adds its shift where the scalar kernels
-# subtract theirs: a sum of negated terms is the negated sum, bit for bit.
-_TWINS = (*map(_psi_row, range(4)),
-          (_ln_gamma_band, lambda y, log: -log(y), _ln_gamma_series))
+# The array twins' rows, indexed as _band and _series: the band function
+# below 2.5 and the term a shift step adds at y, taking numpy's log.
+# psi's term is -1 / y and ln Gamma's -log y, so every row adds its shift
+# where the scalar kernels subtract theirs: a sum of negated terms is the
+# negated sum, bit for bit.
+_TWINS = tuple((partial(_psi_taylor_array, k),
+                lambda y, log, k=k: _recurrence_term(k, y))
+               for k in range(4)) + (
+    (_ln_gamma_band, lambda y, log: -log(y)),)
 
 
 def _twin(k, x):
     """Row k of :data:`_TWINS` on a checked 1-D array: the band function
-    below 2.5; from there the series at y plus the shift, each element
+    below 2.5; from there ``_series[k]`` at y plus the shift, each element
     raised by 1 until it reaches the cutoff and its steps' terms summed in
     the scalar kernels' order.  Only the elements below the cutoff are
     shifted, gathered once in ascending order: y + 1 rounds monotonically,
@@ -528,7 +579,7 @@ def _twin(k, x):
     is handed over whole, with no gather or scatter."""
     import numpy as np
 
-    band_of, term, series = _TWINS[k]
+    band_of, term = _TWINS[k]
     band = x < _TAYLOR_END
     if band.all():
         return band_of(x)
@@ -546,7 +597,7 @@ def _twin(k, x):
     y[below], shift[below] = z, s
     # past y ~ 2.56e305 ln Gamma's series overflows, as the scalar's
     with np.errstate(over="ignore"):
-        far = series(y, np.log) + shift
+        far = _series[k](y, np.log) + shift
     if not split:
         return far
     out = np.empty_like(x)

@@ -1,6 +1,7 @@
 """Bound-family catalog: examples, containment, sharpness, consistency."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -315,6 +316,28 @@ class TestFamilyCatalog:
     def test_unknown_family(self):
         with pytest.raises(KeyError):
             bounds.evaluate_family("nope", 0.5)
+
+    @pytest.mark.parametrize("fid", sorted(bounds.FAMILIES))
+    def test_a_passing_pair_never_enters_pair(self, fid):
+        # evaluate_family tests the log sides itself and calls _pair only
+        # to raise its DomainError
+        entered = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                entered.append(frame.f_code)
+
+        x = 1.0 if fid == "qi_guo_zhang" else 0.75
+        sys.setprofile(profile)
+        try:
+            bp = bounds.evaluate_family(fid, x)
+        finally:
+            sys.setprofile(None)
+        assert bp.family == fid
+        assert bounds._pair.__code__ not in entered
+        assert entered[0] is bounds.evaluate_family.__code__
+        with pytest.raises(DomainError, match="outside double range"):
+            bounds.evaluate_family("batir_12", 1e306)
 
     def test_safe_exp_saturates_exactly_past_ln_dbl_max(self):
         top = refcore.LN_DBL_MAX

@@ -6,6 +6,7 @@ mpmath (50 digits) is the independent oracle.
 import functools
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -926,8 +927,8 @@ def test_generated_taylor_series_equals_a_loop(name, k):
 
 
 def _tail_args(name, k, y):
-    """(acc, p, r) as the kernel's series hands them to its tail at y,
-    float or array."""
+    """(acc, p, r) of the kernel's series at y, where its tail, the loop
+    of _loop_forward, starts; float or array."""
     inv = 1.0 / y
     r = inv * inv
     if name == "ln_gamma":
@@ -939,20 +940,147 @@ def _tail_args(name, k, y):
             _POWER[k + 2](inv), r)
 
 
+def _loop_series(name, k, y, log):
+    """The kernel's Stirling series at y with its kept tail summed by a
+    loop, in the kernels' operation order; float or array."""
+    kept = (refcore._LNGAMMA_TAIL if name == "ln_gamma" else
+            refcore._DIGAMMA_TAIL if name == "digamma" else
+            refcore._POLYGAMMA_TAILS[k])
+    tail = _loop_forward(kept, *_tail_args(name, k, y))
+    if name == "ln_gamma":
+        return (y - 0.5) * log(y) - y + refcore._HALF_LN_TWO_PI + tail
+    if name == "digamma":
+        return log(y) - 0.5 * (1.0 / y) - tail
+    return refcore._POLYGAMMA_CONSTANTS[k][0] * tail
+
+
 @pytest.mark.parametrize("name, k", _SERIES, ids=_SERIES_IDS)
 def test_generated_tail_equals_a_loop(name, k):
-    coeffs, _, _, _ = _exact_series(name, k)
+    # the generated series, head and tail written out, against the same
+    # sum with a loop over the tail, at a float with math.log and on an
+    # array with numpy's
     i = {"ln_gamma": refcore._LN_GAMMA, "digamma": 0}.get(name, k)
-    refcore._tail[i](0.0, 1.0, 1.0)  # the first call puts it in its slot
-    tail = refcore._tail[i]
-    assert tail.__name__ == "<lambda>"
+    refcore._series[i](15.0)  # the first call puts it in its slot
+    series = refcore._series[i]
+    assert series.__name__ == "series"
     rng = np.random.default_rng(20261021)
     ys = np.concatenate([rng.uniform(15.0, 100.0, 20000),
                          10.0 ** rng.uniform(math.log10(15.0), 300.0, 80000),
-                         [15.0, 1e300]])
-    ref = [_loop_forward(coeffs, *_tail_args(name, k, y)) for y in ys.tolist()]
-    assert _same_bits([tail(*_tail_args(name, k, y)) for y in ys.tolist()],
-                      ref)
-    args = _tail_args(name, k, ys)
-    assert _same_bits(tail(*args), ref)
-    assert _same_bits(tail(*args), _loop_forward(coeffs, *args))
+                         _ulps_around(15.0)[4:],
+                         [1e300, 1.7976931348623157e308]])
+    ref = [_loop_series(name, k, y, math.log) for y in ys.tolist()]
+    with np.errstate(over="ignore"):  # ln Gamma's sum overflows at the top
+        assert _same_bits(list(map(series, ys.tolist())), ref)
+        assert _same_bits(series(ys, np.log),
+                          _loop_series(name, k, ys, np.log))
+        if k:  # no log taken: the array's elements are the floats' values
+            assert _same_bits(series(ys, np.log), ref)
+
+
+def _loop_band(k, x):
+    """The band of psi^(k), k = 0..3, or of ln Gamma(1+x) (k None) at a
+    float, by plain loops: _loop_horner at z, the recurrence terms with
+    their powers as products.  ZeroDivisionError where x**(k+1) is 0."""
+    if k is None:
+        coeffs = refcore._LNGAMMA2P_COEFFS
+        if x < 0.5:
+            return _loop_horner(coeffs, x) * x - math.log1p(x)
+        return _loop_horner(coeffs, x - 1.0) * (x - 1.0)
+    coeffs = refcore._PSI2P_COEFFS[k]
+    rec, power = refcore._RECURRENCE[k], _POWER[k + 1]
+    if x >= 1.5:
+        return _loop_horner(coeffs, x - 2.0)
+    if x >= 0.5:
+        return _loop_horner(coeffs, x - 1.0) + rec / power(x)
+    return _loop_horner(coeffs, x) + (rec / power(x) + rec / power(1.0 + x))
+
+
+def _value_or_error(fn, x):
+    try:
+        return fn(x)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+def _band_points(k):
+    """Seeded points in each sub-band of one band, its edges, and for
+    psi^(k) the subnormals and the x where x**(k+1) first underflows."""
+    rng = np.random.default_rng(20261022 + (k or 0))
+    if k is None:  # ln Gamma(1+x) on (-0.5, 1.5)
+        xs = [rng.uniform(-0.5, 0.5, 5000), rng.uniform(0.5, 1.5, 5000),
+              _ulps_around(0.5), _ulps_around(0.0), _ulps_around(1.0),
+              _ulps_around(-0.5)[5:], _ulps_around(1.5)[:4],
+              [5e-324, -5e-324]]
+    else:
+        tiny = 2.0 ** (-1075.0 / (k + 1))  # below it x**(k+1) rounds to 0
+        xs = [rng.uniform(0.0, 0.5, 3000), rng.uniform(0.5, 1.5, 3000),
+              rng.uniform(1.5, 2.5, 3000),
+              10.0 ** rng.uniform(-323.0, 0.0, 3000),
+              _ulps_around(0.5), _ulps_around(1.5), _ulps_around(2.5)[:4],
+              _ulps_around(tiny), [5e-324, 1e-310, 2.2250738585072014e-308]]
+    xs = np.concatenate(xs)
+    return [x for x in xs.tolist() if (-0.5 if k is None else 0.0) < x < (
+        1.5 if k is None else 2.5)]
+
+
+@pytest.mark.parametrize("k", [None, 0, 1, 2, 3],
+                         ids=["ln_gamma1p", "psi0", "psi1", "psi2", "psi3"])
+def test_generated_band_equals_a_loop(k):
+    # each scalar band, one generated function, against plain loops: the
+    # same doubles, and ZeroDivisionError at the same points, where
+    # polygamma raises its ValueError
+    i = refcore._LN_GAMMA if k is None else k
+    refcore._band[i](1.0)  # the first call puts it in its slot
+    band = refcore._band[i]
+    assert band.__name__ == "band"
+    xs = _band_points(k)
+    got = [_value_or_error(band, x) for x in xs]
+    ref = [_value_or_error(partial(_loop_band, k), x) for x in xs]
+    assert got == ref  # the errors, and the doubles up to the sign of 0
+    values = [(a, b) for a, b in zip(got, ref) if isinstance(a, float)]
+    assert _same_bits(*zip(*values))
+    if k:
+        raised = [x for x, v in zip(xs, got) if v is ZeroDivisionError]
+        assert 5e-324 in raised and len(raised) >= 5
+        for x in raised:
+            with pytest.raises(ValueError, match="not a finite double"):
+                refcore.polygamma(k, x)
+
+
+def _nested_calls(fn, *args):
+    """The code objects of the Python calls that one call of fn makes
+    beneath its own frame, in order."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    assert calls[0] is fn.__code__
+    return calls[1:]
+
+
+# one x in each branch: x < 0.5, [0.5, 1.5), [1.5, 2.5), a shift, past 15
+_BRANCH_XS = [0.3, 1.2, 2.0, 5.0, 50.0]
+
+
+@pytest.mark.parametrize("x", _BRANCH_XS)
+@pytest.mark.parametrize("name, k", _SERIES, ids=_SERIES_IDS)
+def test_one_nested_call_per_kernel_call(name, k, x):
+    # a kernel's branch is one generated function; nothing else is called
+    fn, args = getattr(refcore, name), ((k, x) if k else (x,))
+    fn(*args)  # the first call generates the code
+    assert [c.co_name for c in _nested_calls(fn, *args)] in (
+        ["band"], ["series"])
+
+
+@pytest.mark.parametrize("x", [-0.3, 0.05, 0.95, 1.2])
+def test_ln_gamma1p_on_its_bands_makes_one_nested_call(x):
+    refcore.ln_gamma1p(x)
+    assert [c.co_name for c in _nested_calls(refcore.ln_gamma1p, x)] == [
+        "band"]
