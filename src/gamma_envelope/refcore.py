@@ -42,37 +42,41 @@ relative, and z = x - 1 on (0.9, 1.5), within 2.6e-16.  Elsewhere it
 returns ``ln_gamma(1.0 + x)``, which the rounding of 1 + x leaves within
 1.2e-15 relative on [0.1, 0.9].
 
-Each branch is straight-line code generated from its coefficient table
-at its first call, so that a scalar kernel call makes one Python call
-beyond itself, into it (``ln_gamma1p`` off its own bands hands on to
-``ln_gamma``).  The scalar band of psi^(k), k = 0..3, is one
-function: it picks z for its sub-band and adds the recurrence terms,
-their powers written as products, to one nested Horner expression; that
-of ln Gamma(1+x) likewise, minus log1p(x) below 0.5.  The Stirling
-series of ln Gamma, psi and each psi^(k) is one function with its head
-and its tail, a forward sum, written out: plain arithmetic on a float or
-an array, the logarithm an argument.  The array twins
+Each scalar kernel is one function of straight-line code, generated from
+its tables by one template, ``_KERNEL``, at its first call, so that a
+kernel call makes one Python call beyond itself, into it (``ln_gamma1p``
+calls its own band function on its bands and hands on to ``ln_gamma``
+off them).  The template's three slots are the band below 2.5, the term
+of one shift step, and the Stirling series with its head and its tail, a
+forward sum, written out.  The band of psi^(k), k = 0..3, picks z for its
+sub-band and adds the step's terms to one nested Horner expression; that
+of ln Gamma is the band of ln Gamma(1+a), ``ln_gamma1p``'s, at a = x - 1
+above 0.5 and at a = x minus log x below.  The step's term is one text,
+``_TERM[k]``: -log y for ln Gamma, rec / y^(k+1) for psi^(k) with its
+power written as products.  The kernels' shift loops, psi's band and the
+array twins read it, and every shift adds these negated terms: a sum of
+negated terms is the negated sum, bit for bit.  The twins
 (``ln_gamma_array``, ``ln_gamma1p_array``, ``digamma_array``,
-``polygamma_array``) call the same series functions, and their bands sum
-the same Horner text, generated as the polynomial alone.  Import
-compiles only psi's band, for the digamma(1) of ``_check_gamma_literal``.
-Each twin checks its input and runs one engine, ``_twin``, on its row of
-one table, ``_TWINS``: the band function and a shift step's term; the
-engine's shift loop takes the scalar kernels' steps in the same order
-and sums the series past the cutoff.  ``ln_gamma1p_array`` mirrors
-``ln_gamma1p``: its own bands, else the ln Gamma row at 1 + x.  The
-engine splits an array at 2.5 by gather and scatter only when elements
-lie on both sides, and psi's band adds its recurrence term on [0.5, 1.5)
-in place, ``np.add(..., where=...)``, skipping a sub-band with no
-element; none of this changes an operation on any element.  The band
-takes only +, -, *, / and ``math.log`` or ``math.log1p`` element by
-element, and every power is a product, so on (0, 2.5) each twin equals
-its scalar kernel bit for bit (``ln_gamma1p_array`` equals
-``ln_gamma1p`` on (-1, 1.5)), and the psi', psi'' and psi''' twins equal
-theirs everywhere.  Past 2.5 the ln Gamma and psi twins differ from
-their scalar kernels only where numpy's ``log`` rounds differently from
-``math.log``: by a few ulps of the shift sum, on 0.04% (ln Gamma) and
-0.02% (psi) of arguments in [2.5, 16).
+``polygamma_array``) take the Stirling series and the step's term each as
+a function of its own, float or array, and their bands sum the same
+Horner text, generated as the polynomial alone.  Import compiles only
+psi's kernel, for the digamma(1) of ``_check_gamma_literal``.  Each twin
+checks its input and runs one engine, ``_twin``, on its band function in
+``_TWINS``; the engine's shift loop takes the scalar kernels' steps in
+the same order and sums the series past the cutoff.
+``ln_gamma1p_array`` mirrors ``ln_gamma1p``: its own bands, else the ln
+Gamma twin at 1 + x.  The engine splits an array at 2.5 by gather and
+scatter only when elements lie on both sides, and psi's band adds its
+recurrence term on [0.5, 1.5) in place, ``np.add(..., where=...)``,
+skipping a sub-band with no element; none of this changes an operation
+on any element.  The band takes only +, -, *, / and ``math.log`` or
+``math.log1p`` element by element, and every power is a product, so on
+(0, 2.5) each twin equals its scalar kernel bit for bit
+(``ln_gamma1p_array`` equals ``ln_gamma1p`` on (-1, 1.5)), and the psi',
+psi'' and psi''' twins equal theirs everywhere.  Past 2.5 the ln Gamma
+and psi twins differ from their scalar kernels only where numpy's
+``log`` rounds differently from ``math.log``: by a few ulps of the shift
+sum, on 0.04% (ln Gamma) and 0.02% (psi) of arguments in [2.5, 16).
 
 All functions are pure; the one state is each generated function, made
 at its first call and the same in every process.
@@ -232,16 +236,13 @@ _RECURRENCE = (-1.0,) + tuple(_POLYGAMMA_CONSTANTS[k][1] for k in (1, 2, 3))
 _POWERS = (None, "{0}", "{0} * {0}", "{0} * {0} * {0}",
            "({0} * {0}) * ({0} * {0})", "({0} * {0}) * ({0} * {0}) * {0}")
 
-
-def _recurrence_term(k, y):
-    """rec / y^(k+1), the term psi^(k)(y) - psi^(k)(y + 1), its power the
-    product of :data:`_POWERS`; float or array.  The twins' band and shift
-    take it; ``polygamma``'s shift loop writes it in."""
-    rec = _RECURRENCE[k]
-    if k == 0:
-        return rec / y
-    p = y * y
-    return rec / (p if k == 1 else p * y if k == 2 else p * p)
+# The term f(y) - f(y + 1) of one shift step, as text at {0}, indexed as
+# _kernel: rec / y^(k+1) for psi^(k), its power a product of _POWERS, and
+# -log y for ln Gamma.  The kernels' shift loops, psi's band and the twins
+# (_term) read it; every shift adds these terms, so the scalar kernels
+# and the twins sum the same doubles in the same order.
+_TERM = tuple("%r / (%s)" % (rec, _POWERS[k + 1])
+              for k, rec in enumerate(_RECURRENCE)) + ("-log({0})",)
 
 
 def _horner(coeffs, z):
@@ -268,47 +269,64 @@ def _forward(coeffs):
         map(" + {!r} * (p := p * r)".format, coeffs[1:]))
 
 
+# A scalar kernel on finite x > 0: below 2.5 its band; from there x raised
+# by 1 until it reaches the cutoff, s the sum of the steps' terms, and the
+# Stirling series at y plus s.
+_KERNEL = """def kernel(x):
+    if x < {end!r}:{band}
+    s = 0.0
+    y = x
+    while y < {cutoff!r}:
+        s += {term}
+        y += 1.0{series}
+"""
+
 # The band of psi^(k), k = 0..3, on (0, 2.5): z = x - 2 from 1.5 up, z =
-# x - 1 plus the recurrence term at x from 0.5 up, z = x plus the terms at
-# x and 1 + x below, so z is exact and |z| <= 0.5; the series at z plus
-# the terms.  Adding -0.0 changes no double, so [1.5, 2.5) returns the
-# series at z.  ZeroDivisionError where x**(k+1) underflows to 0.
-_PSI_BAND = """def band(x):
+# x - 1 plus the term at x from 0.5 up, z = x plus the terms at x and
+# 1 + x below, so z is exact and |z| <= 0.5; the series at z plus the
+# terms.  Adding -0.0 changes no double, so [1.5, 2.5) returns the series
+# at z.  ZeroDivisionError where x**(k+1) underflows to 0.
+_PSI_BAND = """
     if x >= 1.5:
         z = x - 2.0
         t = -0.0
     elif x >= 0.5:
         z = x - 1.0
-        t = {rec} / ({x})
+        t = {x}
     else:
         z = x
         y = 1.0 + x
-        t = {rec} / ({x}) + {rec} / ({y})
-    return {series} + t
-"""
+        t = {x} + {y}
+    return {series} + t"""
 
-# The band of ln Gamma(1+x) on (-0.5, 1.5): the series at z = x - 1 times
-# z from 0.5 up, at z = x times z minus log1p(x) below; |z| <= 0.5.
-# Subtracting +0.0 changes no double.
-_LN_GAMMA1P_BAND = """def band(x):
-    if x < 0.5:
-        z = x
-        t = log1p(x)
+# The band of ln Gamma(1+a) on (-0.5, 1.5): the series at z = a - 1 times
+# z from 0.5 up, at z = a times z minus log1p(a) below; |z| <= 0.5.
+# Subtracting +0.0 changes no double.  ln Gamma's kernel takes it at a =
+# x - 1, exact there, above 0.5, and at a = x minus log x (u) below.
+_LN_GAMMA1P_BAND = """
+    if a < 0.5:
+        z = a
+        t = log1p(a)
     else:
-        z = x - 1.0
+        z = a - 1.0
         t = 0.0
-    return {series} * z - t
-"""
+    return {series} * z - t{minus}"""
+
+_LN_GAMMA_BAND = """
+    if x > 0.5:
+        a = x - 1.0
+        u = 0.0
+    else:
+        a = x
+        u = log(x)"""
 
 # The Stirling-type series past the cutoff, y >= 15: p and r start its
-# tail, and the value writes out its head and its tail; float or array,
-# ``log`` math.log unless a twin passes numpy's
-_SERIES = """def series(y, log=log):
+# tail, and the value writes out its head and its tail
+_STIRLING = """
     inv = 1.0 / y
     r = inv * inv
     p = {p}
-    return {value}
-"""
+    return {value}"""
 
 
 def _define(name, source):
@@ -319,17 +337,14 @@ def _define(name, source):
     return namespace[name]
 
 
-def _make_band(i):
-    if i == _LN_GAMMA:
-        return _define("band", _LN_GAMMA1P_BAND.format(
-            series=_horner(_LNGAMMA2P_COEFFS, "z")))
-    power = _POWERS[i + 1]
-    return _define("band", _PSI_BAND.format(
-        series=_horner(_PSI2P_COEFFS[i], "z"), rec=repr(_RECURRENCE[i]),
-        x=power.format("x"), y=power.format("y")))
+def _ln_gamma1p_band(minus):
+    return _LN_GAMMA1P_BAND.format(series=_horner(_LNGAMMA2P_COEFFS, "z"),
+                                   minus=minus)
 
 
-def _make_series(i):
+def _stirling(i, plus=""):
+    """The text of kernel i's Stirling series at y, its value plus
+    ``plus``."""
     if i == _LN_GAMMA:
         p, value = "inv", "(y - 0.5) * log(y) - y + %r + (%s)" % (
             _HALF_LN_TWO_PI, _forward(_LNGAMMA_TAIL))
@@ -341,14 +356,27 @@ def _make_series(i):
         value = "%r * (%r * (%s) + %r * (%s) + %s)" % (
             sign, fact_km1, _POWERS[i].format("inv"), half_fact_k,
             _POWERS[i + 1].format("inv"), _forward(_POLYGAMMA_TAILS[i]))
-    return _define("series", _SERIES.format(p=p, value=value))
+    return _STIRLING.format(p=p, value=value + plus)
+
+
+def _make_kernel(i):
+    if i == _LN_GAMMA:
+        band = _LN_GAMMA_BAND + _ln_gamma1p_band(" - u")
+    else:
+        band = _PSI_BAND.format(series=_horner(_PSI2P_COEFFS[i], "z"),
+                                x=_TERM[i].format("x"),
+                                y=_TERM[i].format("y"))
+    return _define("kernel", _KERNEL.format(
+        end=_TAYLOR_END, band=band.replace("\n", "\n    "),
+        cutoff=_SHIFT_CUTOFF, term=_TERM[i].format("y"),
+        series=_stirling(i, " + s")))
 
 
 def _on_first_call(make, n):
     """``[make(i) for i in range(n)]``, each made at its first call: until
     then its slot holds a stand-in that makes it, puts it in the slot and
     hands the call on, so a process compiles only the code it runs
-    (compiling all fifteen at import would take about 3 ms)."""
+    (compiling all twenty-one at import would take about 4 ms)."""
     made = []
 
     def stand_in(i):
@@ -361,16 +389,22 @@ def _on_first_call(make, n):
     return made
 
 
-# Every branch as code generated from its table at its first call, indexed
-# by the order k of psi^(k), k = 0..3, with ln Gamma last, at _LN_GAMMA.
-# _band: the scalar kernels' bands, psi^(k) on (0, 2.5) and ln Gamma(1+x)
-# on (-0.5, 1.5), each one function with one Horner expression; _series:
-# the Stirling series, which the scalar kernels and the array twins call;
-# _taylor: z -> the band polynomial alone, whose Horner text the twins'
-# bands share with _band (_taylor[_LN_GAMMA](z) * z is ln Gamma(2+z)).
+# Every function generated from the tables at its first call, indexed by
+# the order k of psi^(k), k = 0..3, with ln Gamma last, at _LN_GAMMA.
+# _kernel: the scalar kernels, psi^(k) and ln Gamma, each one function;
+# _band: one slot, ln Gamma(1+x) on (-0.5, 1.5), which ln_gamma1p calls
+# on its own bands.  The twins take the rest: _series, the Stirling series
+# alone, ``log`` math.log unless a twin passes numpy's; _term, y -> the
+# term of a shift step, with the twins' ``log``; _taylor, z -> the band
+# polynomial alone (_taylor[_LN_GAMMA](z) * z is ln Gamma(2+z)).
 _LN_GAMMA = 4
-_band = _on_first_call(_make_band, 5)
-_series = _on_first_call(_make_series, 5)
+_kernel = _on_first_call(_make_kernel, 5)
+_band = _on_first_call(lambda i: _define(
+    "band", "def band(a):" + _ln_gamma1p_band("")), 1)
+_series = _on_first_call(lambda i: _define(
+    "series", "def series(y, log=log):" + _stirling(i)), 5)
+_term = _on_first_call(lambda i: eval(
+    "lambda y, log: " + _TERM[i].format("y"), {}), 5)
 _taylor = _on_first_call(lambda i: eval("lambda z: " + _horner(
     (_PSI2P_COEFFS + (_LNGAMMA2P_COEFFS,))[i], "z"), {}), 5)
 
@@ -420,18 +454,7 @@ def ln_gamma(x):
         x = _gate("ln_gamma", x)
     if not 0.0 < x < math.inf:
         raise ValueError("ln_gamma requires finite x > 0, got %r" % (x,))
-    if x < _TAYLOR_END:
-        if x > 0.5:
-            return _band[_LN_GAMMA](x - 1.0)  # x - 1 is exact here
-        return _band[_LN_GAMMA](x) - math.log(x)
-    log = math.log
-    cutoff = _SHIFT_CUTOFF
-    shift = 0.0
-    y = x
-    while y < cutoff:
-        shift += log(y)
-        y += 1.0
-    return _series[_LN_GAMMA](y) - shift
+    return _kernel[_LN_GAMMA](x)
 
 
 def ln_gamma1p(x):
@@ -442,7 +465,7 @@ def ln_gamma1p(x):
     if not -1.0 < x < math.inf:
         raise ValueError("ln_gamma1p requires finite x > -1, got %r" % (x,))
     if -0.5 < x < _ZERO_BAND or -_ZERO_BAND < x - 1.0 < 0.5:
-        return _band[_LN_GAMMA](x)
+        return _band[0](x)
     return ln_gamma(1.0 + x)
 
 
@@ -452,15 +475,7 @@ def digamma(x):
         x = _gate("digamma", x)
     if not 0.0 < x < math.inf:
         raise ValueError("digamma requires finite x > 0, got %r" % (x,))
-    if x < _TAYLOR_END:
-        return _band[0](x)
-    cutoff = _SHIFT_CUTOFF
-    shift = 0.0
-    y = x
-    while y < cutoff:
-        shift += 1.0 / y
-        y += 1.0
-    return _series[0](y) - shift
+    return _kernel[0](x)
 
 
 def _out_of_range(k, x):
@@ -485,21 +500,10 @@ def polygamma(k, x):
         _check_order(k)
     if not 0.0 < x < math.inf:
         raise ValueError("polygamma requires finite x > 0, got %r" % (x,))
-    if x < _TAYLOR_END:
-        try:
-            value = _band[k](x)
-        except ZeroDivisionError:  # x**(k+1) underflowed to 0
-            raise _out_of_range(k, x) from None
-    else:
-        rec = _RECURRENCE[k]
-        cutoff = _SHIFT_CUTOFF
-        shift = 0.0
-        y = x
-        while y < cutoff:
-            p = y * y  # _recurrence_term(k, y), written in
-            shift += rec / (p if k == 1 else p * y if k == 2 else p * p)
-            y += 1.0
-        value = _series[k](y) + shift
+    try:
+        value = _kernel[k](x)
+    except ZeroDivisionError:  # x**(k+1) underflowed to 0 in the band
+        raise _out_of_range(k, x) from None
     if not math.isfinite(value):
         raise _out_of_range(k, x)
     return value
@@ -515,7 +519,7 @@ def _each(fn, x):
 
 
 def _taylor_array(x):
-    """``_band[_LN_GAMMA]``, ln Gamma(1+x), of every element of an array in
+    """``_band[0]``, ln Gamma(1+x), of every element of an array in
     (-0.5, 1.5), with the same operations in the same order."""
     import numpy as np
 
@@ -538,48 +542,44 @@ def _ln_gamma_band(x):
 
 
 def _psi_taylor_array(k, x):
-    """``_band[k]``, psi^(k), of every element of an array in (0, 2.5),
-    with the same operations in the same order (bar the -0.0 that band
-    adds on [1.5, 2.5)); an infinity where x**(k+1) underflows or a term
-    overflows."""
+    """The band of ``_kernel[k]``, psi^(k), of every element of an array in
+    (0, 2.5), with the same operations in the same order (bar the -0.0
+    that band adds on [1.5, 2.5)); an infinity where x**(k+1) underflows
+    or a term overflows."""
     import numpy as np
 
     low = x < 0.5
     mid = ~low & (x < 1.5)
     s = _taylor[k](np.where(low, x, x - np.where(mid, 1.0, 2.0)))
+    term = _term[k]
     with np.errstate(over="ignore", divide="ignore"):
         if mid.any():  # the term at every x, added where mid holds
-            np.add(s, _recurrence_term(k, x), out=s, where=mid)
+            np.add(s, term(x, np.log), out=s, where=mid)
         if low.any():
             x = x[low]
-            s[low] += _recurrence_term(k, x) + _recurrence_term(k, 1.0 + x)
+            s[low] += term(x, np.log) + term(1.0 + x, np.log)
     return s
 
 
-# The array twins' rows, indexed as _band and _series: the band function
-# below 2.5 and the term a shift step adds at y, taking numpy's log.
-# psi's term is -1 / y and ln Gamma's -log y, so every row adds its shift
-# where the scalar kernels subtract theirs: a sum of negated terms is the
-# negated sum, bit for bit.
-_TWINS = tuple((partial(_psi_taylor_array, k),
-                lambda y, log, k=k: _recurrence_term(k, y))
-               for k in range(4)) + (
-    (_ln_gamma_band, lambda y, log: -log(y)),)
+# The array twins' band functions below 2.5, indexed as _kernel
+_TWINS = tuple(partial(_psi_taylor_array, k) for k in range(4)) + (
+    _ln_gamma_band,)
 
 
 def _twin(k, x):
-    """Row k of :data:`_TWINS` on a checked 1-D array: the band function
-    below 2.5; from there ``_series[k]`` at y plus the shift, each element
-    raised by 1 until it reaches the cutoff and its steps' terms summed in
-    the scalar kernels' order.  Only the elements below the cutoff are
-    shifted, gathered once in ascending order: y + 1 rounds monotonically,
-    so those still below after each step are a prefix, which the next
-    step takes as a slice.  The others keep a shift of 0.0, which the
-    scalar kernels add too.  An array that lies wholly on one side of 2.5
-    is handed over whole, with no gather or scatter."""
+    """Kernel k on a checked 1-D array: its band function in
+    :data:`_TWINS` below 2.5; from there ``_series[k]`` at y plus the
+    shift, each element raised by 1 until it reaches the cutoff and its
+    steps' terms, ``_term[k]``, summed in the scalar kernel's order.
+    Only the elements below the cutoff are shifted, gathered once in
+    ascending order: y + 1 rounds monotonically, so those still below
+    after each step are a prefix, which the next step takes as a slice.
+    The others keep a shift of 0.0, which the scalar kernels add too.  An
+    array that lies wholly on one side of 2.5 is handed over whole, with
+    no gather or scatter."""
     import numpy as np
 
-    band_of, term = _TWINS[k]
+    band_of, term = _TWINS[k], _term[k]
     band = x < _TAYLOR_END
     if band.all():
         return band_of(x)

@@ -4,8 +4,11 @@ mpmath (50 digits) is the independent oracle.
 """
 
 import functools
+import json
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from functools import partial
@@ -978,9 +981,14 @@ def test_generated_tail_equals_a_loop(name, k):
 
 
 def _loop_band(k, x):
-    """The band of psi^(k), k = 0..3, or of ln Gamma(1+x) (k None) at a
-    float, by plain loops: _loop_horner at z, the recurrence terms with
-    their powers as products.  ZeroDivisionError where x**(k+1) is 0."""
+    """The band of psi^(k), k = 0..3, of ln Gamma(1+x) (k None) or of ln
+    Gamma (k "ln_gamma") at a float, by plain loops: _loop_horner at z, the
+    recurrence terms with their powers as products.  ZeroDivisionError
+    where x**(k+1) is 0."""
+    if k == "ln_gamma":
+        if x > 0.5:
+            return _loop_band(None, x - 1.0)
+        return _loop_band(None, x) - math.log(x)
     if k is None:
         coeffs = refcore._LNGAMMA2P_COEFFS
         if x < 0.5:
@@ -1005,41 +1013,56 @@ def _value_or_error(fn, x):
 def _band_points(k):
     """Seeded points in each sub-band of one band, its edges, and for
     psi^(k) the subnormals and the x where x**(k+1) first underflows."""
-    rng = np.random.default_rng(20261022 + (k or 0))
     if k is None:  # ln Gamma(1+x) on (-0.5, 1.5)
+        rng = np.random.default_rng(20261022)
         xs = [rng.uniform(-0.5, 0.5, 5000), rng.uniform(0.5, 1.5, 5000),
               _ulps_around(0.5), _ulps_around(0.0), _ulps_around(1.0),
               _ulps_around(-0.5)[5:], _ulps_around(1.5)[:4],
               [5e-324, -5e-324]]
+        lo, hi = -0.5, 1.5
+    elif k == "ln_gamma":  # ln Gamma on (0, 2.5), a = x - 1 above 0.5
+        rng = np.random.default_rng(20261027)
+        xs = [rng.uniform(0.0, 0.5, 3000), rng.uniform(0.5, 1.5, 3000),
+              rng.uniform(1.5, 2.5, 3000),
+              10.0 ** rng.uniform(-323.0, 0.0, 3000),
+              _ulps_around(0.5), _ulps_around(1.5), _ulps_around(2.5),
+              [5e-324]]
+        lo, hi = 0.0, 2.5
     else:
+        rng = np.random.default_rng(20261022 + k)
         tiny = 2.0 ** (-1075.0 / (k + 1))  # below it x**(k+1) rounds to 0
         xs = [rng.uniform(0.0, 0.5, 3000), rng.uniform(0.5, 1.5, 3000),
               rng.uniform(1.5, 2.5, 3000),
               10.0 ** rng.uniform(-323.0, 0.0, 3000),
               _ulps_around(0.5), _ulps_around(1.5), _ulps_around(2.5)[:4],
               _ulps_around(tiny), [5e-324, 1e-310, 2.2250738585072014e-308]]
-    xs = np.concatenate(xs)
-    return [x for x in xs.tolist() if (-0.5 if k is None else 0.0) < x < (
-        1.5 if k is None else 2.5)]
+        lo, hi = 0.0, 2.5
+    return [x for x in np.concatenate(xs).tolist() if lo < x < hi]
 
 
-@pytest.mark.parametrize("k", [None, 0, 1, 2, 3],
-                         ids=["ln_gamma1p", "psi0", "psi1", "psi2", "psi3"])
+@pytest.mark.parametrize("k", [None, "ln_gamma", 0, 1, 2, 3],
+                         ids=["ln_gamma1p", "ln_gamma", "psi0", "psi1",
+                              "psi2", "psi3"])
 def test_generated_band_equals_a_loop(k):
-    # each scalar band, one generated function, against plain loops: the
-    # same doubles, and ZeroDivisionError at the same points, where
-    # polygamma raises its ValueError
-    i = refcore._LN_GAMMA if k is None else k
-    refcore._band[i](1.0)  # the first call puts it in its slot
-    band = refcore._band[i]
-    assert band.__name__ == "band"
+    # each scalar band, generated into its kernel (ln Gamma(1+x): its own
+    # function), against plain loops on (0, 2.5): the same doubles, and
+    # ZeroDivisionError at the same points, where polygamma raises its
+    # ValueError
+    if k is None:
+        slots, i, name = refcore._band, 0, "band"
+    else:
+        slots, name = refcore._kernel, "kernel"
+        i = refcore._LN_GAMMA if k == "ln_gamma" else k
+    slots[i](1.0)  # the first call puts it in its slot
+    band = slots[i]
+    assert band.__name__ == name
     xs = _band_points(k)
     got = [_value_or_error(band, x) for x in xs]
     ref = [_value_or_error(partial(_loop_band, k), x) for x in xs]
     assert got == ref  # the errors, and the doubles up to the sign of 0
     values = [(a, b) for a, b in zip(got, ref) if isinstance(a, float)]
     assert _same_bits(*zip(*values))
-    if k:
+    if k in (1, 2, 3):
         raised = [x for x, v in zip(xs, got) if v is ZeroDivisionError]
         assert 5e-324 in raised and len(raised) >= 5
         for x in raised:
@@ -1072,11 +1095,10 @@ _BRANCH_XS = [0.3, 1.2, 2.0, 5.0, 50.0]
 @pytest.mark.parametrize("x", _BRANCH_XS)
 @pytest.mark.parametrize("name, k", _SERIES, ids=_SERIES_IDS)
 def test_one_nested_call_per_kernel_call(name, k, x):
-    # a kernel's branch is one generated function; nothing else is called
+    # a kernel is one generated function; nothing else is called
     fn, args = getattr(refcore, name), ((k, x) if k else (x,))
     fn(*args)  # the first call generates the code
-    assert [c.co_name for c in _nested_calls(fn, *args)] in (
-        ["band"], ["series"])
+    assert [c.co_name for c in _nested_calls(fn, *args)] == ["kernel"]
 
 
 @pytest.mark.parametrize("x", [-0.3, 0.05, 0.95, 1.2])
@@ -1084,3 +1106,35 @@ def test_ln_gamma1p_on_its_bands_makes_one_nested_call(x):
     refcore.ln_gamma1p(x)
     assert [c.co_name for c in _nested_calls(refcore.ln_gamma1p, x)] == [
         "band"]
+
+
+def test_ln_gamma1p_off_its_bands_hands_on_to_ln_gamma():
+    refcore.ln_gamma1p(0.5)
+    assert [c.co_name for c in _nested_calls(refcore.ln_gamma1p, 0.5)] == [
+        "ln_gamma", "kernel"]
+
+
+_FRESH_IMPORT = """
+import json
+import gamma_envelope
+from gamma_envelope import refcore
+print(json.dumps({name: [f.__name__ for f in getattr(refcore, name)]
+                  for name in ("_kernel", "_series", "_band", "_taylor",
+                               "_term")}))
+"""
+
+
+def test_import_generates_only_psi():
+    # each generated function is made at its first call; importing the
+    # package calls digamma(1.0) alone, to check EULER_GAMMA
+    src = os.path.dirname(os.path.dirname(refcore.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_IMPORT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    names = json.loads(proc.stdout)
+    assert names.pop("_kernel") == ["kernel"] + ["first_call"] * 4
+    assert names == {"_series": ["first_call"] * 5, "_band": ["first_call"],
+                     "_taylor": ["first_call"] * 5,
+                     "_term": ["first_call"] * 5}
