@@ -155,9 +155,15 @@ def resolve_function(function_id):
     raise KeyError("unknown function id %r" % (function_id,))
 
 
-def _finite_interval(a, b):
+def _interval(name, a, b):
+    # the interval (a, b) of the sweep ``name``: two floats, finite, a < b
+    a, b = (refcore._gate(name, end, param=param)
+            for end, param in ((a, "a"), (b, "b")))
     if not math.isfinite(b - a):  # an infinite or NaN end, or width
         raise ValueError("interval (%r, %r) is not finite" % (a, b))
+    if not a < b:
+        raise ValueError("need a < b")
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +181,7 @@ def check_monotone(function_id, a, b, direction, grid_n=10000):
     smallest |difference|, witness the x where the first failing step
     starts and violations the number of failing steps.
     """
-    _finite_interval(a, b)
-    if not a < b:
-        raise ValueError("need a < b")
+    a, b = _interval("check_monotone", a, b)
     sweep.grid_size(grid_n, "grid_n", 2)
     if direction not in ("increasing", "decreasing"):
         raise ValueError("direction must be 'increasing' or 'decreasing'")
@@ -204,10 +208,9 @@ def _classify_lambda(xs, vals):
     Increasing or decreasing means every grid step has that strict sign;
     any mix of signs (or a zero step) is classified non-monotone.
     """
-    if sweep.monotone(xs, vals, 1.0).ok:
-        return "increasing"
-    if sweep.monotone(xs, vals, -1.0).ok:
-        return "decreasing"
+    for sign, direction in ((1.0, "increasing"), (-1.0, "decreasing")):
+        if sweep.claim("lambda_ratio", "monotonicity", xs, vals, sign).ok:
+            return direction
     return "non-monotone"
 
 
@@ -334,6 +337,7 @@ def cm_probe(function_id, a, b, max_order, step):
     x of a failing stencil and violations the number of failing stencils
     over every order.
     """
+    a, b = _interval("cm_probe", a, b)
     if not 0 <= sweep.grid_size(max_order, "max_order") <= 8:
         raise ValueError("max_order must be in 0..8, got %r" % (max_order,))
     if not step > 0.0:
@@ -342,7 +346,6 @@ def cm_probe(function_id, a, b, max_order, step):
         raise ValueError("step must be finite, got inf")
     if not a > 0.0:
         raise ValueError("a must be positive")
-    _finite_interval(a, b)
     if a + max_order * step > b:
         raise ValueError("stencil exceeds the domain")
     steps = (b - a) / step
@@ -437,8 +440,8 @@ def find_crossover(family_a, family_b, side, a, b, scan_n=1000):
     and refined by bisection to 1e-10.  An empty list means one family's
     side dominates throughout.  The families must share one convention.
     """
+    a, b = _interval("find_crossover", a, b)
     _one_convention((family_a, family_b))
-    _finite_interval(a, b)
 
     def diff(xs):
         return _side_difference(
@@ -469,8 +472,8 @@ def compare_families(side, a, b, grid_n, families):
     upper) bound among those valid at x.  All requested families must
     share one argument convention.
     """
+    a, b = _interval("compare_families", a, b)
     _one_convention(families)
-    _finite_interval(a, b)
     xs = _grid(a, b, sweep.grid_size(grid_n, "grid_n", 2))
     values = [_side(bounds.family_logs_array(f, xs), f, side)
               for f in families]

@@ -101,7 +101,7 @@ def _cmd_audit(args):
 
 
 def _cmd_lemma2(args):
-    from gamma_envelope import polycert, proofaudit
+    from gamma_envelope import polycert, proofaudit, sweep
 
     certs = polycert.certify_lemma_polynomials()
     rows = [["h%d" % i, "polynomial", cert.claimed_sign, cert.descartes_bound,
@@ -110,8 +110,8 @@ def _cmd_lemma2(args):
     # the transcendental member is the audit's grid claim, with its value
     # 1 at 0 checked too
     xs = proofaudit.interior_grid(max(args.grid, args.grid_floor))
-    h2 = proofaudit._grid_claim("lemma_h2_positive", "sign", 1.0, xs,
-                                proofaudit.lemma_expr(2, xs), "h2")
+    h2 = sweep.claim("lemma_h2_positive", "sign", xs,
+                     proofaudit.lemma_expr(2, xs))
     h2_at_0 = proofaudit.lemma_expr(2, 0.0)
     h2 = h2._replace(verdict="consistent" if h2.ok
                      and abs(h2_at_0 - 1.0) <= 1e-12 else "violated")
@@ -193,16 +193,16 @@ def _cmd_polygamma_check(args):
     from gamma_envelope import sweep
 
     xs = np.logspace(math.log10(0.01), math.log10(100.0), args.grid)
-    rows, ok = [], True
+    claims = []
     for k in (1, 2, 3):
         lower, upper = bounds.polygamma_bounds(k, xs)
         val = abs(refcore.polygamma_array(k, xs))
-        check = sweep.lowest(xs, np.minimum(val - lower, upper - val))
-        rows.append([k, float(xs[0]), float(xs[-1]), len(xs), check.measured,
-                     "pass" if check.ok else "fail"])
-        ok = ok and check.ok
+        claims.append(sweep.claim("polygamma_%d_sandwich" % k, "sign", xs,
+                                  np.minimum(val - lower, upper - val)))
+    rows = [[k, *c.interval, len(xs), c.measured, c.verdict]
+            for k, c in zip((1, 2, 3), claims)]
     header = ["k", "x_min", "x_max", "points", "min_margin", "verdict"]
-    return header, rows, ok
+    return header, rows, all(c.ok for c in claims)
 
 
 def _grid_size(text):

@@ -14,7 +14,8 @@ once for both forms: it takes its kernels from ``refcore.AT_POINT`` at a
 float and ``refcore.ON_ARRAY`` on an array; every kernel it calls, at
 x + 1 in [1, 2], sums the same Taylor series on both, so every value of
 the chain agrees bit for bit between the forms.  The audit's sweeps use
-the array form, in blocks of :data:`BLOCK` points.
+the array form, in blocks of :data:`BLOCK` points, and each grid claim's
+verdict is made by :func:`gamma_envelope.sweep.claim`.
 """
 
 import math
@@ -288,49 +289,17 @@ def interior_grid(n):
     return eps + (1.0 - 2.0 * eps) * np.arange(n) / (n - 1)
 
 
-def _claim(name, kind, interval, expected, ok, measured, witness):
-    # an audited claim, pass or fail, counting itself as its one violation
-    return sweep.Claim(name, kind, interval, expected,
-                       "pass" if ok else "fail", measured, witness,
-                       int(not ok))
-
-
-def _grid_claim(name, kind, sign, xs, vals, arg):
-    """One audited grid claim of the given kind from a sweep of the value
-    ``arg`` of :data:`_VALUES`, as a :class:`~gamma_envelope.sweep.Claim`;
-    a unique zero is refined on the proof function of that name."""
-    if kind == "monotonicity":
-        expected = "strictly %s" % ("increasing" if sign > 0 else "decreasing")
-        ok, measured, witness = sweep.monotone(xs, vals, sign)
-    elif kind == "sign":
-        expected = "%s on the interval" % ("> 0" if sign > 0 else "< 0")
-        ok, measured, witness = sweep.signed(xs, vals, sign)
-    elif kind == "unique_minimum":
-        expected = "one descending-to-ascending turn of first differences"
-        ok, measured, witness = sweep.unique_minimum(xs, vals)
-    else:  # unique_zero: the one sign change is refined to a root
-        expected = "exactly one sign change, bisection converges"
-        changes = sweep.sign_changes(vals)
-        ok, measured = len(changes) == 1, float(len(changes))
-        if ok:
-            i = changes[0]
-            witness = sweep.root(partial(proof_function, arg), float(xs[i]),
-                                 float(xs[i + 1]), vals[i], 1e-12)
-        else:
-            witness = float(xs[changes[0]]) if len(changes) else None
-    return _claim(name, kind, (float(xs[0]), float(xs[-1])), expected, ok,
-                  measured, witness)
-
-
 def audit_proof(grid_n=10000):
     """Re-check every asserted step of the monotonicity proof on a grid.
 
     Returns one :class:`~gamma_envelope.sweep.Claim` per assertion: its
     name, kind, interval and expected outcome, verdict pass or fail,
     measured, witness, and violations 1 when it fails; all pass on a
-    correct implementation.  Strictness is exact double comparison of
-    consecutive grid values (the functions' derivatives dwarf grid noise
-    here).
+    correct implementation.  Each grid claim is made by
+    :func:`~gamma_envelope.sweep.claim` from one sweep, whose strictness
+    is exact double comparison of consecutive grid values (the functions'
+    derivatives dwarf grid noise here); the point claims compare one value
+    with the derivation's printed anchor or limit.
     """
     sweep.grid_size(grid_n, "grid_n", 100)
     closed = closed_grid(grid_n)
@@ -344,8 +313,8 @@ def audit_proof(grid_n=10000):
             ("q1", [("q1_strictly_decreasing", "monotonicity", -1.0)]),
         ]),
         (interior, [
-            ("q1", [("q1_unique_zero", "unique_zero", None)]),
-            ("q", [("q_unique_minimum", "unique_minimum", None),
+            ("q1", [("q1_unique_zero", "unique_zero", 1.0)]),
+            ("q", [("q_unique_minimum", "unique_minimum", 1.0),
                    ("q_negative_interior", "sign", -1.0)]),
             ("f_over_g_prime", [("f_over_g_prime_strictly_increasing",
                                  "monotonicity", 1.0)]),
@@ -360,8 +329,9 @@ def audit_proof(grid_n=10000):
         values = _evaluate([arg for arg, _ in functions], xs)
         for arg, checks in functions:
             vals = values.pop(arg)  # each released once its claims are made
-            for name, kind, sign in checks:
-                claims.append(_grid_claim(name, kind, sign, xs, vals, arg))
+            for name, kind, sign in checks:  # a zero is refined on arg
+                claims.append(sweep.claim(name, kind, xs, vals, sign,
+                                          partial(proof_function, arg)))
     # Point claims: the helper functions' endpoint anchors, printed to 3
     # decimals in the derivation, and the ratio's two one-sided limits.
     # (name, kind, measured, expected, tolerance)
@@ -379,8 +349,9 @@ def audit_proof(grid_n=10000):
         ("ratio_limit_at_1", "limit", ratio_R(1.0 - 1e-8), limit_at_1, 1e-6),
     ]:
         ok = abs(measured - expected) <= tol
-        claims.append(_claim(name, kind, (0.0, 1.0),
-                             expected_text[kind].format(expected, tol), ok,
-                             measured, None if ok else measured))
+        claims.append(sweep.Claim(name, kind, (0.0, 1.0),
+                                  expected_text[kind].format(expected, tol),
+                                  "pass" if ok else "fail", measured,
+                                  None if ok else measured, int(not ok)))
     return claims
 

@@ -427,8 +427,8 @@ _TAKES = {"point": "a float {}", "array": "a 1-D numpy array",
 def _gate(name, x, form="point", error=ValueError, param="x"):
     """``x`` as the float or 1-D float64 array that ``form`` takes (a key
     of :data:`_TAKES`), else ``error``: "<name> requires <what form takes>,
-    got <x's kind>".  Every entry that takes a float tests ``type(x) is
-    float`` inline first, so the float path never enters it."""
+    got <x's kind>".  A point evaluation tests ``type(x) is float`` inline
+    first, so its float path never enters it (a sweep's interval end does)."""
     np = sys.modules.get("numpy")  # no value is numpy's before it loads
     if np is not None and isinstance(x, np.ndarray):
         if form != "point" and x.ndim == 1 and x.dtype.kind in "fiu":

@@ -1,14 +1,13 @@
-"""Grid reductions, the one bisection shared by every grid claim, and
-the one record of a checked claim.
+"""The one engine of grid claims, the one bisection shared by every grid
+claim, and the one record of a checked claim.
 
 A sweep is a grid ``xs`` and the values ``vals`` of one function on it,
-both computed by the caller.  The reducers turn a sweep into a
-:class:`Verdict`: whether the claim holds at every grid point, what was
+both computed by the caller.  :func:`claim` turns a sweep into a
+:class:`Claim`: whether the claim holds at every grid point, what was
 measured (the margin that came closest to failing, or a count), and the
-grid point that witnesses it (each reducer says which).  Comparisons
-are exact double comparisons; a NaN never satisfies a strict
-inequality.  Every claim the toolkit checks and reports is a
-:class:`Claim`.
+grid point that witnesses it (each kind says which).  Comparisons are
+exact double comparisons; a NaN never satisfies a strict inequality.
+Every claim the toolkit checks and reports is a :class:`Claim`.
 """
 
 import math
@@ -18,12 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from gamma_envelope import refcore
-
-
-class Verdict(NamedTuple):
-    ok: bool
-    measured: float
-    witness: float | None
 
 
 # The verdict words of a claim that holds, or of a probe that found no
@@ -62,45 +55,59 @@ def grid_size(n, name, least=-math.inf):
     return n
 
 
-def lowest(xs, margins):
-    """Every margin > 0: the smallest margin, and the first x where it
-    occurs when it is not > 0.  With no margins the claim holds
-    vacuously and measures inf."""
-    if len(margins) == 0:
-        return Verdict(True, math.inf, None)
-    i = int(np.argmin(margins))
-    worst = float(margins[i])
-    ok = worst > 0.0
-    return Verdict(ok, worst, None if ok else float(xs[i]))
+def claim(name, kind, xs, vals, sign=1.0, refine=None):
+    """The :class:`Claim` of one sweep on (xs[0], xs[-1]) of the given
+    kind, verdict pass or fail, counting itself as its one violation when
+    it fails.
 
-
-def signed(xs, vals, sign):
-    """sign * v > 0 at every point (sign is +1.0 or -1.0); measured is the
-    value nearest to failing, in the values' own sign, and the witness
-    its first x when the claim fails."""
-    ok, worst, witness = lowest(xs, sign * np.asarray(vals))
-    return Verdict(ok, sign * worst, witness)
-
-
-def monotone(xs, vals, sign):
-    """Strictly increasing (sign +1.0) or decreasing (-1.0): every step
-    sign * (v[i+1] - v[i]) > 0; measured is the smallest such step and
-    the witness the x where it starts."""
-    return lowest(xs, sign * np.diff(vals))
-
-
-def unique_minimum(xs, vals):
-    """The steps turn from descending to ascending exactly once, falling
-    at the start and rising at the end; measured is the number of turns,
-    the witness the x after the first or where a failing end step starts."""
-    d = np.diff(vals)
-    a, b = d[:-1], d[1:]
-    turns = np.flatnonzero(((a < 0.0) & (b >= 0.0)) | ((a <= 0.0) & (b > 0.0)))
-    ok = bool(len(turns) == 1 and d[0] < 0.0 < d[-1])
-    witness = float(xs[turns[0] + 1]) if len(turns) else None
-    if len(turns) == 1 and not ok:
-        witness = float(xs[0] if not d[0] < 0.0 else xs[-2])
-    return Verdict(ok, float(len(turns)), witness)
+    ``monotonicity``: strictly increasing (sign +1.0) or decreasing
+    (-1.0), every step sign * (v[i+1] - v[i]) > 0; measured is the
+    smallest such step (inf when there is none) and the witness the x
+    where it starts.  ``sign``: sign * v > 0 at every point; measured is
+    the value nearest to failing, in the values' own sign.  For both the
+    witness is the first x of the worst margin, when the claim fails.
+    ``unique_minimum``: the steps turn from descending to ascending
+    exactly once, falling at the start and rising at the end; measured is
+    the number of turns, the witness the x after the first or where a
+    failing end step starts.  ``unique_zero``: exactly one sign change,
+    measured the number of changes; the witness is the root of ``refine``
+    that :func:`root` brackets from that change to 1e-12, or the left x of
+    the first change when there is not exactly one.
+    """
+    vals = np.asarray(vals)
+    if kind == "monotonicity":
+        expected = "strictly " + ("increasing" if sign > 0 else "decreasing")
+        margins = sign * np.diff(vals)
+    elif kind == "sign":
+        expected = ("> 0" if sign > 0 else "< 0") + " on the interval"
+        margins = sign * vals
+    if kind in ("monotonicity", "sign"):
+        i = int(np.argmin(margins)) if len(margins) else None
+        worst = math.inf if i is None else float(margins[i])
+        ok = worst > 0.0
+        measured = worst if kind == "monotonicity" else sign * worst
+        witness = None if ok else float(xs[i])
+    elif kind == "unique_minimum":
+        expected = "one descending-to-ascending turn of first differences"
+        d = np.diff(vals)
+        a, b = d[:-1], d[1:]
+        turns = np.flatnonzero(((a < 0.0) & (b >= 0.0))
+                               | ((a <= 0.0) & (b > 0.0)))
+        ok = bool(len(turns) == 1 and d[0] < 0.0 < d[-1])
+        measured = float(len(turns))
+        witness = float(xs[turns[0] + 1]) if len(turns) else None
+        if len(turns) == 1 and not ok:
+            witness = float(xs[0] if not d[0] < 0.0 else xs[-2])
+    else:  # unique_zero: the one sign change is refined to a root
+        expected = "exactly one sign change, bisection converges"
+        changes = sign_changes(vals)
+        ok, measured = len(changes) == 1, float(len(changes))
+        witness = float(xs[changes[0]]) if len(changes) else None
+        if ok:
+            i = changes[0]
+            witness = root(refine, witness, float(xs[i + 1]), vals[i], 1e-12)
+    return Claim(name, kind, (float(xs[0]), float(xs[-1])), expected,
+                 "pass" if ok else "fail", measured, witness, int(not ok))
 
 
 def sign_changes(vals):

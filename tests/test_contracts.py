@@ -45,6 +45,23 @@ class Entry(NamedTuple):
     param: str = "x"
 
 
+# the four sweeps over an interval, each as a function of its ends
+_SWEEPS = {
+    "check_monotone": lambda a, b: analysis.check_monotone(
+        "ratio_R", a, b, "increasing", 10),
+    "cm_probe": lambda a, b: analysis.cm_probe("h_cm", a, b, 0, 0.1),
+    "find_crossover": lambda a, b: analysis.find_crossover(
+        "batir_12", "batir_15", "lower", a, b, 20),
+    "compare_families": lambda a, b: analysis.compare_families(
+        "upper", a, b, 10, ["batir_12", "batir_15"]),
+}
+
+
+def _at_end(sweep, param, end):
+    # the sweep over (end, 2.0) or (0.1, end)
+    return sweep(end, 2.0) if param == "a" else sweep(0.1, end)
+
+
 _ENTRIES = [
     Entry("ln_gamma", refcore.ln_gamma, "ln_gamma", "point"),
     Entry("ln_gamma1p", refcore.ln_gamma1p, "ln_gamma1p", "point"),
@@ -89,6 +106,11 @@ _ENTRIES = [
           "either"),
     Entry("F_unitball", analysis.F_unitball, "F_unitball", "either"),
     Entry("h_cm", analysis.h_cm, "h_cm", "either"),
+    # the ends of a sweep's interval
+    *[Entry("%s_%s" % (name, param), partial(_at_end, sweep, param), name,
+            "point", ValueError, param)
+      for name, sweep in _SWEEPS.items()
+      for param in ("a", "b")],
 ]
 
 # what each form takes, as its contract error says
@@ -248,6 +270,11 @@ CONTRACTS = [
      lambda: analysis.cm_probe("h_cm", 0.0, 1.0, 2, 0.01), "a must"),
     ("cm_probe_a_negative",
      lambda: analysis.cm_probe("h_cm", -1.0, 1.0, 2, 0.01), "a must"),
+    # a reversed or empty interval has no grid: a scan over it would bisect
+    # nothing, or sweep one point
+    *[("%s_%s" % (name, case), partial(sweep, *ends), r"^need a < b$")
+      for name, sweep in _SWEEPS.items()
+      for case, ends in [("reversed", (0.9, 0.1)), ("empty", (0.5, 0.5))]],
     ("side_unknown", lambda: analysis._side(None, "qi_guo", "middle"),
      "side"),
     ("lemma_expr_below_0", lambda: proofaudit.lemma_expr(2, -0.1),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gamma_envelope import proofaudit as pa
-from gamma_envelope import refcore
+from gamma_envelope import refcore, sweep
 
 mp.mp.dps = 50
 
@@ -201,11 +201,11 @@ class TestAudit:
         ([1.0, 2.0, -1.0, 3.0], 2.0, 0.25),
     ])
     def test_unique_zero_fails(self, vals, changes, witness):
-        # no sign change, or two: the claim fails without a bisection, and
-        # the witness is the first change's left grid point
+        # no sign change, or two: the claim fails without a bisection (it
+        # has no function to bisect), and the witness is the first
+        # change's left grid point
         xs = np.array([0.0, 0.25, 0.5, 0.75])
-        claim = pa._grid_claim("z", "unique_zero", None, xs, np.array(vals),
-                               "q1")
+        claim = sweep.claim("z", "unique_zero", xs, np.array(vals))
         assert claim.verdict == "fail"
         assert claim.measured == changes
         assert claim.witness == witness

@@ -1,4 +1,4 @@
-"""Grid reducers and the shared bisection."""
+"""The grid-claim engine and the shared bisection."""
 
 import math
 
@@ -75,7 +75,7 @@ class TestBisect:
         assert 1.0 < inc <= dec < 6.0
 
 
-# Reference loops: the grid claims as written before the shared reducers.
+# Reference loops: the grid claims as written before the shared engine.
 def _old_monotone(xs, vals, decreasing):
     worst, witness = math.inf, None
     for a, b, xa in zip(vals, vals[1:], xs):
@@ -106,6 +106,12 @@ def _old_sign_changes(vals):
             if (a < 0.0) != (b < 0.0)]
 
 
+def _verdict(kind, xs, vals, sign=1.0):
+    # what a claim of the engine decides: ok, measured and witness
+    c = sweep.claim("c", kind, xs, vals, sign)
+    return c.ok, c.measured, c.witness
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_reducers_match_the_old_loops(seed):
     rng = np.random.default_rng(seed)
@@ -118,13 +124,13 @@ def test_reducers_match_the_old_loops(seed):
     if seed % 4 == 1:
         vals = [(x - 0.4) ** 2 - 0.1 for x in xs]
     for sign in (1.0, -1.0):
-        assert tuple(sweep.monotone(xs, vals, sign)) == _old_monotone(
+        assert _verdict("monotonicity", xs, vals, sign) == _old_monotone(
             xs, vals, sign < 0
         )
-        assert tuple(sweep.signed(xs, vals, sign)) == _old_sign(
+        assert _verdict("sign", xs, vals, sign) == _old_sign(
             xs, vals, sign < 0
         )
-    assert tuple(sweep.unique_minimum(xs, vals)) == _old_unique_minimum(
+    assert _verdict("unique_minimum", xs, vals) == _old_unique_minimum(
         xs, vals
     )
     assert list(sweep.sign_changes(vals)) == _old_sign_changes(vals)
@@ -132,14 +138,13 @@ def test_reducers_match_the_old_loops(seed):
 
 def test_nan_never_passes():
     xs = [0.0, 0.5, 1.0]
-    assert not sweep.lowest(xs, [1.0, math.nan, 2.0]).ok
-    assert not sweep.monotone(xs, [1.0, math.nan, 2.0], 1.0).ok
+    assert not sweep.claim("c", "sign", xs, [1.0, math.nan, 2.0]).ok
+    assert not sweep.claim("c", "monotonicity", xs, [1.0, math.nan, 2.0]).ok
 
 
 def test_no_margins_hold_vacuously():
-    assert sweep.lowest([], []) == (True, math.inf, None)
     # one value has no step
-    assert sweep.monotone([0.5], [1.0], 1.0) == (True, math.inf, None)
+    assert _verdict("monotonicity", [0.5], [1.0]) == (True, math.inf, None)
 
 
 @pytest.mark.parametrize("vals, witness", [
@@ -150,7 +155,7 @@ def test_no_margins_hold_vacuously():
 ])
 def test_unique_minimum_witnesses_the_failing_end_step(vals, witness):
     xs = [0.0, 0.25, 0.5, 0.75, 1.0]
-    assert sweep.unique_minimum(xs, vals) == (False, 1.0, witness)
+    assert _verdict("unique_minimum", xs, vals) == (False, 1.0, witness)
 
 
 @pytest.mark.parametrize("verdict, ok", [
